@@ -40,9 +40,9 @@ SUPER_4C_MIN ?= 1.15
 SUPER_M4_MIN ?= 0.85
 SUPER_MIX_MIN ?= 0.98
 
-.PHONY: ci vet build test race race-sweep differential block-differential fault-drill chaos-drill serve-drill batch-drill crash-drill bench bench-smoke sweep-bench obs-bench block-bench superblock-bench
+.PHONY: ci vet build test race race-sweep differential block-differential fault-drill chaos-drill serve-drill crash-drill bench bench-smoke sweep-bench obs-bench block-bench superblock-bench
 
-ci: vet build race race-sweep differential block-differential fault-drill chaos-drill serve-drill batch-drill crash-drill bench-smoke block-bench superblock-bench
+ci: vet build race race-sweep differential block-differential fault-drill chaos-drill serve-drill crash-drill bench-smoke block-bench superblock-bench
 
 vet:
 	$(GO) vet ./...
@@ -86,33 +86,24 @@ chaos-drill:
 		-chaos-rates 2e-3 -chaos-seed 1 -chaos-drill 1 >/dev/null
 	@echo "chaos drill passed"
 
-# Seeded soak of the simulation service (DESIGN.md §11): a client herd
-# hammers hetsimd's serving layer under injected slow jobs, cache-write
-# failures and mid-request cancellations, then drains. Asserts zero
-# duplicated executions per key, no stuck waiters, a clean drain, and
-# byte-identical remote-vs-local tables — all under the race detector,
-# bounded in wall clock. Also fuzzes the job-request decoder briefly.
+# Seeded soak of the simulation service (DESIGN.md §11, §15): campaigns
+# and single points (one-spec batches) race over overlapping keys under
+# injected slow jobs, cache-write failures and mid-request cancellations
+# — the cancellations cut streams, forcing the client's
+# reconnect-and-resume path — while a stats reader polls concurrently,
+# then the server drains. Asserts exactly-once execution per key across
+# campaigns, points, cuts and resumes, persisted cache writes, no stuck
+# waiters and a clean drain; plus the deterministic drain-cursor-resume,
+# client-reconnect and dedup legs, byte-identical remote-vs-local tables
+# and the late-result-after-timeout discard — all under the race
+# detector, bounded in wall clock. Also fuzzes the request decoder
+# briefly.
 serve-drill:
 	$(GO) test -race -count=1 -timeout 120s \
-		-run 'TestServeSoak|TestRemoteEquivalence|TestLateResultAfterTimeoutIsDiscarded' \
+		-run 'TestServeSoak|TestBatchSoak|TestBatchDrainCursor|TestBatchClientReconnect|TestBatchDedupOneSpecOntoBatch|TestRemoteEquivalence|TestLateResultAfterTimeoutIsDiscarded' \
 		./internal/serve ./internal/sweep
-	$(GO) test -run FuzzParseJobRequest -fuzz FuzzParseJobRequest -fuzztime 5s ./internal/paper
-	@echo "serve drill passed"
-
-# Batch soak (DESIGN.md §15): batch campaigns and singleton requests race
-# over overlapping keys under injected faults — the mid-request
-# cancellations cut batch streams, forcing the client's
-# reconnect-and-resume path — while a stats reader polls concurrently.
-# Asserts exactly-once execution per key across batches, singletons, cuts
-# and resumes, plus the deterministic drain-cursor-resume and
-# client-reconnect legs and batch-vs-local byte equivalence, all under
-# the race detector. Also fuzzes the batch-request decoder briefly.
-batch-drill:
-	$(GO) test -race -count=1 -timeout 120s \
-		-run 'TestBatchSoak|TestBatchDrainCursor|TestBatchClientReconnect|TestBatchDedupWithSingleton|TestRemoteEquivalence' \
-		./internal/serve
 	$(GO) test -run FuzzParseBatchRequest -fuzz FuzzParseBatchRequest -fuzztime 5s ./internal/paper
-	@echo "batch drill passed"
+	@echo "serve drill passed"
 
 # Kill-9 crash drill (DESIGN.md §14): builds the real hetexp binary,
 # SIGKILLs it at CRASH_POINTS seeded points mid-sweep, resumes each

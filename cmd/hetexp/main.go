@@ -4,7 +4,7 @@
 //
 //	hetexp [-exp table1|fig3|fig4|fig5a|fig5b|all] [-small] [-kernel name]
 //	       [-j N] [-cache-dir DIR] [-no-cache] [-breakdown]
-//	       [-remote URL] [-tenant NAME] [-hedge D] [-no-batch]
+//	       [-remote URL] [-tenant NAME]
 //	       [-resume FILE] [-scrub] [-stats-json FILE]
 //
 // -resume makes the campaign crash-safe: every completed job is appended
@@ -14,9 +14,6 @@
 // uninterrupted run, even after SIGKILL (the kill-9 crash drill in
 // internal/chaos proves it). -scrub quarantines what a killed writer can
 // leave in the cache (leftover temp files, torn entries) and exits.
-// -hedge, with -remote, launches one backup request per job still
-// unanswered after the given duration; the server's single-flight dedup
-// keeps a hedge to one extra round trip, never a second simulation.
 //
 // -remote routes the measurement sweep through a hetsimd server instead
 // of simulating locally: the whole campaign goes out as one streamed
@@ -26,9 +23,9 @@
 // rendered tables are byte-identical to local execution for the
 // measurement experiments (table1, fig3, fig4, fig5a, -breakdown);
 // ablate/fig5b/chaos simulate extra local points and are skipped
-// (-exp all) or rejected under -remote. -no-batch restores the
-// one-request-per-point path (-j concurrent requests), which -hedge
-// implies: hedging is a per-request tail-latency policy.
+// (-exp all) or rejected under -remote, as are -resume and -job-timeout
+// (the server applies its own per-simulation budget, hetsimd
+// -job-timeout).
 //
 // -small runs reduced-size kernels (seconds instead of minutes); the
 // recorded EXPERIMENTS.md numbers come from the full-size run.
@@ -56,7 +53,6 @@
 package main
 
 import (
-	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -97,9 +93,7 @@ func main() {
 	tenant := flag.String("tenant", "", "tenant name sent with -remote requests (rate limiting/quota identity)")
 	resume := flag.String("resume", "", "journal completed jobs to this file and replay it on restart (crash-safe resume)")
 	scrub := flag.Bool("scrub", false, "scrub the run cache (quarantine corrupt entries and leftover temp files), report, and exit")
-	hedge := flag.Duration("hedge", 0, "with -remote: launch one backup request per job still unanswered after this long (0 disables; implies -no-batch)")
-	noBatch := flag.Bool("no-batch", false, "with -remote: submit one request per point instead of one streamed /v1/batch campaign")
-	statsJSON := flag.String("stats-json", "", "write machine-readable run stats (sweep/cache/journal/hedges) to this file on success")
+	statsJSON := flag.String("stats-json", "", "write machine-readable run stats (sweep/cache/journal/reconnects) to this file on success")
 	chaosOn := flag.Bool("chaos", false, "run the memory-fault chaos campaign instead of the paper figures")
 	chaosKernels := flag.String("chaos-kernels", "matmul", "comma-separated kernels for the chaos campaign")
 	chaosClasses := flag.String("chaos-classes", "", "comma-separated fault classes (default: tcdm,l2,parity,dma)")
@@ -192,7 +186,7 @@ func main() {
 		if cerr != nil {
 			fatal(cerr)
 		}
-		if err := writeStatsJSON(*statsJSON, eng, 0, 0); err != nil {
+		if err := writeStatsJSON(*statsJSON, eng, 0); err != nil {
 			fatal(err)
 		}
 		if err := stopProf(); err != nil {
@@ -201,7 +195,7 @@ func main() {
 		return
 	}
 
-	var hedges, reconnects uint64
+	var reconnects uint64
 	var m *paper.Measurements
 	if *remote != "" {
 		switch *exp {
@@ -209,40 +203,18 @@ func main() {
 		default:
 			fatal(fmt.Errorf("-exp %s simulates extra local points; -remote serves table1, fig3, fig4, fig5a", *exp))
 		}
-		client := &serve.Client{BaseURL: *remote, Tenant: *tenant, HedgeAfter: *hedge}
-		if *noBatch || *hedge > 0 {
-			// Per-point path: one request per sweep point, -j of them in
-			// flight, hedging per request. The server overlaps them on its
-			// own worker pool exactly like a batch would.
-			fmt.Fprintf(os.Stderr, "measuring kernel suite via %s (each kernel on 6 configurations, %d concurrent requests)...\n",
-				*remote, *workers)
-			runner := client.RunSpec
-			if *jobTimeout > 0 {
-				// Deadline propagation: the per-simulation budget becomes the
-				// per-request budget, carried to the server in the job request.
-				runner = func(ctx context.Context, spec paper.JobSpec) (json.RawMessage, error) {
-					ctx, cancel := context.WithTimeout(ctx, *jobTimeout)
-					defer cancel()
-					return client.RunSpec(ctx, spec)
-				}
-			}
-			m, err = paper.MeasureRemote(ctx, runner, suite, *small, *breakdown, *workers)
-		} else {
-			// Batch path (default): the whole campaign is one streamed
-			// /v1/batch submission; the server's worker pool provides the
-			// overlap, reconnects re-submit only incomplete points.
-			// -job-timeout is not applied client-side here — it is a
-			// per-point budget and the server enforces its own.
-			fmt.Fprintf(os.Stderr, "measuring kernel suite via %s (one streamed batch, server workers overlap the points)...\n",
-				*remote)
-			m, err = paper.MeasureRemoteBatch(ctx, client.RunBatch, suite, *small, *breakdown)
+		if *jobTimeout > 0 {
+			fatal(fmt.Errorf("-job-timeout bounds local simulations; under -remote the server's budget applies (set hetsimd -job-timeout)"))
 		}
+		// The whole campaign is one streamed /v1/batch submission; the
+		// server's worker pool provides the overlap, reconnects re-submit
+		// only incomplete points.
+		fmt.Fprintf(os.Stderr, "measuring kernel suite via %s (one streamed batch, server workers overlap the points)...\n",
+			*remote)
+		client := &serve.Client{BaseURL: *remote, Tenant: *tenant}
+		m, err = paper.MeasureRemoteBatch(ctx, client.RunBatch, suite, *small, *breakdown)
 		if err != nil {
 			fatal(err)
-		}
-		if hedges = client.Hedges(); hedges > 0 {
-			fmt.Fprintf(os.Stderr, "hedge: %d backup request(s) launched after %v (server-side dedup kept each to one simulation)\n",
-				hedges, *hedge)
 		}
 		if reconnects = client.Reconnects(); reconnects > 0 {
 			fmt.Fprintf(os.Stderr, "batch: %d reconnect(s) resumed the stream (only incomplete points re-submitted)\n",
@@ -377,7 +349,7 @@ func main() {
 	}
 
 	sweepStats(eng)
-	if err := writeStatsJSON(*statsJSON, eng, hedges, reconnects); err != nil {
+	if err := writeStatsJSON(*statsJSON, eng, reconnects); err != nil {
 		fatal(err)
 	}
 	if err := stopProf(); err != nil {
@@ -392,16 +364,15 @@ type statsOut struct {
 	Sweep      sweep.Stats         `json:"sweep"`
 	Cache      *sweep.CacheStats   `json:"cache,omitempty"`
 	Journal    *sweep.JournalStats `json:"journal,omitempty"`
-	Hedges     uint64              `json:"hedges,omitempty"`
 	Reconnects uint64              `json:"reconnects,omitempty"`
 }
 
 // writeStatsJSON dumps the run's counters to path (no-op when empty).
-func writeStatsJSON(path string, eng *sweep.Engine, hedges, reconnects uint64) error {
+func writeStatsJSON(path string, eng *sweep.Engine, reconnects uint64) error {
 	if path == "" {
 		return nil
 	}
-	out := statsOut{Sweep: eng.Stats(), Hedges: hedges, Reconnects: reconnects}
+	out := statsOut{Sweep: eng.Stats(), Reconnects: reconnects}
 	if c := eng.Cache(); c != nil {
 		cs := c.Stats()
 		out.Cache = &cs

@@ -16,11 +16,11 @@
 // temp files and torn entries from a killed predecessor are quarantined
 // under .quarantine/ and the report lands on stderr and in /v1/stats.
 //
-// Endpoints: POST /v1/jobs (paper.JobRequest → paper.JobResponse),
-// POST /v1/batch (paper.BatchRequest → streamed NDJSON paper.BatchRecords:
-// per-job completions as they land, heartbeats every -heartbeat so
-// proxies keep idle streams alive, a resumable cursor when a batch is
-// cut, a terminal summary), GET /v1/stats, GET /healthz (liveness),
+// Endpoints: POST /v1/batch, the one submission path (paper.BatchRequest
+// → streamed NDJSON paper.BatchRecords: per-job completions as they
+// land, heartbeats every -heartbeat so proxies keep idle streams alive,
+// a resumable cursor when a batch is cut, a terminal summary; a single
+// point is a one-spec batch), GET /v1/stats, GET /healthz (liveness),
 // GET /readyz (readiness — flips to 503 the moment a drain starts).
 // Overload answers 429 with Retry-After; per-tenant token buckets
 // (-rate/-burst) and in-flight quotas (-tenant-quota) keep one tenant
@@ -150,8 +150,8 @@ func main() {
 		derr = err
 	}
 	st := srv.Stats()
-	fmt.Fprintf(os.Stderr, "hetsimd: %s — %d requests (%d hedged), %d executed, %d cache hits, %d deduped, %d retries, %d failed\n",
-		st.State, st.Requests, st.HedgedRequests, st.Executed, st.CacheHits, st.Deduped, st.ExecRetries+st.PutRetries, st.Failed)
+	fmt.Fprintf(os.Stderr, "hetsimd: %s — %d requests, %d executed, %d cache hits, %d deduped, %d retries, %d failed\n",
+		st.State, st.Requests, st.Executed, st.CacheHits, st.Deduped, st.ExecRetries+st.PutRetries, st.Failed)
 	if st.BatchRequests > 0 {
 		fmt.Fprintf(os.Stderr, "hetsimd: batches — %d accepted carrying %d jobs: %d completed, %d failed, %d cursor cut(s), %d heartbeat(s)\n",
 			st.BatchRequests, st.BatchJobs, st.BatchCompleted, st.BatchFailed, st.BatchCursorCuts, st.BatchHeartbeats)

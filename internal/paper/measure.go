@@ -152,7 +152,7 @@ func measureWith(eng *sweep.Engine, suite []*kernels.Instance, observe bool) (*M
 // newMeasurements builds the empty measurement set for a suite (with the
 // duplicate-name guard every folder depends on) and the per-kernel input
 // buffers, indexed like the suite. It is shared by the local path
-// (measureWith) and the remote one (MeasureRemote, wire.go) so both fold
+// (measureWith) and the remote one (MeasureRemoteBatch, wire.go) so both fold
 // results identically.
 func newMeasurements(suite []*kernels.Instance) (*Measurements, [][]byte, error) {
 	m := &Measurements{Suite: suite, ByK: make(map[string]*kernelMeasurement), seed: 1}

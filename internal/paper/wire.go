@@ -5,8 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"hetsim/internal/kernels"
 	"hetsim/internal/sweep"
@@ -18,10 +16,10 @@ import (
 // BuildSpecJob deterministically reconstructs the exact sweep job (same
 // program bytes, same input, same content key) on the server, so a
 // request is self-describing and two clients asking for the same point
-// dedupe onto one simulation. MeasureRemote is the client-side fold:
+// dedupe onto one simulation. MeasureRemoteBatch is the client-side fold:
 // it routes the same job matrix measureWith runs locally through a
-// remote runner and commits the results through the shared fold, which
-// is what makes `hetexp -remote` byte-identical to local execution.
+// remote batch runner and commits the results through the shared fold,
+// which is what makes `hetexp -remote` byte-identical to local execution.
 
 // SpecConfigs lists the valid JobSpec.Config values — the measurement
 // configurations of the paper sweep, in matrix order.
@@ -66,42 +64,17 @@ func (s *JobSpec) Validate() error {
 	return fmt.Errorf("paper: job spec: unknown config %q", s.Config)
 }
 
-// JobRequest is the body of POST /v1/jobs.
-type JobRequest struct {
-	// Tenant attributes the request for rate limiting and quotas
-	// (empty = the anonymous tenant).
-	Tenant string `json:"tenant,omitempty"`
-	// TimeoutMS propagates the client's deadline: the server gives up
-	// waiting (never the simulation itself, which other waiters may
-	// share) after this many milliseconds. 0 = the server's default.
-	TimeoutMS int64   `json:"timeout_ms,omitempty"`
-	Spec      JobSpec `json:"spec"`
-}
-
-// JobResponse is the body of every /v1/jobs reply, success or failure.
+// JobResponse is the JSON body of a refused /v1/batch submission: any
+// status other than 200, sent before a stream starts.
 type JobResponse struct {
-	// Key is the job's content key (empty until the spec resolved).
-	Key string `json:"key,omitempty"`
-	// Cached reports a server-side cache hit; Shared reports that this
-	// request coalesced onto another request's in-flight simulation.
-	Cached bool `json:"cached,omitempty"`
-	Shared bool `json:"shared,omitempty"`
-	// Result is the simulation result (a measureResult), exactly the
-	// bytes the content-addressed cache stores for Key.
-	Result json.RawMessage `json:"result,omitempty"`
-	// Error and Retryable describe a failure: Retryable tells the client
-	// whether the same request can be re-submitted (transient failure)
-	// or is terminal (panic, timeout, invalid spec).
+	// Error says why; Retryable tells the client whether the same request
+	// can be re-submitted (backpressure, drain) or is terminal (malformed
+	// or unresolvable spec).
 	Error     string `json:"error,omitempty"`
 	Retryable bool   `json:"retryable,omitempty"`
 }
 
-// maxJobRequestBytes bounds a request body; the decoder enforces it
-// independently of the HTTP layer's own limit.
-const maxJobRequestBytes = 1 << 16
-
-// validateTenant guards the tenant attribution shared by the singleton
-// and batch request forms.
+// validateTenant guards the tenant attribution of a batch request.
 func validateTenant(tenant string) error {
 	if len(tenant) > 64 {
 		return fmt.Errorf("paper: tenant name longer than 64 bytes")
@@ -114,40 +87,12 @@ func validateTenant(tenant string) error {
 	return nil
 }
 
-// ParseJobRequest strictly decodes and validates a job request: unknown
-// fields, trailing data, oversized bodies and malformed specs are
-// errors, never best-effort guesses — the server's first line of defense
-// against garbage traffic (fuzzed by FuzzParseJobRequest).
-func ParseJobRequest(b []byte) (*JobRequest, error) {
-	if len(b) > maxJobRequestBytes {
-		return nil, fmt.Errorf("paper: job request larger than %d bytes", maxJobRequestBytes)
-	}
-	dec := json.NewDecoder(bytes.NewReader(b))
-	dec.DisallowUnknownFields()
-	var req JobRequest
-	if err := dec.Decode(&req); err != nil {
-		return nil, fmt.Errorf("paper: bad job request: %w", err)
-	}
-	if dec.More() {
-		return nil, fmt.Errorf("paper: trailing data after job request")
-	}
-	if err := validateTenant(req.Tenant); err != nil {
-		return nil, err
-	}
-	if req.TimeoutMS < 0 {
-		return nil, fmt.Errorf("paper: negative timeout_ms")
-	}
-	if err := req.Spec.Validate(); err != nil {
-		return nil, err
-	}
-	return &req, nil
-}
-
-// BatchRequest is the body of POST /v1/batch: a whole campaign in one
-// submission. Exactly one of Specs (an explicit point list) and Suite (a
-// named server-side expansion, see SuiteSpecs) must be set; Small,
-// Observe and Seed parameterize a Suite expansion only — explicit specs
-// already carry their own.
+// BatchRequest is the body of POST /v1/batch: a whole campaign, or a
+// single point as a one-spec list, in one submission. Exactly one of
+// Specs (an explicit point list) and Suite (a named server-side
+// expansion, see SuiteSpecs) must be set; Small, Observe and Seed
+// parameterize a Suite expansion only — explicit specs already carry
+// their own.
 type BatchRequest struct {
 	// Tenant attributes the whole batch for rate limiting and quotas:
 	// admission charges the full job count, so packaging requests into a
@@ -183,10 +128,11 @@ const MaxBatchSpecs = 4096
 // those artifacts is rendered from the same Measurements.
 var suiteNames = []string{"measure", "table1", "fig3", "fig4", "fig5a", "breakdown"}
 
-// ParseBatchRequest strictly decodes and validates a batch request, the
-// same zero-tolerance discipline as ParseJobRequest (fuzzed by
-// FuzzParseBatchRequest). Validation is wire-shape only: kernel names
-// resolve later, in BuildSpecJob.
+// ParseBatchRequest strictly decodes and validates a batch request:
+// unknown fields, trailing data, oversized bodies and malformed specs are
+// errors, never best-effort guesses — the server's first line of defense
+// against garbage traffic (fuzzed by FuzzParseBatchRequest). Validation
+// is wire-shape only: kernel names resolve later, in BuildSpecJob.
 func ParseBatchRequest(b []byte) (*BatchRequest, error) {
 	if len(b) > maxBatchRequestBytes {
 		return nil, fmt.Errorf("paper: batch request larger than %d bytes", maxBatchRequestBytes)
@@ -271,6 +217,14 @@ func SuiteSpecs(name string, small, observe bool, seed uint64) ([]JobSpec, error
 	if small {
 		suite = kernels.SmallSuite()
 	}
+	return matrixSpecs(suite, small, observe, seed), nil
+}
+
+// matrixSpecs lists the (kernel × configuration) measurement matrix of
+// suite as wire specs, in exactly the order measureWith schedules it —
+// the property that makes every remote content key equal its local one.
+// SuiteSpecs and MeasureRemoteBatch both build their campaigns here.
+func matrixSpecs(suite []*kernels.Instance, small, observe bool, seed uint64) []JobSpec {
 	var specs []JobSpec
 	for _, k := range suite {
 		for _, rc := range measureRuns {
@@ -280,7 +234,7 @@ func SuiteSpecs(name string, small, observe bool, seed uint64) ([]JobSpec, error
 			})
 		}
 	}
-	return specs, nil
+	return specs
 }
 
 // BatchRecord is one NDJSON line of a /v1/batch response stream. Type
@@ -306,8 +260,14 @@ const (
 	BatchTypeSummary   = "summary"
 )
 
-// BatchJob is one streamed per-point completion; the fields mirror
-// JobResponse (Index positions the point in the submitted batch).
+// BatchJob is one streamed per-point completion. Index positions the
+// point in the submitted batch and Key is its content key. Cached reports
+// a server-side cache hit; Shared reports that the point coalesced onto
+// another request's in-flight simulation. Result is the simulation result
+// (a measureResult), exactly the bytes the content-addressed cache stores
+// for Key. Error and Retryable describe a failure: Retryable tells the
+// client whether re-submitting the point can succeed (transient failure)
+// or not (panic, job timeout).
 type BatchJob struct {
 	Index     int             `json:"index"`
 	Key       string          `json:"key"`
@@ -385,108 +345,24 @@ func BuildSpecJob(spec JobSpec) (sweep.Job[json.RawMessage], error) {
 	}, nil
 }
 
-// SpecRunner executes one measurement point remotely and returns the raw
-// result bytes (a serialized measureResult). internal/serve's Client
-// provides the HTTP implementation.
-type SpecRunner func(ctx context.Context, spec JobSpec) (json.RawMessage, error)
-
-// MeasureRemote measures the suite through a remote runner: the same
-// (kernel × configuration) job matrix measureWith schedules locally is
-// fanned out across `workers` concurrent requests, decoded, and folded
-// in production order — so the resulting Measurements (and every table
-// rendered from them) are byte-identical to a local run. small must
-// match the suite (it tells the server which registry to resolve kernel
-// names in); observe requests cycle attribution on the pulp4 points. The
-// first error cancels the remaining requests.
-func MeasureRemote(ctx context.Context, run SpecRunner, suite []*kernels.Instance, small, observe bool, workers int) (*Measurements, error) {
-	m, _, err := newMeasurements(suite)
-	if err != nil {
-		return nil, err
-	}
-	var specs []JobSpec
-	for _, k := range suite {
-		for _, rc := range measureRuns {
-			specs = append(specs, JobSpec{
-				Kernel: k.Name, Small: small, Seed: m.seed,
-				Config: string(rc.key), Observe: observe,
-			})
-		}
-	}
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	if workers <= 0 {
-		workers = 1
-	}
-	if workers > len(specs) {
-		workers = len(specs)
-	}
-	results := make([]measureResult, len(specs))
-	errs := make([]error, len(specs))
-	var (
-		next atomic.Int64
-		wg   sync.WaitGroup
-	)
-	next.Store(-1)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1))
-				if i >= len(specs) || ctx.Err() != nil {
-					return
-				}
-				raw, err := run(ctx, specs[i])
-				if err == nil {
-					err = json.Unmarshal(raw, &results[i])
-				}
-				if err != nil {
-					errs[i] = err
-					cancel() // first failure stops the fan-out
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("paper: remote point %s/%s: %w", specs[i].Kernel, specs[i].Config, err)
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("paper: remote sweep cancelled: %w", err)
-	}
-	m.fold(results)
-	return m, nil
-}
-
 // BatchRunner executes a whole campaign remotely in one submission and
 // returns the raw results indexed like specs. internal/serve's
 // Client.RunBatch — one streamed /v1/batch round trip plus reconnects —
 // is the HTTP implementation.
 type BatchRunner func(ctx context.Context, specs []JobSpec) ([]json.RawMessage, error)
 
-// MeasureRemoteBatch measures the suite through a batch runner: the same
-// (kernel × configuration) matrix MeasureRemote fans out as one request
-// per point goes out as a single batch submission, and the in-order raw
-// results fold through the shared path — byte-identical Measurements,
-// a fraction of the HTTP round trips. small must match the suite (it
-// tells the server which registry resolves kernel names); observe
-// requests cycle attribution on the pulp4 points.
+// MeasureRemoteBatch measures the suite through a batch runner: the
+// (kernel × configuration) matrix measureWith schedules locally goes out
+// as a single batch submission, and the in-order raw results fold
+// through the shared path — byte-identical Measurements. small must
+// match the suite (it tells the server which registry resolves kernel
+// names); observe requests cycle attribution on the pulp4 points.
 func MeasureRemoteBatch(ctx context.Context, run BatchRunner, suite []*kernels.Instance, small, observe bool) (*Measurements, error) {
 	m, _, err := newMeasurements(suite)
 	if err != nil {
 		return nil, err
 	}
-	var specs []JobSpec
-	for _, k := range suite {
-		for _, rc := range measureRuns {
-			specs = append(specs, JobSpec{
-				Kernel: k.Name, Small: small, Seed: m.seed,
-				Config: string(rc.key), Observe: observe,
-			})
-		}
-	}
+	specs := matrixSpecs(suite, small, observe, m.seed)
 	raws, err := run(ctx, specs)
 	if err != nil {
 		return nil, err

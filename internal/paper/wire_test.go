@@ -9,36 +9,6 @@ import (
 	"hetsim/internal/kernels"
 )
 
-func TestParseJobRequest(t *testing.T) {
-	good := `{"tenant":"lab","timeout_ms":500,"spec":{"kernel":"matmul","seed":1,"config":"pulp4"}}`
-	req, err := ParseJobRequest([]byte(good))
-	if err != nil {
-		t.Fatalf("good request rejected: %v", err)
-	}
-	if req.Tenant != "lab" || req.TimeoutMS != 500 || req.Spec.Kernel != "matmul" || req.Spec.Config != "pulp4" {
-		t.Fatalf("good request decoded as %+v", req)
-	}
-
-	bad := []struct{ name, body string }{
-		{"empty", ``},
-		{"not json", `hello`},
-		{"unknown field", `{"bogus":1,"spec":{"kernel":"matmul","seed":1,"config":"m3"}}`},
-		{"trailing data", good + `{"again":true}`},
-		{"missing kernel", `{"spec":{"seed":1,"config":"m3"}}`},
-		{"unknown config", `{"spec":{"kernel":"matmul","seed":1,"config":"turbo"}}`},
-		{"long kernel", `{"spec":{"kernel":"` + strings.Repeat("x", 129) + `","seed":1,"config":"m3"}}`},
-		{"long tenant", `{"tenant":"` + strings.Repeat("t", 65) + `","spec":{"kernel":"matmul","seed":1,"config":"m3"}}`},
-		{"control tenant", `{"tenant":"a\tb","spec":{"kernel":"matmul","seed":1,"config":"m3"}}`},
-		{"negative timeout", `{"timeout_ms":-5,"spec":{"kernel":"matmul","seed":1,"config":"m3"}}`},
-		{"oversized", `{"tenant":"` + strings.Repeat(" ", maxJobRequestBytes) + `"}`},
-	}
-	for _, tc := range bad {
-		if _, err := ParseJobRequest([]byte(tc.body)); err == nil {
-			t.Errorf("%s: accepted", tc.name)
-		}
-	}
-}
-
 func TestSpecConfigsMatchMatrix(t *testing.T) {
 	cs := SpecConfigs()
 	if len(cs) != len(measureRuns) {
@@ -123,43 +93,13 @@ func TestBuildSpecJobUnknownKernel(t *testing.T) {
 	}
 }
 
-// TestMeasureRemoteFoldsLikeLocal routes the job matrix through an
-// in-process runner that executes specs via BuildSpecJob — the shape of
-// the real server without HTTP — and checks the fold is identical to the
-// local path.
-func TestMeasureRemoteFoldsLikeLocal(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulates the small suite twice")
-	}
-	suite := kernels.SmallSuite()[:2]
-	local, err := MeasureWith(defaultEngine(), suite)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(ctx context.Context, spec JobSpec) (json.RawMessage, error) {
-		job, err := BuildSpecJob(spec)
-		if err != nil {
-			return nil, err
-		}
-		return job.Run()
-	}
-	remote, err := MeasureRemote(context.Background(), run, suite, true, false, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lb, rb := renderAll(t, local), renderAll(t, remote)
-	if string(lb) != string(rb) {
-		t.Fatalf("remote tables differ from local:\n%s\nvs\n%s", rb, lb)
-	}
-}
-
 func TestParseBatchRequest(t *testing.T) {
 	good := `{"tenant":"lab","timeout_ms":500,"specs":[{"kernel":"matmul","seed":1,"config":"pulp4"},{"kernel":"fir","small":true,"seed":1,"config":"plain"}]}`
 	req, err := ParseBatchRequest([]byte(good))
 	if err != nil {
 		t.Fatalf("good explicit batch rejected: %v", err)
 	}
-	if req.Tenant != "lab" || len(req.Specs) != 2 || req.Specs[1].Kernel != "fir" {
+	if req.Tenant != "lab" || req.TimeoutMS != 500 || len(req.Specs) != 2 || req.Specs[1].Kernel != "fir" {
 		t.Fatalf("good batch decoded as %+v", req)
 	}
 	specs, err := req.Expand()
@@ -190,8 +130,11 @@ func TestParseBatchRequest(t *testing.T) {
 		{"unknown suite", `{"suite":"table9"}`},
 		{"specs with suite knobs", `{"small":true,"specs":[{"kernel":"matmul","seed":1,"config":"m3"}]}`},
 		{"bad spec inside", `{"specs":[{"kernel":"matmul","seed":1,"config":"m3"},{"kernel":"matmul","seed":1,"config":"turbo"}]}`},
+		{"missing kernel", `{"specs":[{"seed":1,"config":"m3"}]}`},
+		{"long kernel", `{"specs":[{"kernel":"` + strings.Repeat("x", 129) + `","seed":1,"config":"m3"}]}`},
 		{"negative timeout", `{"timeout_ms":-5,"suite":"measure"}`},
 		{"long tenant", `{"tenant":"` + strings.Repeat("t", 65) + `","suite":"measure"}`},
+		{"control tenant", `{"tenant":"a\tb","suite":"measure"}`},
 		{"oversized", `{"tenant":"` + strings.Repeat(" ", maxBatchRequestBytes) + `"}`},
 	}
 	for _, tc := range bad {
@@ -329,39 +272,9 @@ func TestMeasureRemoteBatchFoldsLikeLocal(t *testing.T) {
 	}
 }
 
-// FuzzParseJobRequest hammers the server's first line of defense: the
+// FuzzParseBatchRequest hammers the server's first line of defense: the
 // decoder must reject or accept without panicking, and anything it
-// accepts must survive a re-encode/re-parse round trip.
-func FuzzParseJobRequest(f *testing.F) {
-	f.Add([]byte(`{"tenant":"lab","timeout_ms":500,"spec":{"kernel":"matmul","seed":1,"config":"pulp4"}}`))
-	f.Add([]byte(`{"spec":{"kernel":"fir","small":true,"seed":7,"config":"plain","observe":true}}`))
-	f.Add([]byte(`{"spec":{"kernel":"","seed":0,"config":""}}`))
-	f.Add([]byte(`{}`))
-	f.Add([]byte(`null`))
-	f.Add([]byte(`[1,2,3]`))
-	f.Add([]byte(`{"tenant":""}`))
-	f.Fuzz(func(t *testing.T, b []byte) {
-		req, err := ParseJobRequest(b)
-		if err != nil {
-			return
-		}
-		enc, err := json.Marshal(req)
-		if err != nil {
-			t.Fatalf("accepted request does not re-encode: %v", err)
-		}
-		again, err := ParseJobRequest(enc)
-		if err != nil {
-			t.Fatalf("re-encoded request rejected: %v\n%s", err, enc)
-		}
-		if *again != *req {
-			t.Fatalf("round trip changed the request: %+v vs %+v", again, req)
-		}
-	})
-}
-
-// FuzzParseBatchRequest gives the batch decoder the same treatment: no
-// panics, and anything accepted survives a re-encode/re-parse round trip
-// and still expands.
+// accepts must survive a re-encode/re-parse round trip and still expand.
 func FuzzParseBatchRequest(f *testing.F) {
 	f.Add([]byte(`{"tenant":"lab","timeout_ms":500,"specs":[{"kernel":"matmul","seed":1,"config":"pulp4"}]}`))
 	f.Add([]byte(`{"suite":"table1","small":true,"observe":true,"seed":7}`))

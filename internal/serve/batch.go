@@ -13,15 +13,15 @@ import (
 	"hetsim/internal/sweep"
 )
 
-// This file is the batch side of the service: POST /v1/batch accepts a
-// whole campaign in one submission — an explicit spec list or a named
+// This file is the service's one submission path: POST /v1/batch accepts
+// a whole campaign in one submission — an explicit spec list or a named
 // suite expansion — and streams per-job completions back as NDJSON the
 // moment each lands, so a 60-point paper sweep costs one HTTP round trip
-// instead of sixty while every point still rides the exact singleton
-// path: the same single-flight dedup (a batch job and a concurrent
-// /v1/jobs request for the same key coalesce onto one simulation), the
-// same cache, the same retry taxonomy, the same per-tenant accounting
-// (admission charges the full job count up front).
+// instead of sixty. A single point is a one-spec batch. Every point rides
+// the single-flight layer (points of concurrent batches that share a key
+// coalesce onto one simulation), the cache and the retry taxonomy, and
+// admission charges the full job count up front — a one-spec batch pays
+// one rate token, one quota slot and one queue slot.
 //
 // The stream's failure envelope mirrors the drain design: when the batch
 // is cut — server drain, request deadline, client disconnect, injected
@@ -113,7 +113,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// The queue charge is the batch's true concurrent footprint: at most
 	// Workers of its jobs are claimed at once, so that is what it holds
 	// against the admission bound — a 4096-point batch must not evict
-	// every singleton client from the queue.
+	// every one-spec client from the queue.
 	foot := int64(len(inners))
 	if foot > int64(s.cfg.Workers) {
 		foot = int64(s.cfg.Workers)
@@ -211,9 +211,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // batchJob wraps a resolved job for the batch engine: the run is one
-// pass through the single-flight layer — exactly the singleton path, so
-// a batch point and a concurrent /v1/jobs request for the same key cost
-// one simulation — with the same counter discipline execute() keeps.
+// pass through the single-flight layer, so points of concurrent batches
+// that share a key cost one simulation, and it keeps the server's dedup,
+// expiry and failure counters.
 func (s *Server) batchJob(ctx context.Context, inner sweep.Job[json.RawMessage]) sweep.Job[batchVal] {
 	return sweep.Job[batchVal]{
 		Key: inner.Key,

@@ -310,11 +310,10 @@ func TestLimiterBatchAdmission(t *testing.T) {
 	}
 }
 
-// TestBatchDedupWithSingleton: a batch point and a concurrent singleton
-// request for the same key coalesce onto one simulation — the batch path
-// rides the same single-flight layer, so exactly-once holds across the
-// two submission forms.
-func TestBatchDedupWithSingleton(t *testing.T) {
+// TestBatchDedupOneSpecOntoBatch: a one-spec batch (a single point) for
+// a key that a concurrent multi-spec batch is already simulating
+// coalesces onto that batch's flight — one simulation, shared result.
+func TestBatchDedupOneSpecOntoBatch(t *testing.T) {
 	gate := make(chan struct{})
 	leading := make(chan struct{})
 	var execs atomic.Int64
@@ -332,25 +331,27 @@ func TestBatchDedupWithSingleton(t *testing.T) {
 
 	recsCh := make(chan []paper.BatchRecord, 1)
 	go func() {
-		_, _, recs, _ := postBatch(t, ts, batchBody(t, "", "slow"))
+		_, _, recs, _ := postBatch(t, ts, batchBody(t, "", "slow", "fast"))
 		recsCh <- recs
 	}()
-	<-leading // the batch leads the flight
-	done := make(chan paper.JobResponse, 1)
+	<-leading // the multi-spec batch leads the flight
+	done := make(chan pointReply, 1)
 	go func() {
-		_, _, jr := postJob(t, ts, body("slow", "", 0))
-		done <- jr
+		done <- postPoint(t, ts, pointBody("slow", "", 0))
 	}()
-	waitFor(t, "singleton to coalesce onto the batch's flight", func() bool {
+	waitFor(t, "the one-spec batch to coalesce onto the batch's flight", func() bool {
 		return srv.flight.Stats().Shared == 1
 	})
 	close(gate)
-	jr := <-done
-	if !jr.Shared || string(jr.Result) != `{"ok":true}` {
-		t.Fatalf("singleton waiter: %+v", jr)
+	r := <-done
+	if r.job == nil || !r.job.Shared || string(r.job.Result) != `{"ok":true}` {
+		t.Fatalf("one-spec waiter: %+v", r.job)
+	}
+	if r.summary.Completed != 1 || r.summary.Deduped != 1 || r.summary.Executed != 0 {
+		t.Fatalf("one-spec summary = %+v", r.summary)
 	}
 	recs := <-recsCh
-	if sum := lastSummary(t, recs); sum.Completed != 1 || sum.Executed != 1 {
+	if sum := lastSummary(t, recs); sum.Completed != 2 || sum.Executed != 2 {
 		t.Fatalf("batch summary = %+v", sum)
 	}
 	if execs.Load() != 1 {

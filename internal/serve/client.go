@@ -8,22 +8,22 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptrace"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"hetsim/internal/paper"
 )
 
-// Client is the HTTP client side of the service: it submits keyed job
-// specs, honors the server's backpressure (429/503 + Retry-After become
-// bounded waits, not errors), re-submits retryable failures, and
-// propagates its context's deadline to the server. Its zero value plus a
-// BaseURL is usable; Client.RunSpec is a paper.SpecRunner, which is how
-// `hetexp -remote` plugs a server under paper.MeasureRemote.
+// Client is the HTTP client side of the service: it submits campaigns as
+// streamed /v1/batch requests (a single point is a one-spec batch),
+// honors the server's backpressure (429/503 + Retry-After become bounded
+// waits, not errors), re-submits the incomplete remainder of a cut
+// stream, and propagates its context's deadline to the server. Its zero
+// value plus a BaseURL is usable; Client.RunBatch is a paper.BatchRunner,
+// which is how `hetexp -remote` plugs a server under
+// paper.MeasureRemoteBatch.
 type Client struct {
 	// BaseURL roots the service, e.g. "http://127.0.0.1:9966".
 	BaseURL string
@@ -31,34 +31,14 @@ type Client struct {
 	Tenant string
 	// HTTP is the transport (nil = http.DefaultClient).
 	HTTP *http.Client
-	// MaxAttempts bounds submissions per job, backpressure waits
-	// included (<= 0 selects 10).
+	// MaxAttempts bounds consecutive submissions that complete no point,
+	// backpressure waits included (<= 0 selects 10).
 	MaxAttempts int
 	// MaxWait caps a single Retry-After or backoff wait (<= 0: 5s).
 	MaxWait time.Duration
-	// HedgeAfter, when > 0, launches one backup submission for any
-	// request still unanswered after this long, and takes whichever
-	// answer lands first. Safe against double work by construction: the
-	// server's single-flight layer coalesces the backup onto the
-	// primary's in-flight simulation, so a hedge costs one extra HTTP
-	// round trip, never a second simulation. Backups carry the
-	// HedgedHeader so the server can count them. Zero disables hedging.
-	HedgeAfter time.Duration
 
-	hedges     atomic.Uint64
 	reconnects atomic.Uint64
 }
-
-// HedgedHeader marks a backup (hedged) submission, letting the server
-// report how much of its traffic is hedges (Stats.HedgedRequests).
-const HedgedHeader = "X-Hetsim-Hedged"
-
-// Hedges reports how many backup submissions this client actually wrote
-// to the wire. A backup whose request was cancelled before its bytes
-// left the transport is not counted, so this number reconciles with the
-// server's Stats.HedgedRequests instead of over-reporting hedged
-// traffic.
-func (c *Client) Hedges() uint64 { return c.hedges.Load() }
 
 // Reconnects reports how many times RunBatch re-submitted the incomplete
 // remainder of a campaign after a cut or broken stream.
@@ -83,169 +63,6 @@ func (c *Client) maxWait() time.Duration {
 		return c.MaxWait
 	}
 	return 5 * time.Second
-}
-
-// RunSpec submits one measurement point and returns the raw result
-// bytes. It retries backpressure answers and retryable failures with
-// bounded waits; a terminal failure (bad spec, panicked or timed-out
-// simulation) or an exhausted budget returns an error.
-func (c *Client) RunSpec(ctx context.Context, spec paper.JobSpec) (json.RawMessage, error) {
-	attempts := c.maxAttempts()
-	maxWait := c.maxWait()
-	var lastErr error
-	for n := 0; n < attempts; n++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		raw, wait, err := c.submitHedged(ctx, spec)
-		if err == nil {
-			return raw, nil
-		}
-		lastErr = err
-		if wait < 0 { // terminal
-			return nil, err
-		}
-		if wait == 0 { // transport or retryable failure: backoff
-			wait = time.Duration(50*(n+1)) * time.Millisecond
-		}
-		if wait > maxWait {
-			wait = maxWait
-		}
-		t := time.NewTimer(wait)
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-			t.Stop()
-			return nil, ctx.Err()
-		}
-	}
-	return nil, fmt.Errorf("serve: job not accepted after %d attempts: %w", attempts, lastErr)
-}
-
-// submitHedged performs one logical submission, hedged: the primary
-// round trip starts immediately, and if it is still unanswered after
-// HedgeAfter a single backup is launched; the first success wins. When
-// both legs fail, the retryable error is preferred over the terminal one
-// (ties go to whichever landed first) so RunSpec's loop keeps the better
-// guidance. The losing leg is left to finish on the shared context —
-// cancelling it could tear down the winner's transport connection.
-func (c *Client) submitHedged(ctx context.Context, spec paper.JobSpec) (json.RawMessage, time.Duration, error) {
-	if c.HedgeAfter <= 0 {
-		return c.submit(ctx, spec, false)
-	}
-	type outcome struct {
-		raw  json.RawMessage
-		wait time.Duration
-		err  error
-	}
-	ch := make(chan outcome, 2) // buffered: the losing leg must never block
-	launch := func(hedged bool) {
-		go func() {
-			raw, wait, err := c.submit(ctx, spec, hedged)
-			ch <- outcome{raw, wait, err}
-		}()
-	}
-	launch(false)
-	timer := time.NewTimer(c.HedgeAfter)
-	defer timer.Stop()
-	hedged := false
-	var first *outcome
-	for {
-		select {
-		case o := <-ch:
-			if o.err == nil {
-				return o.raw, 0, nil
-			}
-			if !hedged || first != nil {
-				// Sole outstanding leg failed (no backup launched, or this
-				// is the second failure): pick the better error.
-				if first != nil && first.wait >= 0 && o.wait < 0 {
-					return first.raw, first.wait, first.err
-				}
-				return o.raw, o.wait, o.err
-			}
-			first = &o // backup still in flight: give it its chance
-		case <-timer.C:
-			if !hedged {
-				hedged = true
-				// The counter is incremented by the wire trace in submit,
-				// not here: a backup cancelled before its bytes left the
-				// transport never reached the server and must not be
-				// reported as hedged traffic.
-				launch(true)
-			}
-		case <-ctx.Done():
-			return nil, -1, ctx.Err()
-		}
-	}
-}
-
-// submit performs one round trip. wait tells RunSpec how to continue on
-// error: < 0 terminal, 0 retry after default backoff, > 0 retry after
-// the server-requested wait. hedged marks the request as a backup.
-func (c *Client) submit(ctx context.Context, spec paper.JobSpec, hedged bool) (raw json.RawMessage, wait time.Duration, err error) {
-	jreq := paper.JobRequest{Tenant: c.Tenant, Spec: spec}
-	if dl, ok := ctx.Deadline(); ok {
-		ms := time.Until(dl).Milliseconds()
-		if ms < 1 {
-			ms = 1
-		}
-		jreq.TimeoutMS = ms
-	}
-	body, err := json.Marshal(jreq)
-	if err != nil {
-		return nil, -1, err
-	}
-	url := strings.TrimSuffix(c.BaseURL, "/") + "/v1/jobs"
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
-	if err != nil {
-		return nil, -1, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if hedged {
-		req.Header.Set(HedgedHeader, "1")
-		// Count the hedge only once its request was actually written to
-		// the wire: WroteRequest fires per write attempt (the transport
-		// may rewrite on a dead connection), hence the Once, and a leg
-		// that errored before or during the write never counts — keeping
-		// Hedges() reconciled with the server's HedgedRequests.
-		var once sync.Once
-		req = req.WithContext(httptrace.WithClientTrace(req.Context(), &httptrace.ClientTrace{
-			WroteRequest: func(info httptrace.WroteRequestInfo) {
-				if info.Err == nil {
-					once.Do(func() { c.hedges.Add(1) })
-				}
-			},
-		}))
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		if ctx.Err() != nil {
-			return nil, -1, ctx.Err()
-		}
-		return nil, 0, err // transport errors are worth a retry
-	}
-	defer resp.Body.Close()
-	b, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
-	if err != nil {
-		return nil, 0, err
-	}
-	var jresp paper.JobResponse
-	if err := json.Unmarshal(b, &jresp); err != nil {
-		return nil, -1, fmt.Errorf("serve: undecodable response (status %d): %w", resp.StatusCode, err)
-	}
-	switch {
-	case resp.StatusCode == http.StatusOK:
-		return jresp.Result, 0, nil
-	case resp.StatusCode == http.StatusTooManyRequests ||
-		resp.StatusCode == http.StatusServiceUnavailable:
-		return nil, retryAfterWait(resp, c.maxWait(), time.Now()),
-			fmt.Errorf("serve: backpressure (%d): %s", resp.StatusCode, jresp.Error)
-	case jresp.Retryable:
-		return nil, 0, fmt.Errorf("serve: retryable failure (%d): %s", resp.StatusCode, jresp.Error)
-	default:
-		return nil, -1, fmt.Errorf("serve: job failed (%d): %s", resp.StatusCode, jresp.Error)
-	}
 }
 
 // RunBatch runs a whole campaign through one streamed /v1/batch
@@ -317,9 +134,9 @@ func (c *Client) RunBatch(ctx context.Context, specs []paper.JobSpec) ([]json.Ra
 
 // streamBatch performs one /v1/batch round trip over the incomplete
 // points (idx indexes specs), filling results/done as job records land.
-// progressed counts points newly completed on this connection; wait has
-// submit's semantics: < 0 terminal, 0 retry after default backoff, > 0
-// retry after the server-requested wait.
+// progressed counts points newly completed on this connection; wait tells
+// RunBatch how to continue: < 0 terminal, 0 retry after default backoff,
+// > 0 retry after the server-requested wait.
 func (c *Client) streamBatch(ctx context.Context, idx []int, specs []paper.JobSpec,
 	results []json.RawMessage, done []bool) (progressed int, wait time.Duration, err error) {
 	sub := make([]paper.JobSpec, len(idx))
@@ -353,8 +170,9 @@ func (c *Client) streamBatch(ctx context.Context, idx []int, specs []paper.JobSp
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		// Refusals arrive as plain JSON before any stream starts, with the
-		// same status taxonomy as /v1/jobs.
+		// Refusals arrive as plain JSON before any stream starts:
+		// backpressure (429/503) and retryable refusals are waited out,
+		// anything else (a malformed or unresolvable spec) is terminal.
 		b, rerr := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes))
 		if rerr != nil {
 			return 0, 0, rerr

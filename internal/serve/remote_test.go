@@ -32,10 +32,10 @@ func renderTables(t *testing.T, m *paper.Measurements) []byte {
 // the paper sweep measured through a real hetsimd stack — HTTP client,
 // wire codec, single-flight server, run cache — renders byte-identical
 // tables to local execution, against a cold server cache and again
-// against a warm one.
+// against a warm one, at one streamed /v1/batch request per campaign.
 func TestRemoteEquivalence(t *testing.T) {
 	if testing.Short() {
-		t.Skip("measures the reduced suite three times")
+		t.Skip("measures the reduced suite twice")
 	}
 	suite := kernels.SmallSuite()[:2]
 	local, err := paper.MeasureWith(sweep.New(sweep.Config{}), suite)
@@ -55,75 +55,31 @@ func TestRemoteEquivalence(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 	defer cancel()
 
-	cold, err := paper.MeasureRemote(ctx, client.RunSpec, suite, true, false, 4)
+	cold, err := paper.MeasureRemoteBatch(ctx, client.RunBatch, suite, true, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := renderTables(t, cold); !bytes.Equal(got, want) {
 		t.Fatalf("cold remote tables differ from local:\n%s\nvs\n%s", got, want)
 	}
-	st := srv.Stats()
-	if st.Executed == 0 {
-		t.Fatalf("cold pass executed nothing: %+v", st)
-	}
-
-	warm, err := paper.MeasureRemote(ctx, client.RunSpec, suite, true, false, 4)
+	warm, err := paper.MeasureRemoteBatch(ctx, client.RunBatch, suite, true, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := renderTables(t, warm); !bytes.Equal(got, want) {
 		t.Fatalf("warm remote tables differ from local:\n%s\nvs\n%s", got, want)
 	}
-	st2 := srv.Stats()
-	if st2.Executed != st.Executed {
-		t.Fatalf("warm pass re-executed: %d -> %d simulations", st.Executed, st2.Executed)
-	}
-	if st2.CacheHits == 0 {
-		t.Fatalf("warm pass missed the cache: %+v", st2)
-	}
-
-	// Batch leg: the same campaign as one streamed /v1/batch submission
-	// per pass — still byte-identical against cold and warm cache, but a
-	// whole campaign now costs one HTTP request instead of one per point.
-	bcache, err := sweep.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	bsrv := New(Config{Cache: bcache, Workers: 4, Queue: 64})
-	bts := httptest.NewServer(bsrv.Handler())
-	defer bts.Close()
-	bclient := &Client{BaseURL: bts.URL, Tenant: "equiv"}
-
-	coldB, err := paper.MeasureRemoteBatch(ctx, bclient.RunBatch, suite, true, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := renderTables(t, coldB); !bytes.Equal(got, want) {
-		t.Fatalf("cold batch tables differ from local:\n%s\nvs\n%s", got, want)
-	}
-	warmB, err := paper.MeasureRemoteBatch(ctx, bclient.RunBatch, suite, true, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := renderTables(t, warmB); !bytes.Equal(got, want) {
-		t.Fatalf("warm batch tables differ from local:\n%s\nvs\n%s", got, want)
-	}
-	bst := bsrv.Stats()
+	st := srv.Stats()
 	points := uint64(len(suite) * len(paper.SpecConfigs()))
-	if bst.Requests != 2 || bst.BatchRequests != 2 {
-		t.Fatalf("two batch campaigns cost %d HTTP requests (%d batches), want 2: %+v",
-			bst.Requests, bst.BatchRequests, bst)
+	if st.Requests != 2 || st.BatchRequests != 2 {
+		t.Fatalf("two campaigns cost %d HTTP requests (%d batches), want 2: %+v",
+			st.Requests, st.BatchRequests, st)
 	}
-	if bclient.Reconnects() != 0 {
-		t.Fatalf("clean streams needed %d reconnects", bclient.Reconnects())
+	if client.Reconnects() != 0 {
+		t.Fatalf("clean streams needed %d reconnects", client.Reconnects())
 	}
-	if bst.Executed != points || bst.CacheHits != points ||
-		bst.BatchJobs != 2*points || bst.BatchCompleted != 2*points {
-		t.Fatalf("batch accounting: %+v (want %d executed, %d cached)", bst, points, points)
-	}
-	// The per-point server ran the identical campaign: its request count
-	// is the old cost, one per point per pass.
-	if st2.Requests != 2*points {
-		t.Fatalf("per-point passes cost %d requests, want %d", st2.Requests, 2*points)
+	if st.Executed != points || st.CacheHits != points ||
+		st.BatchJobs != 2*points || st.BatchCompleted != 2*points {
+		t.Fatalf("batch accounting: %+v (want %d executed, %d cached)", st, points, points)
 	}
 }

@@ -3,11 +3,16 @@
 // and the content-addressed run cache, built so that a million clients
 // asking for the same sweep point cost one simulation.
 //
+// There is one submission mechanism, POST /v1/batch (batch.go): a
+// campaign is a spec list streamed back as NDJSON completions, and a
+// single point is simply a one-spec batch, charged like any other job.
+// Client.RunBatch is the matching client.
+//
 // The robustness envelope, every piece exercised under injected failure
 // (fault.go, the soak drill):
 //
-//   - Single-flight dedup: concurrent requests for the same content key
-//     coalesce onto one in-flight simulation (sweep.Flight); waiters
+//   - Single-flight dedup: concurrent batch points for the same content
+//     key coalesce onto one in-flight simulation (sweep.Flight); waiters
 //     share the result or the typed error.
 //   - Backpressure: a bounded admission queue and per-tenant token
 //     buckets + in-flight quotas answer 429 with Retry-After instead of
@@ -124,10 +129,6 @@ type Stats struct {
 	PutFailures   uint64 `json:"put_failures"` // puts that failed even after retry
 	Failed        uint64 `json:"failed"`
 	Expired       uint64 `json:"expired"` // waits abandoned on deadline/cancel
-	// HedgedRequests counts submissions carrying the client's hedge
-	// marker (Client.HedgeAfter backups). Hedges ride the single-flight
-	// dedup, so this measures tail-latency pressure, not extra work.
-	HedgedRequests uint64 `json:"hedged_requests"`
 
 	// Batch counters (/v1/batch): accepted batch submissions, the jobs
 	// they carried, how those jobs resolved, how many streams were cut
@@ -199,7 +200,6 @@ type Server struct {
 	putFailures   atomic.Uint64
 	failed        atomic.Uint64
 	expired       atomic.Uint64
-	hedgedReqs    atomic.Uint64
 }
 
 // flightVal is what a flight publishes to its waiters.
@@ -272,23 +272,22 @@ func (s *Server) Stats() Stats {
 	bt := s.batch
 	s.bmu.Unlock()
 	return Stats{
-		State:          s.State().String(),
-		Requests:       s.requests.Load(),
-		RejectedQueue:  s.rejectedQueue.Load(),
-		RejectedRate:   s.rejectedRate.Load(),
-		RejectedQuota:  s.rejectedQuota.Load(),
-		RejectedDrain:  s.rejectedDrain.Load(),
-		BadRequests:    s.badRequests.Load(),
-		Deduped:        s.deduped.Load(),
-		Leads:          fs.Leads,
-		CacheHits:      s.cacheHits.Load(),
-		Executed:       s.executed.Load(),
-		ExecRetries:    s.execRetries.Load(),
-		PutRetries:     s.putRetries.Load(),
-		PutFailures:    s.putFailures.Load(),
-		Failed:         s.failed.Load(),
-		Expired:        s.expired.Load(),
-		HedgedRequests: s.hedgedReqs.Load(),
+		State:         s.State().String(),
+		Requests:      s.requests.Load(),
+		RejectedQueue: s.rejectedQueue.Load(),
+		RejectedRate:  s.rejectedRate.Load(),
+		RejectedQuota: s.rejectedQuota.Load(),
+		RejectedDrain: s.rejectedDrain.Load(),
+		BadRequests:   s.badRequests.Load(),
+		Deduped:       s.deduped.Load(),
+		Leads:         fs.Leads,
+		CacheHits:     s.cacheHits.Load(),
+		Executed:      s.executed.Load(),
+		ExecRetries:   s.execRetries.Load(),
+		PutRetries:    s.putRetries.Load(),
+		PutFailures:   s.putFailures.Load(),
+		Failed:        s.failed.Load(),
+		Expired:       s.expired.Load(),
 
 		BatchRequests:   bt.requests,
 		BatchJobs:       bt.jobs,
@@ -308,16 +307,16 @@ func (s *Server) Stats() Stats {
 
 // Handler returns the service's HTTP surface:
 //
-//	POST /v1/jobs   submit a keyed job (paper.JobRequest → paper.JobResponse)
-//	POST /v1/batch  submit a whole campaign (paper.BatchRequest → streamed
-//	                NDJSON paper.BatchRecords: per-job completions as they
-//	                land, heartbeats, a cursor when cut, a terminal summary)
+//	POST /v1/batch  submit a campaign or a single point (paper.BatchRequest
+//	                → streamed NDJSON paper.BatchRecords: per-job
+//	                completions as they land, heartbeats, a cursor when
+//	                cut, a terminal summary; a refusal is one JSON
+//	                paper.JobResponse sent before any stream starts)
 //	GET  /v1/stats  counters snapshot
 //	GET  /healthz   liveness  (200 while the process runs)
 //	GET  /readyz    readiness (200 serving, 503 draining/stopped)
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/jobs", s.handleJob)
 	mux.HandleFunc("/v1/batch", s.handleBatch)
 	mux.HandleFunc("/v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, s.Stats())
@@ -367,118 +366,10 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 }
 
-// maxBodyBytes bounds a request body at the HTTP layer (the codec
-// enforces its own tighter limit).
+// maxBodyBytes bounds a request body at the HTTP layer
+// (paper.ParseBatchRequest enforces the same bound on its own) and a
+// stream line on the client side.
 const maxBodyBytes = 1 << 20
-
-func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
-	if r.Header.Get(HedgedHeader) != "" {
-		s.hedgedReqs.Add(1)
-	}
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeJSON(w, http.StatusMethodNotAllowed, paper.JobResponse{Error: "POST only"})
-		return
-	}
-	// Track before the state check: every request Drain could observe
-	// mid-flight is inside the group (rejections release it promptly).
-	s.wg.Add(1)
-	defer s.wg.Done()
-	if s.State() != StateServing {
-		s.rejectedDrain.Add(1)
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable,
-			paper.JobResponse{Error: "server is " + s.State().String(), Retryable: true})
-		return
-	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
-		s.badRequests.Add(1)
-		writeJSON(w, http.StatusBadRequest, paper.JobResponse{Error: "reading request: " + err.Error()})
-		return
-	}
-	req, err := paper.ParseJobRequest(body)
-	if err != nil {
-		s.badRequests.Add(1)
-		writeJSON(w, http.StatusBadRequest, paper.JobResponse{Error: err.Error()})
-		return
-	}
-	tenant := req.Tenant
-	if tenant == "" {
-		tenant = "anon"
-	}
-	if wait, ok := s.limits.admit(tenant); !ok {
-		if wait > 0 {
-			s.rejectedRate.Add(1)
-		} else {
-			s.rejectedQuota.Add(1)
-		}
-		w.Header().Set("Retry-After", retryAfter(wait))
-		writeJSON(w, http.StatusTooManyRequests,
-			paper.JobResponse{Error: "tenant over rate limit or quota", Retryable: true})
-		return
-	}
-	defer s.limits.release(tenant)
-	if n := s.queued.Add(1); n > int64(s.cfg.Queue) {
-		s.queued.Add(-1)
-		s.rejectedQueue.Add(1)
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusTooManyRequests,
-			paper.JobResponse{Error: "admission queue full", Retryable: true})
-		return
-	}
-	defer s.queued.Add(-1)
-
-	// Deadline propagation: the client's budget bounds its wait (and an
-	// injected cancellation drills the same path); the simulation itself
-	// is never cancelled — other waiters may be riding on it.
-	ctx := r.Context()
-	if req.TimeoutMS > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMS)*time.Millisecond)
-		defer cancel()
-	}
-	if d, ok := s.cfg.Faults.CancelRequest(); ok {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithCancel(ctx)
-		t := time.AfterFunc(d, cancel)
-		defer t.Stop()
-		defer cancel()
-	}
-
-	resp, code := s.execute(ctx, req.Spec)
-	writeJSON(w, code, resp)
-}
-
-// execute resolves the spec and runs it through the single-flight layer.
-func (s *Server) execute(ctx context.Context, spec paper.JobSpec) (paper.JobResponse, int) {
-	job, err := s.cfg.Build(spec)
-	if err != nil {
-		s.badRequests.Add(1)
-		return paper.JobResponse{Error: err.Error()}, http.StatusBadRequest
-	}
-	v, err, shared := s.flight.Do(ctx, job.Key, func() (flightVal, error) {
-		return s.lead(job)
-	})
-	if shared {
-		s.deduped.Add(1)
-	}
-	if err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			// The wait was abandoned, not the simulation: a re-submission
-			// will find the flight, or the cache entry it left behind.
-			s.expired.Add(1)
-			return paper.JobResponse{Key: job.Key, Error: err.Error(), Retryable: true},
-				http.StatusGatewayTimeout
-		}
-		s.failed.Add(1)
-		return paper.JobResponse{Key: job.Key, Error: err.Error(), Retryable: Retryable(err)},
-			http.StatusInternalServerError
-	}
-	return paper.JobResponse{Key: job.Key, Cached: v.cached, Shared: shared, Result: v.raw},
-		http.StatusOK
-}
 
 // lead runs one deduplicated execution: worker slot, cache read, the
 // simulation itself under the transient-retry budget, then the cache

@@ -32,24 +32,44 @@ func testBuild(runs map[string]func() (json.RawMessage, error)) func(paper.JobSp
 	}
 }
 
-func body(kernel, tenant string, timeoutMS int64) string {
-	b, _ := json.Marshal(paper.JobRequest{Tenant: tenant, TimeoutMS: timeoutMS,
-		Spec: paper.JobSpec{Kernel: kernel, Seed: 1, Config: "plain"}})
+// pointBody is a one-spec /v1/batch request — how a single point is
+// submitted.
+func pointBody(kernel, tenant string, timeoutMS int64) string {
+	b, _ := json.Marshal(paper.BatchRequest{Tenant: tenant, TimeoutMS: timeoutMS,
+		Specs: []paper.JobSpec{{Kernel: kernel, Seed: 1, Config: "plain"}}})
 	return string(b)
 }
 
-func postJob(t *testing.T, ts *httptest.Server, payload string) (int, http.Header, paper.JobResponse) {
+// pointReply is the outcome of a one-spec batch: either a pre-stream
+// refusal (code != 200, refusal set), or a stream whose single point
+// either completed (job set) or went to the cursor.
+type pointReply struct {
+	code    int
+	hdr     http.Header
+	refusal paper.JobResponse
+	job     *paper.BatchJob
+	cursor  []string
+	summary *paper.BatchSummary
+}
+
+// postPoint submits a one-spec batch and fully consumes the reply.
+func postPoint(t *testing.T, ts *httptest.Server, payload string) pointReply {
 	t.Helper()
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(payload))
-	if err != nil {
-		t.Fatal(err)
+	code, hdr, recs, refusal := postBatch(t, ts, payload)
+	r := pointReply{code: code, hdr: hdr, refusal: refusal}
+	if code != http.StatusOK {
+		return r
 	}
-	defer resp.Body.Close()
-	var jr paper.JobResponse
-	if err := json.NewDecoder(resp.Body).Decode(&jr); err != nil {
-		t.Fatalf("undecodable response: %v", err)
+	r.summary = lastSummary(t, recs)
+	for _, rec := range recs {
+		switch rec.Type {
+		case paper.BatchTypeJob:
+			r.job = rec.Job
+		case paper.BatchTypeCursor:
+			r.cursor = rec.Pending
+		}
 	}
-	return resp.StatusCode, resp.Header, jr
+	return r
 }
 
 // waitFor polls until cond holds or the test times out.
@@ -80,16 +100,16 @@ func TestServeExecuteAndCache(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	code, _, jr := postJob(t, ts, body("k1", "", 0))
-	if code != http.StatusOK || jr.Cached || string(jr.Result) != `{"cycles":7}` {
-		t.Fatalf("first request: code=%d resp=%+v result=%s", code, jr, jr.Result)
+	r := postPoint(t, ts, pointBody("k1", "", 0))
+	if r.code != http.StatusOK || r.job == nil || r.job.Cached || string(r.job.Result) != `{"cycles":7}` {
+		t.Fatalf("first request: code=%d job=%+v", r.code, r.job)
 	}
-	if jr.Key != "test|k1" {
-		t.Fatalf("key = %q", jr.Key)
+	if r.job.Key != "test|k1" {
+		t.Fatalf("key = %q", r.job.Key)
 	}
-	code, _, jr = postJob(t, ts, body("k1", "", 0))
-	if code != http.StatusOK || !jr.Cached || string(jr.Result) != `{"cycles":7}` {
-		t.Fatalf("second request: code=%d resp=%+v", code, jr)
+	r = postPoint(t, ts, pointBody("k1", "", 0))
+	if r.code != http.StatusOK || r.job == nil || !r.job.Cached || string(r.job.Result) != `{"cycles":7}` {
+		t.Fatalf("second request: code=%d job=%+v", r.code, r.job)
 	}
 	if got := execs.Load(); got != 1 {
 		t.Fatalf("executed %d times, want 1 (cache miss)", got)
@@ -118,21 +138,18 @@ func TestServeDedupConcurrent(t *testing.T) {
 
 	const waiters = 5
 	var wg sync.WaitGroup
-	codes := make([]int, waiters+1)
-	shared := make([]bool, waiters+1)
+	replies := make([]pointReply, waiters+1)
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		codes[0], _, _ = postJob(t, ts, body("slow", "", 0))
+		replies[0] = postPoint(t, ts, pointBody("slow", "", 0))
 	}()
 	<-leading
 	for i := 1; i <= waiters; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			var jr paper.JobResponse
-			codes[i], _, jr = postJob(t, ts, body("slow", "", 0))
-			shared[i] = jr.Shared
+			replies[i] = postPoint(t, ts, pointBody("slow", "", 0))
 		}(i)
 	}
 	waitFor(t, "waiters to coalesce", func() bool {
@@ -140,13 +157,13 @@ func TestServeDedupConcurrent(t *testing.T) {
 	})
 	close(gate)
 	wg.Wait()
-	for i, code := range codes {
-		if code != http.StatusOK {
-			t.Fatalf("request %d: code %d", i, code)
+	for i, r := range replies {
+		if r.code != http.StatusOK || r.job == nil || r.job.Error != "" {
+			t.Fatalf("request %d: code %d job %+v", i, r.code, r.job)
 		}
 	}
 	for i := 1; i <= waiters; i++ {
-		if !shared[i] {
+		if !replies[i].job.Shared {
 			t.Fatalf("waiter %d not marked shared", i)
 		}
 	}
@@ -175,18 +192,17 @@ func TestServeQueueFull(t *testing.T) {
 
 	done := make(chan int, 1)
 	go func() {
-		code, _, _ := postJob(t, ts, body("slow", "", 0))
-		done <- code
+		done <- postPoint(t, ts, pointBody("slow", "", 0)).code
 	}()
 	<-leading
-	code, hdr, jr := postJob(t, ts, body("other", "", 0))
-	if code != http.StatusTooManyRequests {
-		t.Fatalf("over-queue request: code %d", code)
+	r := postPoint(t, ts, pointBody("other", "", 0))
+	if r.code != http.StatusTooManyRequests {
+		t.Fatalf("over-queue request: code %d", r.code)
 	}
-	if hdr.Get("Retry-After") == "" {
+	if r.hdr.Get("Retry-After") == "" {
 		t.Fatal("429 without Retry-After")
 	}
-	if !jr.Retryable {
+	if !r.refusal.Retryable {
 		t.Fatal("queue rejection must be retryable")
 	}
 	close(gate)
@@ -203,19 +219,19 @@ func TestServeRateLimit(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	if code, _, _ := postJob(t, ts, body("a", "lab", 0)); code != http.StatusOK {
-		t.Fatalf("burst request: code %d", code)
+	if r := postPoint(t, ts, pointBody("a", "lab", 0)); r.code != http.StatusOK {
+		t.Fatalf("burst request: code %d", r.code)
 	}
-	code, hdr, _ := postJob(t, ts, body("b", "lab", 0))
-	if code != http.StatusTooManyRequests {
-		t.Fatalf("over-rate request: code %d", code)
+	r := postPoint(t, ts, pointBody("b", "lab", 0))
+	if r.code != http.StatusTooManyRequests {
+		t.Fatalf("over-rate request: code %d", r.code)
 	}
-	if hdr.Get("Retry-After") == "" {
+	if r.hdr.Get("Retry-After") == "" {
 		t.Fatal("rate 429 without Retry-After")
 	}
 	// Another tenant's bucket is untouched.
-	if code, _, _ := postJob(t, ts, body("c", "other", 0)); code != http.StatusOK {
-		t.Fatalf("other tenant: code %d", code)
+	if r := postPoint(t, ts, pointBody("c", "other", 0)); r.code != http.StatusOK {
+		t.Fatalf("other tenant: code %d", r.code)
 	}
 	if st := srv.Stats(); st.RejectedRate != 1 {
 		t.Fatalf("stats = %+v", st)
@@ -238,16 +254,15 @@ func TestServeTenantQuota(t *testing.T) {
 
 	done := make(chan int, 1)
 	go func() {
-		code, _, _ := postJob(t, ts, body("slow", "lab", 0))
-		done <- code
+		done <- postPoint(t, ts, pointBody("slow", "lab", 0)).code
 	}()
 	<-leading
-	code, _, _ := postJob(t, ts, body("fast", "lab", 0))
-	if code != http.StatusTooManyRequests {
-		t.Fatalf("over-quota request: code %d", code)
+	r := postPoint(t, ts, pointBody("fast", "lab", 0))
+	if r.code != http.StatusTooManyRequests || r.hdr.Get("Retry-After") == "" || !r.refusal.Retryable {
+		t.Fatalf("over-quota request: code=%d refusal=%+v", r.code, r.refusal)
 	}
-	if code, _, _ := postJob(t, ts, body("fast", "other", 0)); code != http.StatusOK {
-		t.Fatalf("other tenant blocked by lab's quota: code %d", code)
+	if r := postPoint(t, ts, pointBody("fast", "other", 0)); r.code != http.StatusOK {
+		t.Fatalf("other tenant blocked by lab's quota: code %d", r.code)
 	}
 	close(gate)
 	if code := <-done; code != http.StatusOK {
@@ -258,10 +273,69 @@ func TestServeTenantQuota(t *testing.T) {
 	}
 }
 
+// TestServeOneSpecCharge pins that a single point costs exactly what the
+// retired per-point endpoint charged: one quota slot and one queue slot.
+// With TenantQuota Q, exactly Q concurrent one-spec batches are admitted,
+// each holding queue footprint 1, and the (Q+1)th is refused with 429.
+func TestServeOneSpecCharge(t *testing.T) {
+	const quota = 3
+	gate := make(chan struct{})
+	var running atomic.Int64
+	runs := map[string]func() (json.RawMessage, error){}
+	for i := 0; i < quota; i++ {
+		runs[fmt.Sprintf("q%d", i)] = func() (json.RawMessage, error) {
+			running.Add(1)
+			<-gate
+			return json.RawMessage(`{}`), nil
+		}
+	}
+	srv := New(Config{Build: testBuild(runs), Workers: quota + 1, Queue: 16, TenantQuota: quota})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	// Unblock the held points before ts.Close waits on their handlers,
+	// also when an assertion below fails first.
+	release := sync.OnceFunc(func() { close(gate) })
+	defer release()
+
+	codes := make(chan int, quota)
+	for i := 0; i < quota; i++ {
+		go func(i int) {
+			codes <- postPoint(t, ts, pointBody(fmt.Sprintf("q%d", i), "lab", 0)).code
+		}(i)
+	}
+	waitFor(t, "every admitted point to be running", func() bool {
+		return running.Load() == quota
+	})
+	if got := srv.queued.Load(); got != quota {
+		t.Fatalf("%d one-spec batches hold %d queue slots, want %d", quota, got, quota)
+	}
+	r := postPoint(t, ts, pointBody("extra", "lab", 0))
+	if r.code != http.StatusTooManyRequests || r.hdr.Get("Retry-After") == "" || !r.refusal.Retryable {
+		t.Fatalf("point %d of a %d-slot quota: code=%d refusal=%+v", quota+1, quota, r.code, r.refusal)
+	}
+	release()
+	for i := 0; i < quota; i++ {
+		if code := <-codes; code != http.StatusOK {
+			t.Fatalf("admitted point: code %d", code)
+		}
+	}
+	if st := srv.Stats(); st.RejectedQuota != 1 || st.BatchRequests != quota || st.BatchJobs != quota {
+		t.Fatalf("stats = %+v", st)
+	}
+	if got := srv.queued.Load(); got != 0 {
+		t.Fatalf("queue slots not released: %d", got)
+	}
+}
+
 // TestServeWaiterDeadline pins deadline propagation: a waiter's budget
-// bounds its wait (504, retryable), never the shared simulation, which
-// completes for its leader.
+// bounds its wait — the point lands in the cursor and counts as expired —
+// never the shared simulation, which completes for its leader and is
+// cached.
 func TestServeWaiterDeadline(t *testing.T) {
+	cache, err := sweep.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
 	gate := make(chan struct{})
 	leading := make(chan struct{})
 	build := testBuild(map[string]func() (json.RawMessage, error){
@@ -271,27 +345,30 @@ func TestServeWaiterDeadline(t *testing.T) {
 			return json.RawMessage(`{"done":true}`), nil
 		},
 	})
-	srv := New(Config{Build: build, Workers: 2, Queue: 8})
+	srv := New(Config{Build: build, Cache: cache, Workers: 2, Queue: 8})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	done := make(chan paper.JobResponse, 1)
+	done := make(chan pointReply, 1)
 	go func() {
-		_, _, jr := postJob(t, ts, body("slow", "", 0))
-		done <- jr
+		done <- postPoint(t, ts, pointBody("slow", "", 0))
 	}()
 	<-leading
-	code, _, jr := postJob(t, ts, body("slow", "", 30))
-	if code != http.StatusGatewayTimeout {
-		t.Fatalf("expired waiter: code %d (%+v)", code, jr)
+	r := postPoint(t, ts, pointBody("slow", "", 30))
+	if r.code != http.StatusOK || r.job != nil || len(r.cursor) != 1 || r.cursor[0] != "test|slow" {
+		t.Fatalf("expired waiter: code=%d job=%+v cursor=%v", r.code, r.job, r.cursor)
 	}
-	if !jr.Retryable {
-		t.Fatal("an expired wait must be retryable")
+	if r.summary.Pending != 1 || r.summary.Completed != 0 {
+		t.Fatalf("expired waiter summary = %+v", r.summary)
 	}
 	close(gate)
 	leader := <-done
-	if string(leader.Result) != `{"done":true}` {
-		t.Fatalf("leader result = %s", leader.Result)
+	if leader.job == nil || string(leader.job.Result) != `{"done":true}` {
+		t.Fatalf("leader job = %+v", leader.job)
+	}
+	var raw json.RawMessage
+	if !cache.Get("test|slow", &raw) || string(raw) != `{"done":true}` {
+		t.Fatalf("leader result not cached: %s", raw)
 	}
 	if st := srv.Stats(); st.Expired != 1 || st.Executed != 1 {
 		t.Fatalf("stats = %+v", st)
@@ -299,10 +376,11 @@ func TestServeWaiterDeadline(t *testing.T) {
 }
 
 // TestServeInjectedCancel pins the fault hook's mid-request
-// cancellation: a waiter whose context the hook cancels expires
-// (504, retryable) while the leader — whose context is equally cancelled
-// — rides the simulation to completion, and the result still lands in
-// the cache.
+// cancellation: a waiter whose batch the hook cuts sends its point to the
+// cursor (expired) while the leader — whose batch is equally cut — rides
+// the simulation to completion, and the result still lands in the cache.
+// The cut comes late enough for the leader's batch to have claimed its
+// point; a batch cut before claiming simply leaves the point pending.
 func TestServeInjectedCancel(t *testing.T) {
 	cache, err := sweep.Open(t.TempDir())
 	if err != nil {
@@ -318,24 +396,23 @@ func TestServeInjectedCancel(t *testing.T) {
 		},
 	})
 	srv := New(Config{Build: build, Cache: cache, Workers: 2, Queue: 8,
-		Faults: &Faults{CancelRate: 1, CancelAfter: time.Millisecond}})
+		Faults: &Faults{CancelRate: 1, CancelAfter: 50 * time.Millisecond}})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	done := make(chan paper.JobResponse, 1)
+	done := make(chan pointReply, 1)
 	go func() {
-		_, _, jr := postJob(t, ts, body("slow", "", 0))
-		done <- jr
+		done <- postPoint(t, ts, pointBody("slow", "", 0))
 	}()
 	<-leading
-	code, _, jr := postJob(t, ts, body("slow", "", 0))
-	if code != http.StatusGatewayTimeout || !jr.Retryable {
-		t.Fatalf("injected-cancel waiter: code=%d resp=%+v", code, jr)
+	r := postPoint(t, ts, pointBody("slow", "", 0))
+	if r.code != http.StatusOK || r.job != nil || len(r.cursor) != 1 || r.cursor[0] != "test|slow" {
+		t.Fatalf("injected-cancel waiter: code=%d job=%+v cursor=%v", r.code, r.job, r.cursor)
 	}
 	close(gate)
 	leader := <-done
-	if string(leader.Result) != `{"v":1}` {
-		t.Fatalf("leader result = %s", leader.Result)
+	if leader.job == nil || string(leader.job.Result) != `{"v":1}` {
+		t.Fatalf("leader job = %+v", leader.job)
 	}
 	var raw json.RawMessage
 	if !cache.Get("test|slow", &raw) || string(raw) != `{"v":1}` {
@@ -375,10 +452,9 @@ func TestServeDrainLifecycle(t *testing.T) {
 		t.Fatalf("readyz while serving: %d", code)
 	}
 
-	done := make(chan int, 1)
+	done := make(chan pointReply, 1)
 	go func() {
-		code, _, _ := postJob(t, ts, body("slow", "", 0))
-		done <- code
+		done <- postPoint(t, ts, pointBody("slow", "", 0))
 	}()
 	<-leading
 
@@ -394,9 +470,9 @@ func TestServeDrainLifecycle(t *testing.T) {
 	if code := get("/healthz"); code != http.StatusOK {
 		t.Fatalf("healthz while draining: %d", code)
 	}
-	code, hdr, jr := postJob(t, ts, body("late", "", 0))
-	if code != http.StatusServiceUnavailable || !jr.Retryable || hdr.Get("Retry-After") == "" {
-		t.Fatalf("submission while draining: code=%d resp=%+v", code, jr)
+	r := postPoint(t, ts, pointBody("late", "", 0))
+	if r.code != http.StatusServiceUnavailable || !r.refusal.Retryable || r.hdr.Get("Retry-After") == "" {
+		t.Fatalf("submission while draining: code=%d refusal=%+v", r.code, r.refusal)
 	}
 	select {
 	case err := <-drained:
@@ -408,8 +484,10 @@ func TestServeDrainLifecycle(t *testing.T) {
 	if err := <-drained; err != nil {
 		t.Fatalf("drain: %v", err)
 	}
-	if code := <-done; code != http.StatusOK {
-		t.Fatalf("in-flight request during drain: code %d", code)
+	// The in-flight point led its flight, so it rode the drain to
+	// completion instead of going to the cursor.
+	if in := <-done; in.code != http.StatusOK || in.job == nil || in.job.Error != "" || len(in.cursor) != 0 {
+		t.Fatalf("in-flight request during drain: code=%d job=%+v cursor=%v", in.code, in.job, in.cursor)
 	}
 	if srv.State() != StateStopped {
 		t.Fatalf("state after drain = %v", srv.State())
@@ -440,7 +518,7 @@ func TestServeDrainTimeout(t *testing.T) {
 	defer ts.Close()
 	done := make(chan struct{})
 	go func() {
-		postJob(t, ts, body("wedged", "", 0))
+		postPoint(t, ts, pointBody("wedged", "", 0))
 		close(done)
 	}()
 	<-leading
@@ -452,6 +530,9 @@ func TestServeDrainTimeout(t *testing.T) {
 	if srv.State() != StateStopped {
 		t.Fatalf("state after abandoned drain = %v", srv.State())
 	}
+	if r := postPoint(t, ts, pointBody("late", "", 0)); r.code != http.StatusServiceUnavailable {
+		t.Fatalf("submission after abandoned drain: code %d", r.code)
+	}
 	close(gate)
 	<-done
 }
@@ -461,24 +542,25 @@ func TestServeBadRequests(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	if code, _, _ := postJob(t, ts, `not json at all`); code != http.StatusBadRequest {
-		t.Fatalf("garbage body: code %d", code)
+	if r := postPoint(t, ts, `not json at all`); r.code != http.StatusBadRequest {
+		t.Fatalf("garbage body: code %d", r.code)
 	}
 	// A well-formed request whose spec the builder rejects is the client's
 	// fault, not the server's.
-	code, _, jr := postJob(t, ts, body("reject-me", "", 0))
-	if code != http.StatusBadRequest || jr.Retryable {
-		t.Fatalf("builder rejection: code=%d resp=%+v", code, jr)
+	r := postPoint(t, ts, pointBody("reject-me", "", 0))
+	if r.code != http.StatusBadRequest || r.refusal.Retryable {
+		t.Fatalf("builder rejection: code=%d refusal=%+v", r.code, r.refusal)
 	}
-	resp, err := http.Get(ts.URL + "/v1/jobs")
+	// The per-point endpoint is gone: /v1/batch is the one submission path.
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(`{}`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET /v1/jobs: code %d", resp.StatusCode)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("POST /v1/jobs: code %d, want 404", resp.StatusCode)
 	}
-	if st := srv.Stats(); st.BadRequests != 2 {
+	if st := srv.Stats(); st.BadRequests != 2 || st.Requests != 2 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
@@ -510,9 +592,9 @@ func TestServeTransientRetry(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	code, _, jr := postJob(t, ts, body("flaky", "", 0))
-	if code != http.StatusOK || string(jr.Result) != `{"ok":true}` {
-		t.Fatalf("flaky request: code=%d resp=%+v", code, jr)
+	r := postPoint(t, ts, pointBody("flaky", "", 0))
+	if r.code != http.StatusOK || r.job == nil || string(r.job.Result) != `{"ok":true}` {
+		t.Fatalf("flaky request: code=%d job=%+v", r.code, r.job)
 	}
 	st := srv.Stats()
 	if st.ExecRetries != 2 || st.Executed != 1 {
@@ -534,8 +616,8 @@ func TestServeTransientRetry(t *testing.T) {
 }
 
 // TestServeTerminalFailure pins the other side of the taxonomy: a job
-// that times out under the engine's budget is terminal — no retry, 500,
-// Retryable:false — for the leader and every waiter.
+// that times out under the engine's budget is terminal — no retry, a
+// job record with retryable:false, counted failed.
 func TestServeTerminalFailure(t *testing.T) {
 	build := testBuild(map[string]func() (json.RawMessage, error){
 		"stuck": func() (json.RawMessage, error) {
@@ -547,16 +629,41 @@ func TestServeTerminalFailure(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	code, _, jr := postJob(t, ts, body("stuck", "", 0))
-	if code != http.StatusInternalServerError {
-		t.Fatalf("timed-out job: code %d (%+v)", code, jr)
+	r := postPoint(t, ts, pointBody("stuck", "", 0))
+	if r.code != http.StatusOK || r.job == nil || r.job.Error == "" {
+		t.Fatalf("timed-out job: code %d job %+v", r.code, r.job)
 	}
-	if jr.Retryable {
+	if r.job.Retryable {
 		t.Fatal("ErrJobTimeout must not be retryable")
+	}
+	if r.summary.Failed != 1 || r.summary.Pending != 0 {
+		t.Fatalf("summary = %+v", r.summary)
 	}
 	st := srv.Stats()
 	if st.Failed != 1 || st.ExecRetries != 0 {
 		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestServeScrubInStats: a startup scrub report configured on the server
+// is republished through Stats (and so through /v1/stats).
+func TestServeScrubInStats(t *testing.T) {
+	rep := &sweep.ScrubReport{Scanned: 3, Healthy: 2, Corrupt: 1}
+	srv := New(Config{Build: testBuild(nil), Workers: 1, Scrub: rep})
+	st := srv.Stats()
+	if st.Scrub == nil || *st.Scrub != *rep {
+		t.Fatalf("stats scrub = %+v, want %+v", st.Scrub, rep)
+	}
+	b, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decoded Stats
+	if err := json.Unmarshal(b, &decoded); err != nil {
+		t.Fatal(err)
+	}
+	if decoded.Scrub == nil || *decoded.Scrub != *rep {
+		t.Fatalf("scrub did not survive the JSON round trip: %+v", decoded.Scrub)
 	}
 }
 

@@ -13,11 +13,12 @@ import (
 	"hetsim/internal/sweep"
 )
 
-// TestServeSoak is the seeded chaos drill of the serving layer (`make
-// serve-drill`): a herd of clients hammers a small key space through the
-// retrying Client while the fault hook injects slow jobs, cache-write
-// failures and mid-request cancellations. The assertions are the
-// service's core promises under that weather:
+// TestServeSoak is the per-point chaos drill of the serving layer (`make
+// serve-drill`): a herd of clients, each submitting one point at a time
+// as a one-spec batch, hammers a small key space through the retrying
+// Client while the fault hook injects slow jobs, cache-write failures and
+// mid-request cancellations. The assertions are the service's core
+// promises under that weather:
 //
 //   - zero duplicated executions per key (dedup + cache, even with the
 //     first two cache writes of every key failing),
@@ -69,14 +70,14 @@ func TestServeSoak(t *testing.T) {
 			defer cancel()
 			for i := 0; i < reqs; i++ {
 				kernel := fmt.Sprintf("k%02d", (c*reqs+i*7)%keys)
-				raw, err := client.RunSpec(ctx, paper.JobSpec{Kernel: kernel, Seed: 1, Config: "plain"})
+				raws, err := client.RunBatch(ctx, []paper.JobSpec{{Kernel: kernel, Seed: 1, Config: "plain"}})
 				if err != nil {
 					errc <- fmt.Errorf("client %d req %d (%s): %w", c, i, kernel, err)
 					return
 				}
 				want := fmt.Sprintf(`{"kernel":%q,"cycles":%d}`, kernel, len(kernel))
-				if string(raw) != want {
-					errc <- fmt.Errorf("client %d req %d: got %s, want %s", c, i, raw, want)
+				if string(raws[0]) != want {
+					errc <- fmt.Errorf("client %d req %d: got %s, want %s", c, i, raws[0], want)
 					return
 				}
 			}
@@ -110,7 +111,7 @@ func TestServeSoak(t *testing.T) {
 	if st.PutRetries < uint64(2*nKeys) || st.PutFailures != 0 {
 		t.Errorf("cache-write fault path unexercised or fatal: %+v", st)
 	}
-	t.Logf("soak stats: %+v", st)
+	t.Logf("soak stats: %+v, client reconnects %d", st, client.Reconnects())
 
 	// Clean drain: nothing in flight, readiness down afterwards.
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -134,17 +135,20 @@ func TestServeSoak(t *testing.T) {
 	}
 }
 
-// TestBatchSoak is the batch chaos drill (`make batch-drill`): batch
-// campaigns and singleton requests hammer the same overlapping key space
-// while the fault hook injects slow jobs, cache-write failures and
-// mid-request cancellations — the cancellations cut batch streams
-// mid-flight, forcing RunBatch's reconnect-and-resume path. A stats
-// reader polls concurrently to put the batch counter discipline under
-// the race detector. The promises under that weather:
+// TestBatchSoak is the seeded chaos drill of the serving layer (`make
+// serve-drill`): multi-spec campaigns and single points (one-spec
+// batches) hammer the same overlapping key space through the retrying
+// Client while the fault hook injects slow jobs, cache-write failures and
+// mid-request cancellations — the cancellations cut streams mid-flight,
+// forcing RunBatch's reconnect-and-resume path. A stats reader polls
+// concurrently to put the batch counter discipline under the race
+// detector. The promises under that weather:
 //
-//   - exactly-once execution per key across every batch and singleton,
-//     even when a cut batch is resumed,
+//   - exactly-once execution per key across every campaign and point,
+//     even when a cut batch is resumed (dedup + cache, even with the
+//     first two cache writes of every key failing),
 //   - every campaign eventually completes with the right bytes,
+//   - no stuck waiters (the test itself would time out),
 //   - a clean drain afterwards, with readiness down.
 func TestBatchSoak(t *testing.T) {
 	cache, err := sweep.Open(t.TempDir())
@@ -170,8 +174,8 @@ func TestBatchSoak(t *testing.T) {
 		Faults: &Faults{
 			Seed:      7,
 			SlowEvery: 5, SlowDelay: 2 * time.Millisecond,
-			CacheFailFirst: 2,
-			CancelRate:     0.2, // cuts singletons AND whole batch streams
+			CacheFailFirst: 2,   // every key's first two writes fail; retry budget covers them
+			CancelRate:     0.2, // cuts single points AND whole campaign streams
 			CancelAfter:    time.Millisecond,
 		},
 	})
@@ -209,6 +213,14 @@ func TestBatchSoak(t *testing.T) {
 		soloClients    = 4
 		soloReqs       = 20
 	)
+	// check compares served bytes against the build's payload.
+	check := func(spec paper.JobSpec, raw json.RawMessage) error {
+		want := fmt.Sprintf(`{"kernel":%q,"cycles":%d}`, spec.Kernel, len(spec.Kernel))
+		if string(raw) != want {
+			return fmt.Errorf("got %s, want %s", raw, want)
+		}
+		return nil
+	}
 	errc := make(chan error, batchClients+soloClients)
 	for c := 0; c < batchClients; c++ {
 		go func(c int) {
@@ -230,9 +242,8 @@ func TestBatchSoak(t *testing.T) {
 					return
 				}
 				for j, raw := range raws {
-					want := fmt.Sprintf(`{"kernel":%q,"cycles":%d}`, specs[j].Kernel, len(specs[j].Kernel))
-					if string(raw) != want {
-						errc <- fmt.Errorf("batch client %d campaign %d point %d: got %s, want %s", c, i, j, raw, want)
+					if err := check(specs[j], raw); err != nil {
+						errc <- fmt.Errorf("batch client %d campaign %d point %d: %w", c, i, j, err)
 						return
 					}
 				}
@@ -245,15 +256,14 @@ func TestBatchSoak(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 			defer cancel()
 			for i := 0; i < soloReqs; i++ {
-				kernel := fmt.Sprintf("k%02d", (c*soloReqs+i*11)%keys)
-				raw, err := client.RunSpec(ctx, paper.JobSpec{Kernel: kernel, Seed: 1, Config: "plain"})
+				spec := paper.JobSpec{Kernel: fmt.Sprintf("k%02d", (c*soloReqs+i*11)%keys), Seed: 1, Config: "plain"}
+				raws, err := client.RunBatch(ctx, []paper.JobSpec{spec})
 				if err != nil {
-					errc <- fmt.Errorf("solo client %d req %d (%s): %w", c, i, kernel, err)
+					errc <- fmt.Errorf("solo client %d req %d (%s): %w", c, i, spec.Kernel, err)
 					return
 				}
-				want := fmt.Sprintf(`{"kernel":%q,"cycles":%d}`, kernel, len(kernel))
-				if string(raw) != want {
-					errc <- fmt.Errorf("solo client %d req %d: got %s, want %s", c, i, raw, want)
+				if err := check(spec, raws[0]); err != nil {
+					errc <- fmt.Errorf("solo client %d req %d: %w", c, i, err)
 					return
 				}
 			}
@@ -268,8 +278,8 @@ func TestBatchSoak(t *testing.T) {
 	close(stop)
 	readers.Wait()
 
-	// Core promise: every key simulated exactly once across all batches,
-	// singletons, cuts and resumes.
+	// Core promise: every key simulated exactly once across all campaigns,
+	// single points, cuts and resumes.
 	mu.Lock()
 	for key, n := range execs {
 		if n != 1 {
@@ -282,15 +292,21 @@ func TestBatchSoak(t *testing.T) {
 	if nKeys == 0 || st.Executed != uint64(nKeys) {
 		t.Fatalf("executed %d for %d keys; stats = %+v", st.Executed, nKeys, st)
 	}
-	if st.BatchRequests < batchClients*campaigns {
-		t.Errorf("batch requests %d < %d campaigns submitted", st.BatchRequests, batchClients*campaigns)
+	if st.BatchRequests < batchClients*campaigns+soloClients*soloReqs {
+		t.Errorf("batch requests %d < %d submitted", st.BatchRequests, batchClients*campaigns+soloClients*soloReqs)
 	}
 	if st.BatchFailed != 0 {
 		t.Errorf("batch points failed terminally under transient-only faults: %+v", st)
 	}
-	// Reconnects and cursor cuts are probabilistic (the seeded fault
-	// stream is drawn in request-arrival order), so they are logged, not
-	// asserted; TestBatchDrainCursor pins the cut path deterministically.
+	// The deterministic fault fired: every key's first two cache writes
+	// failed and were retried, and none ultimately failed.
+	if st.PutRetries < uint64(2*nKeys) || st.PutFailures != 0 {
+		t.Errorf("cache-write fault path unexercised or fatal: %+v", st)
+	}
+	// Reconnects, cursor cuts and expired waits are probabilistic (the
+	// seeded fault stream is drawn in request-arrival order), so they are
+	// logged, not asserted; TestBatchDrainCursor and TestServeInjectedCancel
+	// pin the cut paths deterministically.
 	t.Logf("batch soak: %+v, client reconnects %d", st, client.Reconnects())
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
