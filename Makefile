@@ -122,8 +122,13 @@ crash-drill:
 # Differential cycle-accuracy: the event-driven run loop must agree with
 # the naive reference loop on cycles, outputs and stats for every kernel
 # (also covered by `race`, but kept addressable for quick local runs).
+# Compose differential: an offload composed from a measured compute must
+# report exactly what a direct System.Offload does at every Fig. 5b,
+# link-ablation and sensor-ablation point, and the campaign's pulp-4t
+# measurements must be exactly a direct offload's compute step.
 differential:
 	$(GO) test -run TestDifferentialCycleAccuracy ./internal/cluster
+	$(GO) test -run 'TestComposeMatchesOffload|TestComposeRejectsDeviceOptions|TestPULP4ArtifactMatchesOffload' ./internal/core ./internal/paper
 
 # Block-mode differential under the race detector: the kernel matrix in
 # all four execution modes (superblock / block / stepped / reference),

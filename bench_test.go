@@ -22,7 +22,6 @@ import (
 	"hetsim/internal/kernels"
 	"hetsim/internal/loader"
 	"hetsim/internal/paper"
-	"hetsim/internal/sensor"
 	"hetsim/internal/sweep"
 )
 
@@ -158,8 +157,10 @@ func BenchmarkFigure5a(b *testing.B) {
 }
 
 // BenchmarkFigure5b regenerates the offload-amortization curves on matmul
-// (full offload pipeline over the QSPI link, 10 iteration counts x 5 host
-// frequencies, with and without double buffering).
+// (10 iteration counts x 5 host frequencies, with and without double
+// buffering). Every point is composed from the measured pulp-4t compute —
+// link phases charged, timeline and energy composed — so the loop times
+// the composition, not a cluster simulation.
 func BenchmarkFigure5b(b *testing.B) {
 	m := measurements(b)
 	k, err := hetsim.KernelByName("matmul")
@@ -186,36 +187,16 @@ func BenchmarkFigure5b(b *testing.B) {
 	}
 }
 
-// runSmallSweep drives the same experiment set as `hetexp -small -exp all`
-// through one sweep engine: the whole reduced evaluation, every simulation
-// as a job.
+// runSmallSweep drives `hetexp -small -exp all` through one sweep engine:
+// the whole reduced evaluation, every simulation as a job, rendered
+// through the same paper.RenderCampaign call.
 func runSmallSweep(b *testing.B, eng *sweep.Engine) {
 	b.Helper()
-	suite := kernels.SmallSuite()
-	m, err := paper.MeasureWith(eng, suite)
+	m, err := paper.MeasureWith(eng, kernels.SmallSuite())
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := paper.ExtensionAblationWith(eng, suite); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := paper.BankSweepWith(eng, suite[0]); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := paper.LinkAblationWith(eng, suite[0], m); err != nil {
-		b.Fatal(err)
-	}
-	for _, i := range []int{0, 7} {
-		if _, err := paper.ScalingStudyWith(eng, suite[i]); err != nil {
-			b.Fatal(err)
-		}
-	}
-	cam := sensor.QVGACamera()
-	cam.SampleBytes = 32 * 32
-	if _, err := paper.SensorAblationWith(eng, suite[len(suite)-1], m, cam, 8e6); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := paper.Figure5bWith(eng, suite[0], m); err != nil {
+	if err := paper.RenderCampaign(io.Discard, eng, m, paper.CampaignOptions{}); err != nil {
 		b.Fatal(err)
 	}
 }

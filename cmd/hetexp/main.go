@@ -22,10 +22,9 @@
 // stream resumed by re-submitting only the incomplete points. The
 // rendered tables are byte-identical to local execution for the
 // measurement experiments (table1, fig3, fig4, fig5a, -breakdown);
-// ablate/fig5b/chaos simulate extra local points and are skipped
-// (-exp all) or rejected under -remote, as are -resume and -job-timeout
-// (the server applies its own per-simulation budget, hetsimd
-// -job-timeout).
+// ablate, fig5b and chaos run locally only and are skipped (-exp all) or
+// rejected under -remote, as are -resume and -job-timeout (the server
+// applies its own per-simulation budget, hetsimd -job-timeout).
 //
 // -small runs reduced-size kernels (seconds instead of minutes); the
 // recorded EXPERIMENTS.md numbers come from the full-size run.
@@ -69,7 +68,6 @@ import (
 	"hetsim/internal/kernels"
 	"hetsim/internal/paper"
 	"hetsim/internal/prof"
-	"hetsim/internal/sensor"
 	"hetsim/internal/serve"
 	"hetsim/internal/sweep"
 )
@@ -201,7 +199,7 @@ func main() {
 		switch *exp {
 		case "all", "table1", "fig3", "fig4", "fig5a":
 		default:
-			fatal(fmt.Errorf("-exp %s simulates extra local points; -remote serves table1, fig3, fig4, fig5a", *exp))
+			fatal(fmt.Errorf("-exp %s runs locally only; -remote renders table1, fig3, fig4, fig5a", *exp))
 		}
 		if *jobTimeout > 0 {
 			fatal(fmt.Errorf("-job-timeout bounds local simulations; under -remote the server's budget applies (set hetsimd -job-timeout)"))
@@ -232,120 +230,19 @@ func main() {
 		}
 	}
 
-	run := func(name string) bool {
+	include := func(name string) bool {
 		if *remote != "" && (name == "ablate" || name == "fig5b") {
 			if *exp == "all" {
-				fmt.Fprintf(os.Stderr, "hetexp: skipping %s under -remote (simulates extra local points)\n", name)
+				fmt.Fprintf(os.Stderr, "hetexp: skipping %s under -remote (it renders table1, fig3, fig4, fig5a only)\n", name)
 			}
 			return false
 		}
 		return *exp == "all" || *exp == name
 	}
-	out := os.Stdout
-
-	if *breakdown {
-		fmt.Fprintln(out, "== Stall breakdown: pulp-4t cycle attribution (beyond paper) ==")
-		rows, err := m.BreakdownTable()
-		if err != nil {
-			fatal(err)
-		}
-		paper.RenderBreakdown(out, rows)
-		fmt.Fprintln(out)
-	}
-	if run("table1") {
-		fmt.Fprintln(out, "== Table I: benchmark summary ==")
-		paper.RenderTable1(out, m.Table1())
-		fmt.Fprintln(out)
-	}
-	if run("fig3") {
-		fmt.Fprintln(out, "== Figure 3: energy efficiency on matmul ==")
-		pts, err := m.Figure3()
-		if err != nil {
-			fatal(err)
-		}
-		paper.RenderFigure3(out, pts)
-		fmt.Fprintln(out)
-	}
-	if run("fig4") {
-		fmt.Fprintln(out, "== Figure 4: architectural and parallel speedup ==")
-		paper.RenderFigure4(out, m.Figure4())
-		fmt.Fprintln(out)
-	}
-	if run("fig5a") {
-		fmt.Fprintln(out, "== Figure 5a: speedup within the 10 mW envelope ==")
-		paper.RenderFigure5a(out, m.Figure5a())
-		fmt.Fprintln(out)
-	}
-	if run("ablate") {
-		fmt.Fprintln(out, "== Ablation: per-extension contribution (beyond paper) ==")
-		ext, err := paper.ExtensionAblationWith(eng, suite)
-		if err != nil {
-			fatal(err)
-		}
-		paper.RenderExtensionAblation(out, ext)
-		fmt.Fprintln(out)
-
-		mm := suite[0] // matmul
-		fmt.Fprintln(out, "== Ablation: TCDM bank count (beyond paper) ==")
-		banks, err := paper.BankSweepWith(eng, mm)
-		if err != nil {
-			fatal(err)
-		}
-		paper.RenderBankSweep(out, mm.Name, banks)
-		fmt.Fprintln(out)
-
-		fmt.Fprintln(out, "== Ablation: decoupled link clock (Section V) ==")
-		la, err := paper.LinkAblationWith(eng, mm, m)
-		if err != nil {
-			fatal(err)
-		}
-		paper.RenderLinkAblation(out, mm.Name, la)
-		fmt.Fprintln(out)
-
-		fmt.Fprintln(out, "== Ablation: 8-core cluster scaling (beyond paper) ==")
-		for _, k := range []int{0, 7} { // matmul, cnn
-			sc, err := paper.ScalingStudyWith(eng, suite[k])
-			if err != nil {
-				fatal(err)
-			}
-			paper.RenderScalingStudy(out, suite[k].Name, sc)
-		}
-		fmt.Fprintln(out)
-
-		hogK := suite[len(suite)-1] // hog
-		fmt.Fprintln(out, "== Ablation: sensor data path (Section V) ==")
-		cam := sensor.QVGACamera()
-		if *small {
-			cam.SampleBytes = 32 * 32
-		}
-		sa, err := paper.SensorAblationWith(eng, hogK, m, cam, 8e6)
-		if err != nil {
-			fatal(err)
-		}
-		paper.RenderSensorAblation(out, hogK.Name, sa)
-		fmt.Fprintln(out)
-	}
-	if run("fig5b") {
-		var k *kernels.Instance
-		for _, c := range suite {
-			if c.Name != *kernel {
-				continue
-			}
-			if k != nil {
-				fatal(fmt.Errorf("suite has two kernels named %q", *kernel))
-			}
-			k = c
-		}
-		if k == nil {
-			fatal(fmt.Errorf("kernel %q not in suite", *kernel))
-		}
-		fmt.Fprintln(out, "== Figure 5b: offload-cost amortization ==")
-		series, err := paper.Figure5bWith(eng, k, m)
-		if err != nil {
-			fatal(err)
-		}
-		paper.RenderFigure5b(out, k.Name, series)
-		fmt.Fprintln(out)
+	if err := paper.RenderCampaign(os.Stdout, eng, m, paper.CampaignOptions{
+		Include: include, Breakdown: *breakdown, Fig5bKernel: *kernel,
+	}); err != nil {
+		fatal(err)
 	}
 
 	sweepStats(eng)

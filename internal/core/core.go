@@ -19,7 +19,9 @@
 // really executes on the cycle-accurate cluster, so the returned output is
 // checked against golden models in the tests; time and energy are composed
 // from the same measured phases, including the double-buffered pipeline of
-// Fig. 5b where transfers overlap computation.
+// Fig. 5b where transfers overlap computation. Compose prices the same
+// protocol around an already measured Compute without building a device:
+// the link phases are charged, not moved, and the composition is Offload's.
 //
 // On top of the happy path the runtime is resilient: an EOC watchdog
 // bounds how long the host waits for the accelerator, failed attempts are
@@ -278,12 +280,81 @@ type Report struct {
 // (fetch-enable trigger, EOC wake).
 const gpioCycles = 20
 
+// Compute is the cycle-domain result of an offload's compute step: what
+// the cluster did, independent of where it runs. The paper's power model
+// P = f·Σχ·ρ splits the same way — cycles and activity come from the PMU
+// counters, while the V/f point, the link and the host clock only price
+// them — so one measured Compute serves every host frequency, iteration
+// count, buffering mode and link configuration (see Compose).
+type Compute struct {
+	Cycles   uint64
+	Activity power.Activity
+}
+
+// ErrNeedsDevice: Compose was given an option that only a simulated
+// device can honour (fault injection, tracing, attribution, timeline).
+var ErrNeedsDevice = errors.New("core: option needs a simulated device (use Offload)")
+
 // Offload runs one offload of the job and returns the device's output
 // bytes plus the full time/energy report. With Options resilience fields
 // set it survives link corruption, descriptor corruption and accelerator
 // hangs up to the configured budgets, falling back to native host
 // execution when HostFallback is provided.
 func (s *System) Offload(job loader.Job, opts Options) ([]byte, *Report, error) {
+	r, err := s.newRun(job, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	// Re-parse the serialized binary: the byte stream on the link is all
+	// the accelerator side ever sees.
+	if r.parsed, err = asm.ParseImage(r.image); err != nil {
+		return nil, nil, err
+	}
+	return r.run()
+}
+
+// Compose returns the Report of a clean offload of the job whose compute
+// step is already known, without building a cluster: the link phases
+// (binary, descriptor, per-iteration input and output) are charged on
+// s.Link in the order Offload moves them, and the timeline and energy
+// composition is the one Offload ends in. For the Compute of the job's
+// own run on s.AccCfg the Report is identical to Offload's, field for
+// field, including the link meter deltas. Options that need a live device
+// (Faults, Tracer, Obs, Timeline) fail with ErrNeedsDevice, and a compute
+// longer than the watchdog or MaxCycles budget fails too: the direct run
+// would not complete on its first attempt.
+func (s *System) Compose(job loader.Job, opts Options, c Compute) (*Report, error) {
+	for _, o := range []struct {
+		name string
+		set  bool
+	}{
+		{"Faults", opts.Faults != nil},
+		{"Tracer", opts.Tracer != nil},
+		{"Obs", opts.Obs != nil},
+		{"Timeline", opts.Timeline != nil},
+	} {
+		if o.set {
+			return nil, fmt.Errorf("%w: %s", ErrNeedsDevice, o.name)
+		}
+	}
+	r, err := s.newRun(job, opts)
+	if err != nil {
+		return nil, err
+	}
+	if c.Cycles > r.opts.WatchdogCycles {
+		return nil, fmt.Errorf("core: compute of %d cycles exceeds the %d-cycle budget of one attempt",
+			c.Cycles, r.opts.WatchdogCycles)
+	}
+	// No device loads the image, so the link phases take their sizes and
+	// addresses from the program it serializes (the image round trip
+	// preserves them).
+	r.parsed = job.Prog
+	return r.compose(c)
+}
+
+// newRun validates the options, fills in their defaults and serializes
+// the image: the state every offload, simulated or composed, starts from.
+func (s *System) newRun(job loader.Job, opts Options) (*offloadRun, error) {
 	if opts.Iterations <= 0 {
 		opts.Iterations = 1
 	}
@@ -294,13 +365,13 @@ func (s *System) Offload(job loader.Job, opts Options) ([]byte, *Report, error) 
 		job.Threads = uint32(s.AccCfg.Cores)
 	}
 	if opts.HostTaskFraction < 0 || opts.HostTaskFraction > 0.9 {
-		return nil, nil, fmt.Errorf("core: host task fraction %v out of [0, 0.9]", opts.HostTaskFraction)
+		return nil, fmt.Errorf("core: host task fraction %v out of [0, 0.9]", opts.HostTaskFraction)
 	}
 	if opts.Retries < 0 || opts.Retries > 16 {
-		return nil, nil, fmt.Errorf("core: retries %d out of [0, 16]", opts.Retries)
+		return nil, fmt.Errorf("core: retries %d out of [0, 16]", opts.Retries)
 	}
 	if opts.BackoffBase < 0 {
-		return nil, nil, fmt.Errorf("core: negative backoff base %v", opts.BackoffBase)
+		return nil, fmt.Errorf("core: negative backoff base %v", opts.BackoffBase)
 	}
 	if opts.BackoffBase == 0 {
 		opts.BackoffBase = DefaultBackoffBase
@@ -313,26 +384,19 @@ func (s *System) Offload(job loader.Job, opts Options) ([]byte, *Report, error) 
 	}
 	lay, err := loader.Plan(job, s.AccCfg.TCDMSize, s.AccCfg.L2Size)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
-	// Serialize the binary and re-parse it: the byte stream on the link is
-	// all the accelerator side ever sees.
 	image, err := job.Prog.Image()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	parsed, err := asm.ParseImage(image)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	r := &offloadRun{sys: s, job: job, opts: opts, lay: lay, image: image, parsed: parsed}
-	return r.run()
+	return &offloadRun{sys: s, job: job, opts: opts, lay: lay, image: image}, nil
 }
 
-// offloadRun carries the state of one Offload call: the measured phase
-// times/energies, the recovery ledger and the live cluster.
+// offloadRun carries the state of one Offload or Compose call: the
+// measured phase times/energies, the recovery ledger and the live cluster
+// (nil when composing).
 type offloadRun struct {
 	sys    *System
 	job    loader.Job
@@ -345,6 +409,7 @@ type offloadRun struct {
 	// Happy-path phase measurements (seconds / joules on the link).
 	tBin, eBin float64
 	tIn, eIn   float64
+	tOut, eOut float64
 
 	// Recovery ledger.
 	recActive    float64 // host driving the link or GPIO during recovery
@@ -355,16 +420,18 @@ type offloadRun struct {
 	retries      int
 	descRewrites int
 
+	// Link counters at offload start. The fallback path reports the energy
+	// meter delta, which stays correct when a transfer dies mid-phase and
+	// the per-phase snapshots never see its energy.
+	retrans0, retransB0 uint64
+	eLink0              float64
+
 	// Observability. tl is the wall-clock timeline (nil unless
 	// Options.Timeline is set), ctl the cycle-domain span recorder drained
-	// after each cluster run, clk the host wall clock in seconds. eLink0
-	// snapshots the link energy meter at offload start: the fallback path
-	// reports the meter delta, which stays correct when a transfer dies
-	// mid-phase and the per-phase snapshots never see its energy.
-	tl     *obs.Timeline
-	ctl    *obs.ClusterTL
-	clk    float64
-	eLink0 float64
+	// after each cluster run, clk the host wall clock in seconds.
+	tl  *obs.Timeline
+	ctl *obs.ClusterTL
+	clk float64
 }
 
 // hostSpan emits one host-side phase span on the protocol track and
@@ -424,16 +491,19 @@ func (r *offloadRun) note(format string, args ...interface{}) {
 		Note: "offload: " + fmt.Sprintf(format, args...)})
 }
 
+// bindLink attaches the offload's injector to the link and snapshots the
+// link counters; the returned func detaches it again.
+func (r *offloadRun) bindLink() (restore func()) {
+	l := r.sys.Link
+	prevInject := l.Inject
+	l.Inject = r.opts.Faults
+	r.retrans0, r.retransB0, r.eLink0 = l.Retransmits, l.RetransmittedBytes, l.EnergyJ
+	return func() { l.Inject = prevInject }
+}
+
 func (r *offloadRun) run() ([]byte, *Report, error) {
 	s := r.sys
-
-	// The injector rides on the link for the duration of this offload.
-	prevInject := s.Link.Inject
-	s.Link.Inject = r.opts.Faults
-	defer func() { s.Link.Inject = prevInject }()
-	retrans0 := s.Link.Retransmits
-	retransB0 := s.Link.RetransmittedBytes
-	r.eLink0 = s.Link.EnergyJ
+	defer r.bindLink()()
 
 	if r.opts.Timeline != nil {
 		r.tl = r.opts.Timeline
@@ -447,59 +517,73 @@ func (r *offloadRun) run() ([]byte, *Report, error) {
 	if err := r.buildCluster(); err != nil {
 		return nil, nil, err
 	}
+	var err error
 	r.linkSeek()
-	tBin, eBin, err := r.loadImage()
-	if err != nil {
-		return r.fail(err, retrans0, retransB0)
+	if r.tBin, r.eBin, err = r.loadImage(); err != nil {
+		return r.fail(err)
 	}
-	r.tBin, r.eBin = tBin, eBin
-	r.hostSpan("load image+descriptor", "phase", tBin, map[string]any{"bytes": len(r.image)})
+	r.hostSpan("load image+descriptor", "phase", r.tBin, map[string]any{"bytes": len(r.image)})
 	r.linkSeek()
-	tIn, eIn, err := r.writeInput()
-	if err != nil {
-		return r.fail(err, retrans0, retransB0)
+	if r.tIn, r.eIn, err = r.writeInput(); err != nil {
+		return r.fail(err)
 	}
-	r.tIn, r.eIn = tIn, eIn
-	r.hostSpan("write input", "phase", tIn, map[string]any{"bytes": len(r.job.In)})
+	r.hostSpan("write input", "phase", r.tIn, map[string]any{"bytes": len(r.job.In)})
 
 	res, err := r.attempts()
 	if err != nil {
-		return r.fail(err, retrans0, retransB0)
+		return r.fail(err)
 	}
-
 	stats := r.acc.CollectStats()
-	act := power.ActivityOf(stats)
-	tComp := float64(res.Cycles) / s.FAcc
 
-	// Output transfer + EOC wake.
+	r.linkSeek()
 	var out []byte
-	tOut := float64(gpioCycles) / s.Host.FreqHz
-	eOut := 0.0
-	if r.job.OutLen > 0 {
-		r.linkSeek()
-		e0 := s.Link.EnergyJ
-		data, t, err := s.Link.Read(r.acc.L2, r.lay.OutLMA, r.job.OutLen)
-		if err != nil {
-			return r.fail(err, retrans0, retransB0)
-		}
-		out = data
-		tOut += t
-		eOut = s.Link.EnergyJ - e0
+	if out, r.tOut, r.eOut, err = r.readOutput(); err != nil {
+		return r.fail(err)
 	}
-	r.hostSpan("read output", "phase", tOut, map[string]any{"bytes": r.job.OutLen})
+	r.hostSpan("read output", "phase", r.tOut, map[string]any{"bytes": r.job.OutLen})
 	if r.tl != nil && r.opts.Iterations > 1 {
 		r.tl.Instant(obs.PidHost, obs.TidPhases,
 			fmt.Sprintf("x%d iterations (first shown)", r.opts.Iterations), "phase", r.clk*1e6, nil)
 	}
 
-	tBin, tIn = r.tBin, r.tIn
+	rep := r.report(Compute{Cycles: res.Cycles, Activity: power.ActivityOf(stats)})
+	rep.ParityErrors = stats.ICParity
+	rep.MemFlips = stats.TCDMFlips + stats.L2Flips
+	rep.DMACorrupted = stats.DMACorrupted
+	return out, rep, nil
+}
+
+// compose is run without a device: the same link phases, in the same
+// order, charged instead of moved, around a compute that is already known.
+func (r *offloadRun) compose(c Compute) (*Report, error) {
+	defer r.bindLink()()
+	var err error
+	if r.tBin, r.eBin, err = r.loadImage(); err != nil {
+		return nil, err
+	}
+	if r.tIn, r.eIn, err = r.writeInput(); err != nil {
+		return nil, err
+	}
+	if _, r.tOut, r.eOut, err = r.readOutput(); err != nil {
+		return nil, err
+	}
+	return r.report(c), nil
+}
+
+// report composes the time and energy of the whole offload from the
+// measured phases, the compute step and the recovery ledger: the one
+// composition behind both Offload and Compose.
+func (r *offloadRun) report(c Compute) *Report {
+	s := r.sys
+	tComp := float64(c.Cycles) / s.FAcc
+	tBin, tIn, tOut, recActive := r.tBin, r.tIn, r.tOut, r.recActive
 	// A concurrent host task steals cycles from every host-driven phase.
 	if f := r.opts.HostTaskFraction; f > 0 {
 		stretch := 1 / (1 - f)
 		tBin *= stretch
 		tIn *= stretch
 		tOut *= stretch
-		r.recActive *= stretch
+		recActive *= stretch
 	}
 
 	// Timeline composition over the iterations, plus the recovery ledger.
@@ -514,16 +598,16 @@ func (r *offloadRun) run() ([]byte, *Report, error) {
 	} else {
 		total = tBin + n*(tIn+tComp+tOut)
 	}
-	recT := r.recActive + r.recSleep
+	recT := recActive + r.recSleep
 	total += recT
 	ideal := n * tComp
 
 	// Energy composition. The link energies are measured per phase from
 	// the link's own meter (so CRC trailers and retransmissions are
 	// priced), then scaled over the iterations like the timeline.
-	xferTime := tBin + n*(tIn+tOut) + r.recActive
+	xferTime := tBin + n*(tIn+tOut) + recActive
 	computeTime := n*tComp + r.recAccActive
-	accRun := power.PULPPowerW(s.Vdd, s.FAcc, act)
+	accRun := power.PULPPowerW(s.Vdd, s.FAcc, c.Activity)
 	accIdle := power.PULPPowerW(s.Vdd, s.FAcc, power.IdleActivity(s.AccCfg.Cores))
 	idleTime := total - computeTime
 	if idleTime < 0 {
@@ -535,7 +619,7 @@ func (r *offloadRun) run() ([]byte, *Report, error) {
 		mcuJ = s.Host.RunPowerW() * total
 	}
 	en := power.Energy{
-		SPIJ:  r.eBin + n*(r.eIn+eOut) + r.recLinkE,
+		SPIJ:  r.eBin + n*(r.eIn+r.eOut) + r.recLinkE,
 		MCUJ:  mcuJ,
 		PULPJ: accRun*computeTime + accIdle*idleTime,
 	}
@@ -549,11 +633,11 @@ func (r *offloadRun) run() ([]byte, *Report, error) {
 			recIdle = 0
 		}
 		recE = r.recLinkE +
-			s.Host.RunPowerW()*r.recActive + s.Host.Model.SleepW*r.recSleep +
+			s.Host.RunPowerW()*recActive + s.Host.Model.SleepW*r.recSleep +
 			accRun*r.recAccActive + accIdle*recIdle
 	}
 
-	rep := &Report{
+	return &Report{
 		BinaryBytes:        len(r.image),
 		InBytes:            len(r.job.In),
 		OutBytes:           int(r.job.OutLen),
@@ -566,24 +650,39 @@ func (r *offloadRun) run() ([]byte, *Report, error) {
 		TotalTime:          total,
 		IdealTime:          ideal,
 		Efficiency:         ideal / total,
-		ComputeCycles:      res.Cycles,
-		Activity:           act,
+		ComputeCycles:      c.Cycles,
+		Activity:           c.Activity,
 		Energy:             en,
 		AccPowerW:          accRun,
 		HostPowerW:         s.Host.RunPowerW(),
 		LinkPowerW:         power.SPIPowerW(s.Link.Cfg.ClockHz, s.Link.Cfg.Lanes),
 		Retries:            r.retries,
 		WatchdogTrips:      r.trips,
-		Retransmits:        s.Link.Retransmits - retrans0,
-		RetransmittedBytes: s.Link.RetransmittedBytes - retransB0,
+		Retransmits:        s.Link.Retransmits - r.retrans0,
+		RetransmittedBytes: s.Link.RetransmittedBytes - r.retransB0,
 		DescRewrites:       r.descRewrites,
 		RecoveryTime:       recT,
 		RecoveryEnergyJ:    recE,
-		ParityErrors:       stats.ICParity,
-		MemFlips:           stats.TCDMFlips + stats.L2Flips,
-		DMACorrupted:       stats.DMACorrupted,
 	}
-	return out, rep, nil
+}
+
+// write moves data into accelerator L2 over the link. A composed offload
+// has no device: it charges the same transfer without moving the bytes.
+func (r *offloadRun) write(addr uint32, data []byte) (float64, error) {
+	if r.acc == nil {
+		return r.sys.Link.Charge(len(data), true)
+	}
+	return r.sys.Link.Write(r.acc.L2, addr, data)
+}
+
+// read moves n bytes out of accelerator L2 over the link; composed, it
+// charges the transfer and returns no data.
+func (r *offloadRun) read(addr, n uint32) ([]byte, float64, error) {
+	if r.acc == nil {
+		t, err := r.sys.Link.Charge(int(n), false)
+		return nil, t, err
+	}
+	return r.sys.Link.Read(r.acc.L2, addr, n)
 }
 
 // buildCluster builds (or rebuilds, on a full reload) the accelerator and
@@ -621,12 +720,12 @@ func (r *offloadRun) loadImage() (t, e float64, err error) {
 	s := r.sys
 	e0 := s.Link.EnergyJ
 	textBytes := r.image[36 : 36+4*len(r.parsed.Text)]
-	t, err = s.Link.Write(r.acc.L2, r.parsed.TextBase, textBytes)
+	t, err = r.write(r.parsed.TextBase, textBytes)
 	if err != nil {
 		return 0, 0, err
 	}
 	if len(r.parsed.Data) > 0 {
-		td, err := s.Link.Write(r.acc.L2, r.parsed.DataLMA, r.parsed.Data)
+		td, err := r.write(r.parsed.DataLMA, r.parsed.Data)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -644,10 +743,9 @@ func (r *offloadRun) loadImage() (t, e float64, err error) {
 // descriptor corruption (a device-memory fault the link CRC cannot see),
 // and — when write-verify is on — reads it back and rewrites on mismatch.
 func (r *offloadRun) writeDescriptor() (t float64, err error) {
-	s := r.sys
 	desc := loader.Descriptor(r.job, r.lay)
 	for rewrite := 0; ; rewrite++ {
-		tw, err := s.Link.Write(r.acc.L2, hw.DescBase, desc)
+		tw, err := r.write(hw.DescBase, desc)
 		if err != nil {
 			return t, err
 		}
@@ -663,12 +761,13 @@ func (r *offloadRun) writeDescriptor() (t float64, err error) {
 		if !r.opts.VerifyDescriptor {
 			return t, nil
 		}
-		back, tr, err := s.Link.Read(r.acc.L2, hw.DescBase, hw.DescSize)
+		back, tr, err := r.read(hw.DescBase, hw.DescSize)
 		if err != nil {
 			return t, err
 		}
 		t += tr
-		if bytes.Equal(back, desc) {
+		// Without a device (composed) nothing can disturb what was written.
+		if r.acc == nil || bytes.Equal(back, desc) {
 			return t, nil
 		}
 		r.note("descriptor readback mismatch (rewrite %d)", rewrite+1)
@@ -692,17 +791,39 @@ func (r *offloadRun) writeInput() (t, e float64, err error) {
 	if len(r.job.In) > 0 {
 		if inViaLink {
 			e0 := s.Link.EnergyJ
-			tw, err := s.Link.Write(r.acc.L2, r.lay.InLMA, r.job.In)
+			tw, err := r.write(r.lay.InLMA, r.job.In)
 			if err != nil {
 				return 0, 0, err
 			}
 			t += tw
 			e = s.Link.EnergyJ - e0
-		} else if err := r.acc.L2.WriteBytes(r.lay.InLMA, r.job.In); err != nil {
-			return 0, 0, err
+		} else if r.acc != nil {
+			// The sensor writes L2 directly, off the link (a composed
+			// offload has no L2 to write).
+			if err := r.acc.L2.WriteBytes(r.lay.InLMA, r.job.In); err != nil {
+				return 0, 0, err
+			}
 		}
 	}
 	return t, e, nil
+}
+
+// readOutput is the EOC wake plus the transfer of the output buffer back
+// to the host. Returns the output, the phase time and the link energy.
+func (r *offloadRun) readOutput() (out []byte, t, e float64, err error) {
+	s := r.sys
+	t = float64(gpioCycles) / s.Host.FreqHz
+	if r.job.OutLen > 0 {
+		e0 := s.Link.EnergyJ
+		data, tr, err := r.read(r.lay.OutLMA, r.job.OutLen)
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		out = data
+		t += tr
+		e = s.Link.EnergyJ - e0
+	}
+	return out, t, e, nil
 }
 
 // attempts drives the retry state machine: run under the watchdog, then
@@ -803,7 +924,7 @@ func (r *offloadRun) attempts() (cluster.RunResult, error) {
 // fail ends the offload: with a HostFallback program it degrades to
 // native MCU execution (the accelerator-less path of Fig. 1), otherwise
 // it surfaces the typed error.
-func (r *offloadRun) fail(cause error, retrans0, retransB0 uint64) ([]byte, *Report, error) {
+func (r *offloadRun) fail(cause error) ([]byte, *Report, error) {
 	s := r.sys
 	if r.opts.HostFallback == nil {
 		return nil, nil, fmt.Errorf("core: offloaded %s: %w", r.job.Prog.Name, cause)
@@ -862,8 +983,8 @@ func (r *offloadRun) fail(cause error, retrans0, retransB0 uint64) ([]byte, *Rep
 		LinkPowerW:         power.SPIPowerW(s.Link.Cfg.ClockHz, s.Link.Cfg.Lanes),
 		Retries:            r.retries,
 		WatchdogTrips:      r.trips,
-		Retransmits:        s.Link.Retransmits - retrans0,
-		RetransmittedBytes: s.Link.RetransmittedBytes - retransB0,
+		Retransmits:        s.Link.Retransmits - r.retrans0,
+		RetransmittedBytes: s.Link.RetransmittedBytes - r.retransB0,
 		DescRewrites:       r.descRewrites,
 		FallbackUsed:       true,
 		RecoveryTime:       wasted,

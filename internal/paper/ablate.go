@@ -18,9 +18,10 @@ import (
 // This file holds the beyond-paper ablations: the studies Section V
 // sketches (decoupled link clock, sensor-direct data path) and the
 // design-choice ablations DESIGN.md calls out (per-extension speedup
-// contribution, TCDM banking). Each ablation is a sweep producer/consumer:
-// it emits one job per simulated point and folds the in-order results into
-// its rows.
+// contribution, TCDM banking). Each simulating ablation is a sweep
+// producer/consumer: it emits one job per simulated point and folds the
+// in-order results into its rows. The link and sensor ablations simulate
+// nothing: they compose offloads from the measured pulp-4t compute.
 
 // --- Per-extension ablation -----------------------------------------------------
 
@@ -233,68 +234,51 @@ type LinkAblationPoint struct {
 	PerIterTime float64
 }
 
-// LinkAblation quantifies Section V's decoupled-link proposal, using a
-// default engine.
+// LinkAblation quantifies Section V's decoupled-link proposal; it
+// simulates nothing, so it needs no engine.
 func LinkAblation(k *kernels.Instance, m *Measurements) ([]LinkAblationPoint, error) {
-	return LinkAblationWith(defaultEngine(), k, m)
+	return LinkAblationWith(nil, k, m)
 }
 
 // LinkAblationWith quantifies Section V's proposal: at a slow MCU clock
 // the tied SPI strangles the pipeline; decoupling the link clock (here
-// 32 MHz) removes the bottleneck without raising the MCU frequency. One
-// job per (MCU frequency, coupling) point.
+// 32 MHz) removes the bottleneck without raising the MCU frequency. Every
+// (MCU frequency, coupling) point is composed from the kernel's measured
+// pulp-4t compute, like Fig. 5b: no sweep job, eng is unused.
 func LinkAblationWith(eng *sweep.Engine, k *kernels.Instance, m *Measurements) ([]LinkAblationPoint, error) {
-	km, ok := m.ByK[k.Name]
-	if !ok {
-		return nil, fmt.Errorf("paper: kernel %q not measured", k.Name)
-	}
-	prog, err := k.Build(isa.PULPFull, devrt.Accel)
-	if err != nil {
-		return nil, err
-	}
-	in := k.Input(1)
-	ph, err := progKey(prog)
+	c, err := m.offload(k)
 	if err != nil {
 		return nil, err
 	}
 	host := power.STM32L476
-	var jobs []sweep.Job[LinkAblationPoint]
+	var pts []LinkAblationPoint
 	for _, f := range []float64{2e6, 4e6, 8e6} {
 		budget := EnvelopeW - host.RunPowerW(f)
-		v, fp, ok := power.BestOp(budget, km.Activity)
+		v, fp, ok := power.BestOp(budget, c.compute.Activity)
 		if !ok {
 			continue
 		}
 		for _, decoupled := range []bool{false, true} {
-			f, decoupled := f, decoupled
 			cfg := core.Config{Host: host, HostFreqHz: f, Lanes: 4, AccVdd: v, AccFreqHz: fp}
 			if decoupled {
 				cfg.LinkClockHz = 32e6
 			}
-			key := fmt.Sprintf("linkablate|%s|%s|prog=%s|decoupled=%v|iters=64|db=true",
-				kernelKey(k, in), systemKey(cfg), ph, decoupled)
-			job := loader.Job{Prog: prog, In: in, OutLen: k.OutLen(), Iters: 1, Threads: 4, Args: k.Args()}
-			jobs = append(jobs, sweep.Job[LinkAblationPoint]{
-				Key: key,
-				Run: func() (LinkAblationPoint, error) {
-					sys, err := core.NewSystem(cfg)
-					if err != nil {
-						return LinkAblationPoint{}, err
-					}
-					_, rep, err := sys.Offload(job, core.Options{Iterations: 64, DoubleBuffer: true})
-					if err != nil {
-						return LinkAblationPoint{}, err
-					}
-					return LinkAblationPoint{
-						MCUFreqHz: f, LinkHz: sys.Link.Cfg.ClockHz, Decoupled: decoupled,
-						Efficiency:  rep.Efficiency,
-						PerIterTime: rep.TotalTime / float64(rep.Iterations),
-					}, nil
-				},
+			sys, err := core.NewSystem(cfg)
+			if err != nil {
+				return nil, err
+			}
+			rep, err := sys.Compose(c.job, core.Options{Iterations: 64, DoubleBuffer: true}, c.compute)
+			if err != nil {
+				return nil, err
+			}
+			pts = append(pts, LinkAblationPoint{
+				MCUFreqHz: f, LinkHz: sys.Link.Cfg.ClockHz, Decoupled: decoupled,
+				Efficiency:  rep.Efficiency,
+				PerIterTime: rep.TotalTime / float64(rep.Iterations),
 			})
 		}
 	}
-	return sweep.Run(eng, jobs)
+	return pts, nil
 }
 
 // RenderLinkAblation prints the comparison.
@@ -317,74 +301,51 @@ type SensorAblationPoint struct {
 	EnergyPerIt float64
 }
 
-// SensorAblation runs the camera-fed pipeline comparison with a default
-// engine.
+// SensorAblation runs the camera-fed pipeline comparison; it simulates
+// nothing, so it needs no engine.
 func SensorAblation(k *kernels.Instance, m *Measurements, cam sensor.Sensor, mcuHz float64) ([]SensorAblationPoint, error) {
-	return SensorAblationWith(defaultEngine(), k, m, cam, mcuHz)
+	return SensorAblationWith(nil, k, m, cam, mcuHz)
 }
 
 // SensorAblationWith runs a camera-fed pipeline with the sample routed
 // through the host (Figure 1) and directly into L2 (Section V variant).
-// Both paths share one simulated system, exactly like the serial study,
-// so they form a single job.
+// Both paths are composed from the kernel's measured pulp-4t compute, in
+// turn on one system, like Fig. 5b: no sweep job, eng is unused.
 func SensorAblationWith(eng *sweep.Engine, k *kernels.Instance, m *Measurements, cam sensor.Sensor, mcuHz float64) ([]SensorAblationPoint, error) {
-	km, ok := m.ByK[k.Name]
-	if !ok {
-		return nil, fmt.Errorf("paper: kernel %q not measured", k.Name)
+	c, err := m.offload(k)
+	if err != nil {
+		return nil, err
 	}
 	if err := cam.Validate(); err != nil {
 		return nil, err
 	}
-	prog, err := k.Build(isa.PULPFull, devrt.Accel)
-	if err != nil {
-		return nil, err
-	}
-	in := k.Input(1)
-	ph, err := progKey(prog)
-	if err != nil {
-		return nil, err
-	}
 	budget := EnvelopeW - power.STM32L476.RunPowerW(mcuHz)
-	v, fp, ok := power.BestOp(budget, km.Activity)
+	v, fp, ok := power.BestOp(budget, c.compute.Activity)
 	if !ok {
 		return nil, fmt.Errorf("paper: envelope infeasible at %.0f MHz", mcuHz/1e6)
 	}
-	cfg := core.Config{Host: power.STM32L476, HostFreqHz: mcuHz, Lanes: 4, AccVdd: v, AccFreqHz: fp}
-	key := fmt.Sprintf("sensorablate|%s|%s|prog=%s|cam=%+v|iters=64|db=true",
-		kernelKey(k, in), systemKey(cfg), ph, cam)
-	job := loader.Job{Prog: prog, In: in, OutLen: k.OutLen(), Iters: 1, Threads: 4, Args: k.Args()}
-	jobs := []sweep.Job[[]SensorAblationPoint]{{
-		Key: key,
-		Run: func() ([]SensorAblationPoint, error) {
-			sys, err := core.NewSystem(cfg)
-			if err != nil {
-				return nil, err
-			}
-			var pts []SensorAblationPoint
-			for _, path := range []sensor.Path{sensor.HostPath, sensor.DirectPath} {
-				at, ej, via := cam.Feed(path)
-				_, rep, err := sys.Offload(job, core.Options{
-					Iterations: 64, DoubleBuffer: true,
-					Sensor: &core.SensorFeed{AcquireTime: at, SampleEnergyJ: ej, ViaLink: via},
-				})
-				if err != nil {
-					return nil, err
-				}
-				pts = append(pts, SensorAblationPoint{
-					Path:        path,
-					Efficiency:  rep.Efficiency,
-					PerIterTime: rep.TotalTime / float64(rep.Iterations),
-					EnergyPerIt: rep.Energy.TotalJ() / float64(rep.Iterations),
-				})
-			}
-			return pts, nil
-		},
-	}}
-	res, err := sweep.Run(eng, jobs)
+	sys, err := core.NewSystem(core.Config{Host: power.STM32L476, HostFreqHz: mcuHz, Lanes: 4, AccVdd: v, AccFreqHz: fp})
 	if err != nil {
 		return nil, err
 	}
-	return res[0], nil
+	var pts []SensorAblationPoint
+	for _, path := range []sensor.Path{sensor.HostPath, sensor.DirectPath} {
+		at, ej, via := cam.Feed(path)
+		rep, err := sys.Compose(c.job, core.Options{
+			Iterations: 64, DoubleBuffer: true,
+			Sensor: &core.SensorFeed{AcquireTime: at, SampleEnergyJ: ej, ViaLink: via},
+		}, c.compute)
+		if err != nil {
+			return nil, err
+		}
+		pts = append(pts, SensorAblationPoint{
+			Path:        path,
+			Efficiency:  rep.Efficiency,
+			PerIterTime: rep.TotalTime / float64(rep.Iterations),
+			EnergyPerIt: rep.Energy.TotalJ() / float64(rep.Iterations),
+		})
+	}
+	return pts, nil
 }
 
 // RenderSensorAblation prints the comparison.

@@ -6,10 +6,8 @@ import (
 	"sort"
 
 	"hetsim/internal/core"
-	"hetsim/internal/devrt"
 	"hetsim/internal/isa"
 	"hetsim/internal/kernels"
-	"hetsim/internal/loader"
 	"hetsim/internal/power"
 	"hetsim/internal/sweep"
 )
@@ -304,69 +302,54 @@ type Fig5bSeries struct {
 	EffDB      []float64 // with double buffering
 }
 
-// Figure5b runs the full offload pipeline with a default engine.
+// Figure5b composes the offload-amortization curves; it simulates nothing,
+// so it needs no engine.
 func Figure5b(k *kernels.Instance, m *Measurements) ([]Fig5bSeries, error) {
-	return Figure5bWith(defaultEngine(), k, m)
+	return Figure5bWith(nil, k, m)
 }
 
-// Figure5bWith runs the full offload pipeline (binary + per-iteration data
-// over QSPI) for the given kernel at every host frequency, with the
-// accelerator at its envelope operating point, and reports efficiency
-// vs the ideal (compute-only) time. One job per host frequency: all
-// iteration counts of one frequency share a simulated system (the warm
-// binary cache matters), exactly like the serial study.
+// Figure5bWith prices the full offload pipeline (binary + per-iteration
+// data over QSPI) for the given kernel at every host frequency, with the
+// accelerator at its envelope operating point, and reports efficiency vs
+// the ideal (compute-only) time. Iteration count, buffering, host clock
+// and V/f enter only the composition, so every point is composed
+// (core.System.Compose) from the kernel's measured pulp-4t compute
+// instead of re-simulated: no sweep job is submitted and eng is unused.
+// One system per host frequency carries its link meter through the
+// series, in the order a serial study of direct offloads would.
 func Figure5bWith(eng *sweep.Engine, k *kernels.Instance, m *Measurements) ([]Fig5bSeries, error) {
-	km, ok := m.ByK[k.Name]
-	if !ok {
-		return nil, fmt.Errorf("paper: kernel %q not measured", k.Name)
-	}
-	prog, err := k.Build(isa.PULPFull, devrt.Accel)
-	if err != nil {
-		return nil, err
-	}
-	in := k.Input(1)
-	ph, err := progKey(prog)
+	c, err := m.offload(k)
 	if err != nil {
 		return nil, err
 	}
 	host := power.STM32L476
-	var jobs []sweep.Job[Fig5bSeries]
+	var series []Fig5bSeries
 	for _, f := range Fig5bMCUFreqsHz {
 		budget := EnvelopeW - host.RunPowerW(f)
-		v, fp, ok := power.BestOp(budget, km.Activity)
+		v, fp, ok := power.BestOp(budget, c.compute.Activity)
 		if !ok {
 			continue
 		}
-		cfg := core.Config{Host: host, HostFreqHz: f, Lanes: 4, AccVdd: v, AccFreqHz: fp}
-		key := fmt.Sprintf("fig5b|%s|%s|prog=%s|iters=%v",
-			kernelKey(k, in), systemKey(cfg), ph, Fig5bIterations)
-		job := loader.Job{Prog: prog, In: in, OutLen: k.OutLen(), Iters: 1, Threads: 4, Args: k.Args()}
-		f, v, fp := f, v, fp
-		jobs = append(jobs, sweep.Job[Fig5bSeries]{
-			Key: key,
-			Run: func() (Fig5bSeries, error) {
-				sys, err := core.NewSystem(cfg)
-				if err != nil {
-					return Fig5bSeries{}, err
-				}
-				s := Fig5bSeries{MCUFreqHz: f, PULPVdd: v, PULPFreqHz: fp}
-				for _, n := range Fig5bIterations {
-					_, rep, err := sys.Offload(job, core.Options{Iterations: n})
-					if err != nil {
-						return Fig5bSeries{}, err
-					}
-					s.Eff = append(s.Eff, rep.Efficiency)
-					_, repDB, err := sys.Offload(job, core.Options{Iterations: n, DoubleBuffer: true})
-					if err != nil {
-						return Fig5bSeries{}, err
-					}
-					s.EffDB = append(s.EffDB, repDB.Efficiency)
-				}
-				return s, nil
-			},
-		})
+		sys, err := core.NewSystem(core.Config{Host: host, HostFreqHz: f, Lanes: 4, AccVdd: v, AccFreqHz: fp})
+		if err != nil {
+			return nil, err
+		}
+		s := Fig5bSeries{MCUFreqHz: f, PULPVdd: v, PULPFreqHz: fp}
+		for _, n := range Fig5bIterations {
+			rep, err := sys.Compose(c.job, core.Options{Iterations: n}, c.compute)
+			if err != nil {
+				return nil, err
+			}
+			s.Eff = append(s.Eff, rep.Efficiency)
+			repDB, err := sys.Compose(c.job, core.Options{Iterations: n, DoubleBuffer: true}, c.compute)
+			if err != nil {
+				return nil, err
+			}
+			s.EffDB = append(s.EffDB, repDB.Efficiency)
+		}
+		series = append(series, s)
 	}
-	return sweep.Run(eng, jobs)
+	return series, nil
 }
 
 // RenderFigure5b prints both efficiency families.

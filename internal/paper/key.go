@@ -7,7 +7,6 @@ import (
 
 	"hetsim/internal/asm"
 	"hetsim/internal/cluster"
-	"hetsim/internal/core"
 	"hetsim/internal/kernels"
 )
 
@@ -52,15 +51,4 @@ func clusterKey(cfg cluster.Config) string {
 		k += "|obs"
 	}
 	return k
-}
-
-// systemKey identifies a host+link+accelerator system configuration.
-func systemKey(cfg core.Config) string {
-	acc := cluster.PULPConfig()
-	if cfg.AccCluster != nil {
-		acc = *cfg.AccCluster
-	}
-	return fmt.Sprintf("host=%s@%g|lanes=%d|linkhz=%g|crc=%v|vdd=%g|facc=%g|%s",
-		cfg.Host.Name, cfg.HostFreqHz, cfg.Lanes, cfg.LinkClockHz, cfg.LinkCRC,
-		cfg.AccVdd, cfg.AccFreqHz, clusterKey(acc))
 }

@@ -17,6 +17,7 @@ import (
 	"fmt"
 
 	"hetsim/internal/cluster"
+	"hetsim/internal/core"
 	"hetsim/internal/devrt"
 	"hetsim/internal/isa"
 	"hetsim/internal/kernels"
@@ -244,6 +245,37 @@ func measureJob(k *kernels.Instance, in []byte, rc measureRun, observe bool) (sw
 			}
 			return r, nil
 		},
+	}, nil
+}
+
+// offloadCompute pairs the job a direct offload of one measured kernel
+// moves over the link with that kernel's measured pulp-4t compute.
+type offloadCompute struct {
+	job     loader.Job
+	compute core.Compute
+}
+
+// offload returns k's offload job and its measured pulp-4t compute: the
+// cycle artifact Fig. 5b and the link and sensor ablations compose from.
+// The pulp-4t measure job runs the same program, input, cluster shape and
+// team of 4 as a direct offload's compute step (the artifact validity
+// test pins this), so its result stands in for the simulation.
+func (m *Measurements) offload(k *kernels.Instance) (offloadCompute, error) {
+	km, ok := m.ByK[k.Name]
+	if !ok {
+		return offloadCompute{}, fmt.Errorf("paper: kernel %q not measured", k.Name)
+	}
+	in := k.Input(m.seed)
+	if kernelKey(k, in) != kernelKey(km.K, km.K.Input(m.seed)) {
+		return offloadCompute{}, fmt.Errorf("paper: kernel %q differs from the measured instance", k.Name)
+	}
+	prog, err := k.Build(isa.PULPFull, devrt.Accel)
+	if err != nil {
+		return offloadCompute{}, err
+	}
+	return offloadCompute{
+		job:     loader.Job{Prog: prog, In: in, OutLen: k.OutLen(), Iters: 1, Threads: 4, Args: k.Args()},
+		compute: core.Compute{Cycles: km.Cycles[cfgPULP4], Activity: km.Activity},
 	}, nil
 }
 

@@ -322,6 +322,25 @@ func (l *Link) Read(src *mem.SRAM, addr uint32, n uint32) ([]byte, float64, erro
 	return data, l.account(wire), nil
 }
 
+// Charge accounts an n-byte transfer (tx: host to accelerator, else the
+// reverse) exactly as a fault-free Write or Read of n bytes would: the
+// same wire bytes, time, energy and counters, in call order, but no data
+// moves. It prices a transfer whose bytes need not land anywhere — the
+// link phases of an offload composed from an already measured compute. A
+// link with an injector or a timeline attached refuses: injected faults
+// act on real bytes, and a charge emits no burst spans.
+func (l *Link) Charge(n int, tx bool) (float64, error) {
+	if l.Inject != nil || l.TL != nil {
+		return 0, errors.New("spilink: charge needs a link without fault injection or timeline")
+	}
+	if tx {
+		l.TxBytes += uint64(n)
+	} else {
+		l.RxBytes += uint64(n)
+	}
+	return l.account(l.Cfg.wireBytes(n)), nil
+}
+
 // Detected-bad burst attempts inside moveBursts.
 var (
 	errBurstCorrupt = errors.New("burst CRC rejected")
