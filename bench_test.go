@@ -275,16 +275,14 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulatorThroughputBlocks measures the block-compiled executor
-// (DESIGN.md §12) and the superblock tier on top of it (§13) against pure
-// stepped execution on the reference kernel mix: matmul-64 on the 4-thread
-// and 1-thread PULP accelerator configs and on the Cortex-M4 host. The mix
-// metric is aggregate simulated cycles per second (total cycles / total
-// wall time), so solo-heavy configurations (1t, host) and the multi-core
-// config weigh in by their real simulation cost. benchreport gates the
-// "block" number (BLOCK_FLOOR), the block-over-stepped speedup
-// (-min-block), and the super/block no-regression ratio (-min-ratio) on
-// this straight-line-heavy mix.
+// BenchmarkSimulatorThroughputBlocks measures fused execution (DESIGN.md
+// §12–13) against pure stepped execution on the reference kernel mix:
+// matmul-64 on the 4-thread and 1-thread PULP accelerator configs and on
+// the Cortex-M4 host. The mix metric is aggregate simulated cycles per
+// second (total cycles / total wall time), so solo-heavy configurations
+// (1t, host) and the multi-core config weigh in by their real simulation
+// cost. benchreport gates the "super" number on this straight-line-heavy
+// mix (-min-block, BLOCK_FLOOR).
 func BenchmarkSimulatorThroughputBlocks(b *testing.B) {
 	type mixCfg struct {
 		name    string
@@ -329,8 +327,7 @@ func BenchmarkSimulatorThroughputBlocks(b *testing.B) {
 	for _, variant := range []struct {
 		name     string
 		noBlocks bool
-		noSuper  bool
-	}{{"stepped", true, false}, {"block", false, true}, {"super", false, false}} {
+	}{{"stepped", true}, {"super", false}} {
 		b.Run(variant.name, func(b *testing.B) {
 			var cycles uint64
 			b.ResetTimer()
@@ -338,7 +335,6 @@ func BenchmarkSimulatorThroughputBlocks(b *testing.B) {
 				for _, mj := range jobs {
 					cfg := mj.cfg
 					cfg.NoBlocks = variant.noBlocks
-					cfg.NoSuperblocks = variant.noSuper
 					res, err := cluster.RunJob(cfg, mj.mode, mj.job, 2_000_000_000)
 					if err != nil {
 						b.Fatal(err)
@@ -357,11 +353,11 @@ func BenchmarkSimulatorThroughputBlocks(b *testing.B) {
 // BenchmarkSimulatorThroughputBranchy measures the branch-heavy half of
 // the story: the branchy randomized family (hot backward-branch loops,
 // taken-branch chains, nested hardware loops, barrier-skewed solo phases)
-// on the same three cluster shapes as the block differentials, in stepped,
-// block, and superblock mode. Clusters are built and programs compiled
-// once outside the timed loop; each iteration is Start+Run only, so the
-// benchmark doubles as the steady-state allocation audit — benchreport
-// gates allocs/op at 0 (-max-allocs) and the superblock-over-block ratio
+// on the same three cluster shapes as the block differentials, in stepped
+// and fused mode. Clusters are built and programs compiled once outside
+// the timed loop; each iteration is Start+Run only, so the benchmark
+// doubles as the steady-state allocation audit — benchreport gates
+// allocs/op at 0 (-max-allocs) and the fused-over-stepped ratio
 // (-min-ratio) on this subset.
 func BenchmarkSimulatorThroughputBranchy(b *testing.B) {
 	pulp1 := cluster.PULPConfig()
@@ -379,12 +375,11 @@ func BenchmarkSimulatorThroughputBranchy(b *testing.B) {
 	for _, variant := range []struct {
 		name     string
 		noBlocks bool
-		noSuper  bool
-	}{{"stepped", true, false}, {"block", false, true}, {"super", false, false}} {
+	}{{"stepped", true}, {"super", false}} {
 		for shi, sh := range shapes {
 			sh := sh
 			name := variant.name + "/" + shapeNames[shi]
-			noBlocks, noSuper := variant.noBlocks, variant.noSuper
+			noBlocks := variant.noBlocks
 			b.Run(name, func(b *testing.B) {
 				type run struct {
 					cl    *cluster.Cluster
@@ -397,7 +392,6 @@ func BenchmarkSimulatorThroughputBranchy(b *testing.B) {
 					})
 					cfg := sh.cfg
 					cfg.NoBlocks = noBlocks
-					cfg.NoSuperblocks = noSuper
 					cl := cluster.New(cfg)
 					comp, err := kernels.Compiled(p, cfg.Target)
 					if err != nil {

@@ -18,7 +18,7 @@
 // SimulatorThroughputObs (the observed-mode twin), the report records the
 // on/off overhead under "obs_overhead". -min-ratio (repeatable,
 // "num:den=min") gates one benchmark's Msimcycles/s against another's in
-// the same process and run — the superblock-over-block tier gates —
+// the same process and run — the fused-over-stepped tier gates —
 // and -max-allocs (repeatable, "bench=N", trailing '*' for a prefix)
 // gates steady-state allocations. Repeated benchmark lines from
 // -count=N are folded best-of (min ns/op, max custom metrics) so the
@@ -49,42 +49,32 @@ type Benchmark struct {
 
 // Report is the top-level BENCH_PRn.json document.
 type Report struct {
-	Go         string                `json:"go"`
-	Benchmarks map[string]Benchmark  `json:"benchmarks"`
-	Throughput *Throughput           `json:"throughput,omitempty"`
-	Sweep      *Sweep                `json:"sweep,omitempty"`
-	Obs        *ObsOverhead          `json:"obs_overhead,omitempty"`
-	Blocks     *BlockThroughput      `json:"block_throughput,omitempty"`
-	Super      *SuperblockThroughput `json:"superblock_throughput,omitempty"`
+	Go         string               `json:"go"`
+	Benchmarks map[string]Benchmark `json:"benchmarks"`
+	Throughput *Throughput          `json:"throughput,omitempty"`
+	Sweep      *Sweep               `json:"sweep,omitempty"`
+	Obs        *ObsOverhead         `json:"obs_overhead,omitempty"`
+	Fused      *FusedThroughput     `json:"fused_throughput,omitempty"`
 }
 
-// SuperblockThroughput is the trace-compiled execution record (DESIGN.md
-// §13): per-shape stepped/block/superblock throughput of the branch-heavy
-// family (SimulatorThroughputBranchy/<tier>/<shape>) with the
-// superblock-over-block ratio per shape, plus the straight-line mix ratio
-// (SimulatorThroughputBlocks/super vs /block) as the no-regression control.
-// The ratios are gated in CI via -min-ratio, not by fields here, so the
-// record stays a measurement and the gate stays explicit in the Makefile.
-type SuperblockThroughput struct {
-	Shapes   map[string]SuperShape `json:"shapes"`
-	MixRatio float64               `json:"mix_super_over_block_x,omitempty"`
+// FusedThroughput is the fused execution record (DESIGN.md §12–13): the
+// stepped vs fused ("super") throughput of the straight-line mix
+// (SimulatorThroughputBlocks/<tier>) and, per hardware shape, of the
+// branch-heavy family (SimulatorThroughputBranchy/<tier>/<shape>), each
+// with its fused-over-stepped ratio. -min-block gates the mix's fused
+// number; the per-shape ratios are gated in CI via -min-ratio, not by
+// fields here, so the record stays a measurement and the gate stays
+// explicit in the Makefile.
+type FusedThroughput struct {
+	Mix    *TierPair           `json:"mix,omitempty"`
+	Shapes map[string]TierPair `json:"shapes,omitempty"`
 }
 
-// SuperShape is one hardware shape's three-tier measurement.
-type SuperShape struct {
+// TierPair is one workload's stepped-vs-fused measurement.
+type TierPair struct {
 	SteppedMsimcyclesS float64 `json:"stepped_msimcycles_s"`
-	BlockMsimcyclesS   float64 `json:"block_msimcycles_s"`
 	SuperMsimcyclesS   float64 `json:"super_msimcycles_s"`
-	SuperOverBlockX    float64 `json:"super_over_block_x"`
-}
-
-// BlockThroughput is the block-compiled execution record (DESIGN.md §12):
-// the stepped vs block-mode mix throughput of SimulatorThroughputBlocks
-// and their ratio. -min-block gates the block number.
-type BlockThroughput struct {
-	SteppedMsimcyclesS float64 `json:"stepped_msimcycles_s"`
-	BlockMsimcyclesS   float64 `json:"block_msimcycles_s"`
-	Speedup            float64 `json:"speedup_x"`
+	SuperOverSteppedX  float64 `json:"super_over_stepped_x,omitempty"`
 }
 
 // Sweep is the evaluation wall-clock record from BenchmarkSweepWallclock:
@@ -139,9 +129,9 @@ func main() {
 	min := flag.Float64("min", 0, "fail (exit 1) if simulator throughput is below this floor, 0 = off")
 	maxLoss := flag.Float64("max-loss", 0, "fail (exit 1) if simulator throughput lost more than this fraction vs -before (e.g. 0.01 = 1%), 0 = off")
 	warmMax := flag.Float64("warm-max", 0, "fail (exit 1) if the warm-cache sweep exceeds this fraction of the cold serial one, 0 = off")
-	minBlock := flag.Float64("min-block", 0, "fail (exit 1) if block-mode mix throughput (SimulatorThroughputBlocks/block) is below this floor, 0 = off")
+	minBlock := flag.Float64("min-block", 0, "fail (exit 1) if fused mix throughput (SimulatorThroughputBlocks/super) is below this floor, 0 = off")
 	var minRatios, maxAllocs multiFlag
-	flag.Var(&minRatios, "min-ratio", "repeatable 'num:den=min' gate: fail (exit 1) if benchmark num's Msimcycles/s is below min times den's (e.g. 'SimulatorThroughputBranchy/super/pulp-1c:SimulatorThroughputBranchy/block/pulp-1c=1.5')")
+	flag.Var(&minRatios, "min-ratio", "repeatable 'num:den=min' gate: fail (exit 1) if benchmark num's Msimcycles/s is below min times den's (e.g. 'SimulatorThroughputBranchy/super/pulp-1c:SimulatorThroughputBranchy/stepped/pulp-1c=2.64')")
 	flag.Var(&maxAllocs, "max-allocs", "repeatable 'bench=N' gate: fail (exit 1) if the benchmark's allocs/op exceeds N; a trailing '*' on the name matches every benchmark with that prefix")
 	flag.Parse()
 
@@ -212,21 +202,7 @@ func main() {
 			}
 		}
 	}
-	if st, ok := rep.Benchmarks[blockBench+"/stepped"]; ok {
-		if bl, ok := rep.Benchmarks[blockBench+"/block"]; ok {
-			bt := &BlockThroughput{
-				SteppedMsimcyclesS: st.Metrics[throughputMetric],
-				BlockMsimcyclesS:   bl.Metrics[throughputMetric],
-			}
-			if bt.SteppedMsimcyclesS > 0 {
-				bt.Speedup = bt.BlockMsimcyclesS / bt.SteppedMsimcyclesS
-			}
-			rep.Blocks = bt
-		}
-	}
-	if sup := superSection(rep.Benchmarks); sup != nil {
-		rep.Super = sup
-	}
+	rep.Fused = fusedSection(rep.Benchmarks)
 	if sb, ok := rep.Benchmarks[sweepBench]; ok {
 		s := &Sweep{
 			ColdJ1S:         sb.Metrics["sweep-j1-s"],
@@ -273,12 +249,12 @@ func main() {
 		}
 	}
 	if *minBlock > 0 {
-		if rep.Blocks == nil {
-			fatal(fmt.Errorf("-min-block set but %s did not report stepped+block %s", blockBench, throughputMetric))
+		if rep.Fused == nil || rep.Fused.Mix == nil {
+			fatal(fmt.Errorf("-min-block set but %s did not report stepped+super %s", blockBench, throughputMetric))
 		}
-		if rep.Blocks.BlockMsimcyclesS < *minBlock {
-			fatal(fmt.Errorf("block-mode mix throughput %.2f %s below floor %.2f",
-				rep.Blocks.BlockMsimcyclesS, throughputMetric, *minBlock))
+		if rep.Fused.Mix.SuperMsimcyclesS < *minBlock {
+			fatal(fmt.Errorf("fused mix throughput %.2f %s below floor %.2f",
+				rep.Fused.Mix.SuperMsimcyclesS, throughputMetric, *minBlock))
 		}
 	}
 	for _, g := range minRatios {
@@ -302,47 +278,46 @@ func main() {
 	}
 }
 
-// superSection assembles the per-shape three-tier record from
+// fusedSection assembles the stepped-vs-fused record from
+// SimulatorThroughputBlocks/<tier> and
 // SimulatorThroughputBranchy/<tier>/<shape> entries, nil when the stream
-// carried none (so non-superblock bench runs keep their old report shape).
-func superSection(benches map[string]Benchmark) *SuperblockThroughput {
-	shapes := map[string]SuperShape{}
+// carried neither (so other bench runs keep their report shape).
+func fusedSection(benches map[string]Benchmark) *FusedThroughput {
+	var mix TierPair
+	shapes := map[string]TierPair{}
 	for name, b := range benches {
-		rest, ok := strings.CutPrefix(name, branchyBench+"/")
-		if !ok {
-			continue
+		v := b.Metrics[throughputMetric]
+		if tier, ok := strings.CutPrefix(name, blockBench+"/"); ok {
+			mix.set(tier, v)
+		} else if rest, ok := strings.CutPrefix(name, branchyBench+"/"); ok {
+			if tier, shape, ok := strings.Cut(rest, "/"); ok {
+				p := shapes[shape]
+				p.set(tier, v)
+				shapes[shape] = p
+			}
 		}
-		tier, shape, ok := strings.Cut(rest, "/")
-		if !ok {
-			continue
-		}
-		s := shapes[shape]
-		switch tier {
-		case "stepped":
-			s.SteppedMsimcyclesS = b.Metrics[throughputMetric]
-		case "block":
-			s.BlockMsimcyclesS = b.Metrics[throughputMetric]
-		case "super":
-			s.SuperMsimcyclesS = b.Metrics[throughputMetric]
-		}
-		shapes[shape] = s
 	}
-	if len(shapes) == 0 {
+	if mix == (TierPair{}) && len(shapes) == 0 {
 		return nil
 	}
-	for shape, s := range shapes {
-		if s.BlockMsimcyclesS > 0 {
-			s.SuperOverBlockX = s.SuperMsimcyclesS / s.BlockMsimcyclesS
-			shapes[shape] = s
-		}
+	f := &FusedThroughput{Shapes: shapes}
+	if mix != (TierPair{}) {
+		f.Mix = &mix
 	}
-	sup := &SuperblockThroughput{Shapes: shapes}
-	if bl, ok := benches[blockBench+"/block"]; ok {
-		if su, ok := benches[blockBench+"/super"]; ok && bl.Metrics[throughputMetric] > 0 {
-			sup.MixRatio = su.Metrics[throughputMetric] / bl.Metrics[throughputMetric]
-		}
+	return f
+}
+
+// set records one tier's throughput and refreshes the ratio.
+func (p *TierPair) set(tier string, v float64) {
+	switch tier {
+	case "stepped":
+		p.SteppedMsimcyclesS = v
+	case "super":
+		p.SuperMsimcyclesS = v
 	}
-	return sup
+	if p.SteppedMsimcyclesS > 0 {
+		p.SuperOverSteppedX = p.SuperMsimcyclesS / p.SteppedMsimcyclesS
+	}
 }
 
 // checkRatio enforces one -min-ratio gate "num:den=min" on the

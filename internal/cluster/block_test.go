@@ -9,6 +9,7 @@ import (
 
 	"hetsim/internal/asm"
 	"hetsim/internal/cluster"
+	"hetsim/internal/cpu"
 	"hetsim/internal/fault"
 	"hetsim/internal/hw"
 	"hetsim/internal/isa"
@@ -179,9 +180,9 @@ func runMode(t *testing.T, cfg cluster.Config, p *asm.Program, inj *fault.Inject
 	return mr
 }
 
-func compareModes(t *testing.T, blk, stp, ref modeResult) {
+func compareModes(t *testing.T, sup, stp, ref modeResult) {
 	t.Helper()
-	compareLeg(t, "block", blk, ref)
+	compareLeg(t, "super", sup, ref)
 	compareLeg(t, "stepped", stp, ref)
 }
 
@@ -224,7 +225,7 @@ func TestRandomizedBlockDifferential(t *testing.T) {
 
 				cfg := tc.cfg
 				cfg.ReferenceRun, cfg.NoBlocks = false, false
-				blk := runMode(t, cfg, p, nil)
+				sup := runMode(t, cfg, p, nil)
 				cfg.NoBlocks = true
 				stp := runMode(t, cfg, p, nil)
 				cfg.ReferenceRun = true
@@ -233,7 +234,7 @@ func TestRandomizedBlockDifferential(t *testing.T) {
 				if t.Failed() {
 					t.Fatalf("seed %d diverged", seed)
 				}
-				compareModes(t, blk, stp, ref)
+				compareModes(t, sup, stp, ref)
 				if t.Failed() {
 					t.Fatalf("seed %d diverged (program: %d insts)", seed, len(p.Text))
 				}
@@ -245,10 +246,9 @@ func TestRandomizedBlockDifferential(t *testing.T) {
 // TestRandomizedBranchyDifferential fuzzes the superblock tier on its home
 // turf: branch/loop-dominated programs (hot backward branches, taken-branch
 // chains, nested hardware loops, barrier-separated per-core phases that
-// open solo windows) run in four execution modes — superblock-chained (the
-// default), block fusion without chaining, stepped, and the naive
-// reference — and every observable including 9-class attribution must be
-// bit-identical.
+// open solo windows) run in three execution modes — fused with chaining
+// (the default), stepped, and the naive reference — and every observable
+// including 9-class attribution must be bit-identical.
 func TestRandomizedBranchyDifferential(t *testing.T) {
 	for _, tc := range blockTestConfigs() {
 		tc := tc
@@ -260,18 +260,14 @@ func TestRandomizedBranchyDifferential(t *testing.T) {
 				})
 
 				cfg := tc.cfg
-				cfg.ReferenceRun, cfg.NoBlocks, cfg.NoSuperblocks = false, false, false
+				cfg.ReferenceRun, cfg.NoBlocks = false, false
 				sup := runMode(t, cfg, p, nil)
-				cfg.NoSuperblocks = true
-				blk := runMode(t, cfg, p, nil)
 				cfg.NoBlocks = true
 				stp := runMode(t, cfg, p, nil)
 				cfg.ReferenceRun = true
 				ref := runMode(t, cfg, p, nil)
 
-				compareLeg(t, "super", sup, ref)
-				compareLeg(t, "block", blk, ref)
-				compareLeg(t, "stepped", stp, ref)
+				compareModes(t, sup, stp, ref)
 				if t.Failed() {
 					t.Fatalf("seed %d diverged (program: %d insts)", seed, len(p.Text))
 				}
@@ -296,17 +292,61 @@ func TestBlockFaultDifferential(t *testing.T) {
 
 				cfg := tc.cfg
 				cfg.ReferenceRun, cfg.NoBlocks = false, false
-				blk := runMode(t, cfg, p, fault.New(faultCfg))
+				sup := runMode(t, cfg, p, fault.New(faultCfg))
 				cfg.NoBlocks = true
 				stp := runMode(t, cfg, p, fault.New(faultCfg))
 				cfg.ReferenceRun = true
 				ref := runMode(t, cfg, p, fault.New(faultCfg))
 
-				compareModes(t, blk, stp, ref)
+				compareModes(t, sup, stp, ref)
 				if t.Failed() {
 					t.Fatalf("seed %d diverged under faults", seed)
 				}
 			}
 		})
+	}
+}
+
+// TestHotEdgeLifecycle pins when superblocks form on a loaded image: the
+// first run warms the hot-edge counters and forms superblocks, a restart
+// of the same program keeps them (Start is architectural state only), and
+// installing the image again resets them, so a fresh load forms exactly
+// the same set again. Hot edges only gate multi-core runs (a lone core
+// runs solo and chases branches without them), so the program runs on
+// all four cores without barriers: barrier phases open solo windows whose
+// placement shifts with the I$ left warm by the earlier runs.
+func TestHotEdgeLifecycle(t *testing.T) {
+	cfg := cluster.PULPConfig()
+	p := kernels.BranchyProgram(1, kernels.BranchyOpts{HWLoop: true})
+	comp, err := kernels.Compiled(p, cfg.Target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := cluster.New(cfg)
+	load := func() {
+		if err := cl.LoadCompiled(p, true, comp); err != nil {
+			t.Fatalf("load: %v", err)
+		}
+	}
+	formed := func() uint64 {
+		before := cpu.SuperCompiles.Load()
+		cl.Start(p.Entry)
+		if _, err := cl.Run(1_000_000); err != nil {
+			t.Fatalf("run: %v", err)
+		}
+		return cpu.SuperCompiles.Load() - before
+	}
+
+	load()
+	first := formed()
+	if first == 0 {
+		t.Fatal("first run formed no superblocks")
+	}
+	if n := formed(); n != 0 {
+		t.Errorf("restart formed %d superblocks, want 0 (counters persist across Start)", n)
+	}
+	load()
+	if n := formed(); n != first {
+		t.Errorf("fresh load formed %d superblocks, want %d (counters reset on install)", n, first)
 	}
 }

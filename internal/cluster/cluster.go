@@ -50,20 +50,12 @@ type Config struct {
 	// them against each other over the whole kernel suite.
 	ReferenceRun bool
 
-	// NoBlocks disables fused basic-block execution (DESIGN.md §12) while
-	// keeping the event-driven run loop: every instruction takes the
-	// stepped path. The block differential tests use it as the middle rung
-	// between block mode and ReferenceRun; results are bit-identical
+	// NoBlocks disables fused execution (DESIGN.md §12–13) while keeping
+	// the event-driven run loop: every instruction takes the stepped
+	// path. The block differential tests use it as the middle rung
+	// between fused execution and ReferenceRun; results are bit-identical
 	// across all three.
 	NoBlocks bool
-
-	// NoSuperblocks disables the superblock tier (DESIGN.md §13) while
-	// keeping basic-block fusion: multi-core fused runs end at every
-	// control transfer instead of chaining through hot edges, and solo
-	// windows still engage. The superblock differentials and benches use
-	// it as the rung between plain block mode and chained execution;
-	// results are bit-identical across all four modes.
-	NoSuperblocks bool
 
 	// Observe attaches per-core cycle attribution (internal/obs) to the
 	// cluster built by RunJob. Attribution is purely observational: cycle
@@ -300,7 +292,6 @@ func (cl *Cluster) LoadCompiled(p *asm.Program, direct bool, comp *cpu.Compiled)
 		} else {
 			c.SetBlocks(nil)
 		}
-		c.EnableSuper(useBlocks && !cl.Cfg.NoSuperblocks)
 	}
 	return nil
 }
@@ -381,10 +372,8 @@ func (cl *Cluster) Step() {
 	// stall ends, and the solo core itself can only wake a sibling or
 	// start the DMA via an env access, which always ends a fused run
 	// first. Unbounded windows (every sibling needs an external wake)
-	// always engage — the PR 7 condition — while finite ones belong to
-	// the superblock tier (NoSuperblocks keeps the first-tier behavior)
-	// and only engage when wide enough to beat chained multi-core
-	// dispatch.
+	// always engage, while finite ones only engage when wide enough to
+	// beat chained multi-core dispatch.
 	var solo *cpu.Core
 	soloEnd := uint64(cpu.NextEventNever)
 	if !dmaBusy {
@@ -399,8 +388,7 @@ func (cl *Cluster) Step() {
 			}
 		}
 		if best != nil && min1 < min2 &&
-			(min2 == cpu.NextEventNever ||
-				(!cl.Cfg.NoSuperblocks && min2-min1 >= soloWindowMin)) {
+			(min2 == cpu.NextEventNever || min2-min1 >= soloWindowMin) {
 			solo, soloEnd = best, min2
 		}
 	}

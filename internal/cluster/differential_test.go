@@ -51,22 +51,17 @@ func TestDifferentialCycleAccuracy(t *testing.T) {
 				job := loader.Job{Prog: prog, In: in, OutLen: k.OutLen(),
 					Iters: 1, Threads: rc.threads, Args: k.Args()}
 
-				// Four execution modes, compared pairwise against the naive
-				// reference loop: superblock-chained (the default), block
-				// fusion without chaining, stepped (blocks disabled), and
-				// the reference itself. Attribution is recorded in all of
-				// them so the 9-class obs exactness invariant covers fused
-				// and chained runs too.
+				// Three execution modes, compared pairwise against the naive
+				// reference loop: fused (the default, chaining through hot
+				// edges), stepped (blocks disabled), and the reference
+				// itself. Attribution is recorded in all of them so the
+				// 9-class obs exactness invariant covers fused and chained
+				// runs too.
 				cfg.Observe = true
 				cfg.ReferenceRun = false
 				sup, err := cluster.RunJob(cfg, rc.mode, job, 2_000_000_000)
 				if err != nil {
 					t.Fatalf("superblock run: %v", err)
-				}
-				cfg.NoSuperblocks = true
-				blk, err := cluster.RunJob(cfg, rc.mode, job, 2_000_000_000)
-				if err != nil {
-					t.Fatalf("block run: %v", err)
 				}
 				cfg.NoBlocks = true
 				stp, err := cluster.RunJob(cfg, rc.mode, job, 2_000_000_000)
@@ -82,7 +77,7 @@ func TestDifferentialCycleAccuracy(t *testing.T) {
 				for _, leg := range []struct {
 					name string
 					res  *cluster.JobResult
-				}{{"super", sup}, {"block", blk}, {"stepped", stp}} {
+				}{{"super", sup}, {"stepped", stp}} {
 					opt := leg.res
 					if opt.Cycles != ref.Cycles {
 						t.Errorf("%s: cycle count diverged: optimized %d, reference %d",

@@ -36,9 +36,6 @@ type BlockTable struct {
 	// while the accumulated offset plus Span of the target still fits
 	// the charge plan (maxRunSpan).
 	Span []uint16
-	// NumBlocks counts the basic-block leaders discovered (the first
-	// instruction, and every instruction after a run-ending one).
-	NumBlocks int
 }
 
 // Compiled bundles everything derived from a program text for one target:
@@ -146,17 +143,6 @@ func CompileBlocks(code []Decoded, target isa.Target) *BlockTable {
 		}
 	}
 	clampSpans(bt, code, target)
-	// Count leaders: instruction 0 plus every successor of a run-ender
-	// (mem op, branch, or stepped-only boundary).
-	if len(code) > 0 {
-		bt.NumBlocks = 1
-		for i := 0; i < len(code)-1; i++ {
-			m := &code[i].Meta
-			if m.Flags&(MetaIllegal|MetaFuseBreak|MetaMem) != 0 || isBranch(code[i].In.Op) {
-				bt.NumBlocks++
-			}
-		}
-	}
 	return bt
 }
 
@@ -220,36 +206,26 @@ func Compile(text []isa.Inst, target isa.Target) *Compiled {
 	return comp
 }
 
-// SetBlocks installs (or, with nil, removes) the block run table. The
-// cluster only installs it for the event-driven loop with faults and
-// tracing detached; ReferenceRun and fault-injected clusters always step.
-// Removing the table also disables the superblock tier: chained runs
-// cannot exist without the Span side-table under them.
+// SetBlocks installs (or, with nil, removes) the block run table, which
+// enables fused execution: chained runs in runFusedMulti, gated per
+// conditional edge by the hot counters, and trace chasing in
+// runFusedSolo. The cluster only installs it for the event-driven loop
+// with faults and tracing detached; ReferenceRun and fault-injected
+// clusters always step. Installing a table also allocates or clears the
+// hot-edge counters: per-core warm-up state of the loaded image (not
+// shared through the compile memo), reset here, off the hot path, and
+// deliberately NOT by Start — restarting the same program keeps its hot
+// traces.
 func (c *Core) SetBlocks(bt *BlockTable) {
 	c.blocks = bt
 	if bt == nil {
-		c.superOn = false
-	}
-}
-
-// EnableSuper switches the superblock tier on or off: chained fused runs
-// in runFusedMulti, gated per conditional edge by the hot counters, and
-// cross-line trace chasing in runFusedSolo. The counter array is per-core
-// warm-up state of the loaded image (not shared through the compile memo):
-// it is allocated or cleared here, off the hot path, and deliberately NOT
-// reset by Start — restarting the same program keeps its hot traces.
-func (c *Core) EnableSuper(on bool) {
-	c.superOn = on && c.blocks != nil && c.blocks.Span != nil
-	if !c.superOn {
 		return
 	}
-	if len(c.edges) < len(c.code) {
-		c.edges = make([]uint8, len(c.code))
+	if n := len(bt.Multi); len(c.edges) < n {
+		c.edges = make([]uint8, n)
 		return
 	}
-	for i := range c.edges {
-		c.edges[i] = 0
-	}
+	clear(c.edges)
 }
 
 // SetRunHorizon bounds solo fused execution: no instruction issues at or
@@ -319,15 +295,16 @@ func (c *Core) chainTo(pc uint32, o uint64) (idx, end uint32, ok bool) {
 // be active. The first segment's shape comes from the Multi table: an
 // optional memory access at offset 0 — issued through real TCDM bank
 // arbitration at the true current cycle, in the core's true rotation
-// slot — followed by a pure-ALU tail. With the superblock tier enabled
-// (EnableSuper), a run-ending control transfer chains into the next run
-// when the Span side-table admits it: unconditional jumps and
-// hardware-loop back-edges chain statically, conditional branches chain
-// once their edge counter is hot, and every chain is bounded so the
-// whole trace still fits the charge plan. A chain that is refused —
-// cold edge, mem-led target, span overflow, fetch-line crossing,
+// slot — followed by a pure-ALU tail. A run-ending control transfer
+// chains into the next run when the Span side-table admits it:
+// unconditional jumps and hardware-loop back-edges chain statically,
+// conditional branches chain once their edge counter is hot, and every
+// chain is bounded so the whole trace still fits the charge plan. A
+// chain that is refused — cold edge, mem-led target, span overflow,
 // indirect jump — simply ends the run before any side effect of the
-// target, and the stepped path re-dispatches there.
+// target, and the stepped path re-dispatches there. A fetch-line
+// crossing does not refuse a chain (see chainTo): it records a fetch
+// point, and only a full fetch-point budget ends the run there.
 //
 // Only the dispatch cycle is charged here; the rest of the window becomes
 // a deferred charge plan (per-offset class bitmasks) that Step's stall
@@ -337,8 +314,7 @@ func (c *Core) chainTo(pc uint32, o uint64) (idx, end uint32, ok bool) {
 //
 // The per-instruction loop carries no mode flags, counters or horizon
 // checks: the span is bounded at compile time for the first segment
-// (clampSpans) and at admission for each chained one, the fetch-line
-// budget is folded into the segment bound up front, and the load-use
+// (clampSpans) and at admission for each chained one, and the load-use
 // hazard — only ever possible between the offset-0 load and the first
 // continuation op, since pure-ALU instructions never arm one — is
 // resolved before the segment loop.
@@ -356,34 +332,17 @@ func (c *Core) runFusedMulti(now uint64, n uint32) (uint64, bool) {
 	pc := c.PC
 	idx := (pc - c.base) / 4
 	end := idx + n
-	lineCut := false
-	// Fetch-line handling splits by tier. First tier: fold the line
-	// budget into the op bound — stepped execution consults the I$ once
-	// per line, so a fused segment must end where the line does. (A zero
-	// line mask re-fetches every instruction; the budget degenerates to
-	// zero ops and the stepped path runs.) Superblock tier: no cap —
-	// each crossing records a fetch point at its issue offset, and the
-	// plan gate consults the I$ live at exactly that cycle.
-	checkLine := false
-	var lineMask, buildLine uint32
+	// Fetch lines put no cap on a run: each crossing records a fetch
+	// point at its issue offset, and the plan gate consults the I$ live
+	// at exactly that cycle.
+	checkLine := c.IC != nil
+	lineMask := c.FetchLineMask
+	buildLine := pc &^ lineMask
 	var fpN uint8 // fetch points are written straight into c.planFetch*
-	if c.IC != nil {
-		if c.superOn {
-			checkLine = true
-			lineMask = c.FetchLineMask
-			buildLine = pc &^ lineMask
-		} else if avail := (c.FetchLineMask + 1 - (pc & c.FetchLineMask)) / 4; avail < n {
-			end = idx + avail
-			lineCut = true
-		}
-	}
-	var o uint64 // cycle offset from now of the next issue
+	var o uint64  // cycle offset from now of the next issue
 	var planIssue, planLU, planEM [planWords]uint64
 
 	if d := &code[idx]; d.Meta.Flags&MetaMem != 0 {
-		if idx == end {
-			return 0, false
-		}
 		m := d.Meta
 		in := d.In
 		size := uint32(m.Size)
@@ -452,13 +411,10 @@ func (c *Core) runFusedMulti(now uint64, n uint32) (uint64, bool) {
 		if next != pc+4 {
 			// Hardware-loop wraparound right after the access: the Multi
 			// table is straight-line, so the run ends here unless the
-			// superblock tier chains the back-edge into the loop head's
-			// run. When the run ends, the armed load-use state carries to
-			// the stepped path at window end.
+			// back-edge chains into the loop head's run. When the run
+			// ends, the armed load-use state carries to the stepped path
+			// at window end.
 			pc = next
-			if !c.superOn {
-				goto done
-			}
 			nidx, nend, ok := c.chainTo(pc, o)
 			if !ok {
 				goto done
@@ -481,8 +437,8 @@ func (c *Core) runFusedMulti(now uint64, n uint32) (uint64, bool) {
 		// Load-use hazard of the first continuation op — whether the
 		// straight-line successor or a chained loop head — the only place
 		// one can occur in this run: pure-ALU instructions never arm it.
-		// When the line budget cut the run to the access alone, the armed
-		// state carries to the stepped path instead.
+		// When the run ends at the access alone, the armed state carries
+		// to the stepped path instead.
 		if c.lastLoadArmed && idx < end {
 			c.lastLoadArmed = false
 			if c.loadUse > 0 && code[idx].Meta.ReadMask&(1<<c.lastLoadReg) != 0 {
@@ -743,12 +699,12 @@ seg:
 			idx++
 			if next != pc+4 {
 				// Taken branch, jump or hardware-loop wraparound: the
-				// segment ends; chain when the superblock tier admits the
-				// target — unconditional edges statically, conditional
-				// ones once hot, indirect jumps never (their targets are
-				// not statically predictable control flow).
+				// segment ends; chain when chainTo admits the target —
+				// unconditional edges statically, conditional ones once
+				// hot, indirect jumps never (their targets are not
+				// statically predictable control flow).
 				pc = next
-				if !c.superOn || ind || (cond && !c.hotEdge(idx-1)) {
+				if ind || (cond && !c.hotEdge(idx-1)) {
 					break seg
 				}
 				nidx, nend, ok := c.chainTo(pc, o)
@@ -763,7 +719,7 @@ seg:
 				// Fall-through conditional: the run still ends at the
 				// branch inclusively; the fall-through edge chains under
 				// the same hot counter as the taken one.
-				if !c.superOn || !c.hotEdge(idx-1) {
+				if !c.hotEdge(idx - 1) {
 					break seg
 				}
 				nidx, nend, ok := c.chainTo(pc, o)
@@ -776,12 +732,8 @@ seg:
 		}
 		// Natural segment end: the Multi run was exhausted without a
 		// control transfer — the successor heads its own run (a clamp
-		// cut, or a mem-led / fuse-break / illegal leader) or, first
-		// tier, the fetch line ended. Chain through clamp cuts;
-		// everything else falls back to the stepped path.
-		if lineCut || !c.superOn {
-			break
-		}
+		// cut, or a mem-led / fuse-break / illegal leader). Chain through
+		// clamp cuts; everything else falls back to the stepped path.
 		nidx, nend, ok := c.chainTo(pc, o)
 		if !ok {
 			break
@@ -871,9 +823,6 @@ loop:
 		}
 		if ic := c.IC; nIssue > 0 && ic != nil &&
 			(c.FetchLineMask == 0 || pc&^c.FetchLineMask != c.fetchedLine) {
-			if !c.superOn {
-				break // first tier: solo runs stay within one fetch line
-			}
 			// Crossed into a new fetch line: mirror the stepped fetch,
 			// including its retry-on-refill shape (miss, stall to the
 			// refill-complete cycle, re-fetch scoring a hit). Probe is

@@ -60,21 +60,6 @@ func TestCompileBlocksRunShapes(t *testing.T) {
 	}
 }
 
-// TestCompileBlocksNumBlocks counts basic-block leaders: the entry plus
-// every successor of a run-ending instruction.
-func TestCompileBlocksNumBlocks(t *testing.T) {
-	text := []isa.Inst{
-		alu(2), alu(3), load(4), // leader 0: the run-ending load closes it
-		alu(5), {Op: isa.BF, Imm: 1}, // leader 3: branch closes inclusively
-		alu(6), {Op: isa.TRAP}, // leader 5: TRAP closes exclusively
-		{Op: isa.J, Imm: -42}, // leader 7
-	}
-	bt := compileText(t, isa.PULPFull, text)
-	if bt.NumBlocks != 4 {
-		t.Errorf("NumBlocks = %d, want 4 (table %v)", bt.NumBlocks, bt.Multi)
-	}
-}
-
 // TestCompileBlocksSpanClamp proves every compiled run's worst-case cycle
 // window fits the charge plan's planWords bitmask words: a long run of
 // multi-cycle ops (DIV is 32 cycles on PULPFull) must be cut so the

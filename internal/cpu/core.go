@@ -133,11 +133,12 @@ type Core struct {
 	// executing one instruction. The cluster only installs it when faults
 	// and tracing are detached and the run loop is event-driven.
 	blocks *BlockTable
-	// edges, when non-nil, enables the superblock tier (block.go): one
-	// saturating counter per instruction, indexed by conditional-branch
-	// position, gating when a taken or fall-through edge is hot enough to
-	// chain through. Per-core (not shared through the memo): the counters
-	// are mutable warm-up state, not compiled output.
+	// edges are the hot-edge counters of the chained fused runs
+	// (block.go), sized and cleared by SetBlocks: one saturating counter
+	// per instruction, indexed by conditional-branch position, gating
+	// when a taken or fall-through edge is hot enough to chain through.
+	// Per-core (not shared through the memo): the counters are mutable
+	// warm-up state, not compiled output.
 	edges []uint8
 	// horizon bounds fused execution (SetRunHorizon): no solo-fused
 	// instruction issues at or past this cycle. It is the run-loop budget
@@ -187,9 +188,7 @@ type Core struct {
 	// one path or the other charging every simulated cycle exactly once.
 	// planWords words give chained superblock runs a 256-cycle window
 	// (maxRunSpan spills past the first word); the arrays are embedded in
-	// the Core so a fused dispatch never allocates. superOn (EnableSuper)
-	// lets runFusedMulti chain segments across control transfers.
-	superOn    bool
+	// the Core so a fused dispatch never allocates.
 	planStart  uint64
 	planCursor uint64
 	planIssue  [planWords]uint64
@@ -296,7 +295,7 @@ func (c *Core) Start(entry uint32) {
 	// c.edges is NOT reset: the hot-edge counters are compile-tier state
 	// of the loaded image (like the memoized BlockTable), not architectural
 	// state — a restart of the same program keeps its hot traces. They are
-	// rebuilt by EnableSuper when a different image is loaded.
+	// cleared by SetBlocks when an image is loaded.
 	c.Halted = false
 	c.TrapCode = 0
 	c.Err = nil
