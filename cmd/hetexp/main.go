@@ -2,7 +2,7 @@
 //
 // Usage:
 //
-//	hetexp [-exp table1|fig3|fig4|fig5a|fig5b|all] [-small] [-kernel name]
+//	hetexp [-exp table1|fig3|fig4|fig5a|ablate|fig5b|all] [-small] [-kernel name]
 //	       [-j N] [-cache-dir DIR] [-no-cache] [-breakdown]
 //	       [-remote URL] [-tenant NAME]
 //	       [-resume FILE] [-scrub] [-stats-json FILE]
@@ -59,6 +59,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -77,7 +78,7 @@ import (
 var stopProf = func() error { return nil }
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: table1, fig3, fig4, fig5a, fig5b, ablate or all")
+	exp := flag.String("exp", "all", "experiment: all or one of "+strings.Join(paper.Experiments, ", "))
 	breakdown := flag.Bool("breakdown", false, "also measure with cycle attribution and print the pulp-4t stall-breakdown table")
 	small := flag.Bool("small", false, "use reduced kernel sizes (fast smoke run)")
 	kernel := flag.String("kernel", "matmul", "kernel for fig5b")
@@ -101,6 +102,9 @@ func main() {
 	chaosE2E := flag.Int("chaos-e2e-retries", 0, "acceptance-check retry budget (default 1, negative disables)")
 	chaosDrill := flag.Int("chaos-drill", 0, "assert >= N detected recoveries per fault class (implies -chaos)")
 	flag.Parse()
+	if *exp != "all" && !slices.Contains(paper.Experiments, *exp) {
+		fatal(fmt.Errorf("unknown -exp %q: want all or one of %s", *exp, strings.Join(paper.Experiments, ", ")))
+	}
 
 	var err error
 	stopProf, err = prof.Start(*cpuprofile, *memprofile)

@@ -9,10 +9,14 @@ import (
 	"hetsim/internal/sweep"
 )
 
+// Experiments names the sections RenderCampaign prints, in its order.
+// With "all" they are the values `hetexp -exp` accepts.
+var Experiments = []string{"table1", "fig3", "fig4", "fig5a", "ablate", "fig5b"}
+
 // CampaignOptions selects what RenderCampaign prints.
 type CampaignOptions struct {
-	// Include reports whether an experiment is printed: "table1", "fig3",
-	// "fig4", "fig5a", "ablate" or "fig5b". Nil prints every one.
+	// Include reports whether an experiment, one of Experiments, is
+	// printed. Nil prints every one.
 	Include func(exp string) bool
 	// Breakdown prints the pulp-4t stall-breakdown table first; the
 	// measurements must then come from MeasureObservedWith.

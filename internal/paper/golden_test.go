@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"hetsim/internal/kernels"
@@ -13,41 +14,38 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite the experiment golden files")
 
-// TestFullReproductionGolden regenerates every table and figure at the
-// paper's sizes and compares the rendered output byte-for-byte against the
-// recorded golden file — the same content quoted in EXPERIMENTS.md. The
-// simulation is deterministic, so any diff is a real change in reproduced
-// results. Run with -update to re-record after an intentional model change.
+// TestFullReproductionGolden renders the whole evaluation at the paper's
+// sizes — Table I, Figs. 3, 4, 5a and 5b and all five ablations —
+// through the same RenderCampaign call `hetexp -exp all` makes, and
+// compares the bytes against the recorded golden file, which is exactly
+// that command's stdout. The simulation is deterministic, so any diff is
+// a real change in reproduced results. Run with -update to re-record
+// after an intentional model change.
 //
-// Skipped under -short (it simulates the full-size suite, ~10 s).
+// Skipped under -short (it simulates the full-size suite, ~2 s on two
+// cores).
 func TestFullReproductionGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-size suite")
 	}
-	m, err := Measure(kernels.PaperSuite())
+	eng := sweep.New(sweep.Config{})
+	m, err := MeasureWith(eng, kernels.PaperSuite())
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	RenderTable1(&buf, m.Table1())
-	buf.WriteByte('\n')
-	pts, err := m.Figure3()
-	if err != nil {
+	if err := RenderCampaign(&buf, eng, m, CampaignOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	RenderFigure3(&buf, pts)
-	buf.WriteByte('\n')
-	RenderFigure4(&buf, m.Figure4())
-	buf.WriteByte('\n')
-	RenderFigure5a(&buf, m.Figure5a())
-
 	checkGolden(t, "full_reproduction.golden", buf.Bytes())
 }
 
 // TestSmallCampaignGolden renders every section of `hetexp -small -exp all
 // -breakdown` — the stall breakdown, Table I, Figs. 3, 4, 5a and 5b and
 // all five ablations — through the same RenderCampaign call hetexp makes,
-// and compares the bytes against the recorded golden file.
+// and compares the bytes against the recorded golden file. It also pins
+// Experiments (the names `hetexp -exp` accepts) to the sections
+// RenderCampaign asks about, in order.
 func TestSmallCampaignGolden(t *testing.T) {
 	eng := sweep.New(sweep.Config{})
 	m, err := MeasureObservedWith(eng, kernels.SmallSuite())
@@ -55,8 +53,16 @@ func TestSmallCampaignGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := RenderCampaign(&buf, eng, m, CampaignOptions{Breakdown: true}); err != nil {
+	var asked []string
+	include := func(exp string) bool {
+		asked = append(asked, exp)
+		return true
+	}
+	if err := RenderCampaign(&buf, eng, m, CampaignOptions{Include: include, Breakdown: true}); err != nil {
 		t.Fatal(err)
+	}
+	if !slices.Equal(asked, Experiments) {
+		t.Errorf("RenderCampaign asks about %v, Experiments lists %v", asked, Experiments)
 	}
 	checkGolden(t, "small_campaign.golden", buf.Bytes())
 }

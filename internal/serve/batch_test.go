@@ -277,13 +277,13 @@ func TestLimiterBatchAdmission(t *testing.T) {
 		t.Fatal("overdraft batch refused")
 	}
 	// The next admission must wait out the overdraft: (1 - (-3))/rate = 4s.
-	wait, ok := l.admit("a")
+	wait, ok := l.admitN("a", 1)
 	if ok || wait < 3500*time.Millisecond || wait > 4500*time.Millisecond {
 		t.Fatalf("post-overdraft admit: ok=%v wait=%v", ok, wait)
 	}
 	// After the wait the bucket has recovered exactly one token.
 	clock = clock.Add(4 * time.Second)
-	if _, ok := l.admit("a"); !ok {
+	if _, ok := l.admitN("a", 1); !ok {
 		t.Fatal("admit after overdraft recovery refused")
 	}
 	l.releaseN("a", 6)

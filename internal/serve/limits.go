@@ -34,14 +34,6 @@ func newLimiter(rate float64, burst, quota int) *limiter {
 		buckets: make(map[string]*bucket), now: time.Now}
 }
 
-// admit charges one token and one in-flight slot to the tenant. On
-// success the caller must release(). On refusal it returns the wait
-// after which a retry can succeed (0 when only the quota blocks —
-// retry once in-flight work completes).
-func (l *limiter) admit(tenant string) (retryAfter time.Duration, ok bool) {
-	return l.admitN(tenant, 1)
-}
-
 // admitN charges n in-flight slots and n rate tokens to the tenant as
 // one all-or-nothing decision: a batch counts as its whole job list, so
 // packaging points into one request never sidesteps a tenant's budget.
@@ -51,7 +43,8 @@ func (l *limiter) admit(tenant string) (retryAfter time.Duration, ok bool) {
 // drive it negative: a bucket whose burst can never hold n tokens would
 // otherwise refuse the batch forever, while the overdraft pushes the
 // tenant's next admission out by the full n/rate — the long-run rate
-// holds exactly. On success the caller must releaseN(tenant, n).
+// holds exactly. On success the caller must releaseN(tenant, n); on
+// refusal retryAfter is the wait after which a retry can succeed.
 func (l *limiter) admitN(tenant string, n int) (retryAfter time.Duration, ok bool) {
 	if l == nil {
 		return 0, true
@@ -81,9 +74,6 @@ func (l *limiter) admitN(tenant string, n int) (retryAfter time.Duration, ok boo
 	b.inflight += n
 	return 0, true
 }
-
-// release returns the tenant's in-flight slot.
-func (l *limiter) release(tenant string) { l.releaseN(tenant, 1) }
 
 // releaseN returns n of the tenant's in-flight slots.
 func (l *limiter) releaseN(tenant string, n int) {

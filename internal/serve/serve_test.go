@@ -697,35 +697,35 @@ func TestLimiter(t *testing.T) {
 	// Burst of 2, then the bucket is dry (quota still has room, so the
 	// refusal is rate-shaped: a positive wait until the next token).
 	for i := 0; i < 2; i++ {
-		if _, ok := l.admit("a"); !ok {
+		if _, ok := l.admitN("a", 1); !ok {
 			t.Fatalf("burst admit %d refused", i)
 		}
 	}
-	wait, ok := l.admit("a")
+	wait, ok := l.admitN("a", 1)
 	if ok || wait <= 0 {
 		t.Fatalf("dry bucket: ok=%v wait=%v", ok, wait)
 	}
 	// Refill, fill the quota; the next refusal is quota-shaped (wait 0:
 	// retry when in-flight work completes, not after a token interval).
 	clock = clock.Add(5 * time.Second)
-	if _, ok := l.admit("a"); !ok {
+	if _, ok := l.admitN("a", 1); !ok {
 		t.Fatal("admit after refill refused")
 	}
-	wait, ok = l.admit("a")
+	wait, ok = l.admitN("a", 1)
 	if ok || wait != 0 {
 		t.Fatalf("over quota: ok=%v wait=%v", ok, wait)
 	}
-	l.release("a")
-	if _, ok := l.admit("a"); !ok {
+	l.releaseN("a", 1)
+	if _, ok := l.admitN("a", 1); !ok {
 		t.Fatal("admit after release refused")
 	}
 	// Tenants are independent.
-	if _, ok := l.admit("b"); !ok {
+	if _, ok := l.admitN("b", 1); !ok {
 		t.Fatal("tenant b blocked by tenant a")
 	}
 	// A nil limiter admits everything.
 	var nilL *limiter
-	if _, ok := nilL.admit("x"); !ok {
+	if _, ok := nilL.admitN("x", 1); !ok {
 		t.Fatal("nil limiter refused")
 	}
 }
