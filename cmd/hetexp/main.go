@@ -15,16 +15,17 @@
 // internal/chaos proves it). -scrub quarantines what a killed writer can
 // leave in the cache (leftover temp files, torn entries) and exits.
 //
-// -remote routes the measurement sweep through a hetsimd server instead
-// of simulating locally: the whole campaign goes out as one streamed
-// /v1/batch submission — content-keyed points, deduplicated server-side,
-// served from the shared cache, completions consumed as they land, a cut
-// stream resumed by re-submitting only the incomplete points. The
-// rendered tables are byte-identical to local execution for the
-// measurement experiments (table1, fig3, fig4, fig5a, -breakdown);
-// ablate, fig5b and chaos run locally only and are skipped (-exp all) or
-// rejected under -remote, as are -resume and -job-timeout (the server
-// applies its own per-simulation budget, hetsimd -job-timeout).
+// -remote routes the campaign through a hetsimd server instead of
+// simulating locally: every point of every selected experiment goes out
+// as one streamed /v1/batch submission — content-keyed points,
+// deduplicated server-side, served from the shared cache, completions
+// consumed as they land, a cut stream resumed by re-submitting only the
+// incomplete points. Every experiment renders byte-identically to local
+// execution. -chaos, -resume and -job-timeout are rejected under -remote
+// (the server applies its own per-simulation budget, hetsimd
+// -job-timeout). Locally the same campaign is one sweep over one engine,
+// with one progress series; either way a -kernel outside the suite is
+// rejected before any job runs.
 //
 // -small runs reduced-size kernels (seconds instead of minutes); the
 // recorded EXPERIMENTS.md numbers come from the full-size run.
@@ -88,7 +89,7 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
 	jobTimeout := flag.Duration("job-timeout", 0, "per-simulation time budget (0 = unbounded)")
-	remote := flag.String("remote", "", "route the measurement sweep through a hetsimd server at this base URL")
+	remote := flag.String("remote", "", "route the campaign through a hetsimd server at this base URL")
 	tenant := flag.String("tenant", "", "tenant name sent with -remote requests (rate limiting/quota identity)")
 	resume := flag.String("resume", "", "journal completed jobs to this file and replay it on restart (crash-safe resume)")
 	scrub := flag.Bool("scrub", false, "scrub the run cache (quarantine corrupt entries and leftover temp files), report, and exit")
@@ -170,10 +171,7 @@ func main() {
 		},
 	})
 
-	suite := kernels.PaperSuite()
-	if *small {
-		suite = kernels.SmallSuite()
-	}
+	suite := paper.Registry(*small)
 
 	if *chaosOn || *chaosDrill > 0 {
 		if *remote != "" {
@@ -197,56 +195,31 @@ func main() {
 		return
 	}
 
-	var reconnects uint64
-	var m *paper.Measurements
+	// The whole campaign is one plan: one sweep.Run locally, one streamed
+	// /v1/batch submission under -remote (the server's worker pool provides
+	// the overlap, reconnects re-submit only incomplete points).
+	run, where := paper.LocalRunner(eng), fmt.Sprintf("%d workers", eng.Workers())
+	client := &serve.Client{BaseURL: *remote, Tenant: *tenant}
 	if *remote != "" {
-		switch *exp {
-		case "all", "table1", "fig3", "fig4", "fig5a":
-		default:
-			fatal(fmt.Errorf("-exp %s runs locally only; -remote renders table1, fig3, fig4, fig5a", *exp))
-		}
 		if *jobTimeout > 0 {
 			fatal(fmt.Errorf("-job-timeout bounds local simulations; under -remote the server's budget applies (set hetsimd -job-timeout)"))
 		}
-		// The whole campaign is one streamed /v1/batch submission; the
-		// server's worker pool provides the overlap, reconnects re-submit
-		// only incomplete points.
-		fmt.Fprintf(os.Stderr, "measuring kernel suite via %s (one streamed batch, server workers overlap the points)...\n",
-			*remote)
-		client := &serve.Client{BaseURL: *remote, Tenant: *tenant}
-		m, err = paper.MeasureRemoteBatch(ctx, client.RunBatch, suite, *small, *breakdown)
-		if err != nil {
-			fatal(err)
-		}
-		if reconnects = client.Reconnects(); reconnects > 0 {
-			fmt.Fprintf(os.Stderr, "batch: %d reconnect(s) resumed the stream (only incomplete points re-submitted)\n",
-				reconnects)
-		}
-	} else {
-		fmt.Fprintf(os.Stderr, "measuring kernel suite (each kernel on 6 configurations, %d workers)...\n", eng.Workers())
-		measure := paper.MeasureWith
-		if *breakdown {
-			measure = paper.MeasureObservedWith
-		}
-		m, err = measure(eng, suite)
-		if err != nil {
-			fatal(err)
-		}
+		run, where = paper.RemoteRunner(ctx, client.RunBatch, *small), "via "+*remote+" (one streamed batch)"
 	}
-
-	include := func(name string) bool {
-		if *remote != "" && (name == "ablate" || name == "fig5b") {
-			if *exp == "all" {
-				fmt.Fprintf(os.Stderr, "hetexp: skipping %s under -remote (it renders table1, fig3, fig4, fig5a only)\n", name)
-			}
-			return false
-		}
-		return *exp == "all" || *exp == name
+	announce := func(pts []paper.Point) ([]json.RawMessage, error) {
+		fmt.Fprintf(os.Stderr, "measuring the campaign: %d points, %s...\n", len(pts), where)
+		return run(pts)
 	}
-	if err := paper.RenderCampaign(os.Stdout, eng, m, paper.CampaignOptions{
-		Include: include, Breakdown: *breakdown, Fig5bKernel: *kernel,
+	if err := paper.RenderCampaign(os.Stdout, announce, suite, paper.CampaignOptions{
+		Include:   func(name string) bool { return *exp == "all" || *exp == name },
+		Breakdown: *breakdown, Fig5bKernel: *kernel,
 	}); err != nil {
 		fatal(err)
+	}
+	reconnects := client.Reconnects() // always 0 for a local campaign
+	if reconnects > 0 {
+		fmt.Fprintf(os.Stderr, "batch: %d reconnect(s) resumed the stream (only incomplete points re-submitted)\n",
+			reconnects)
 	}
 
 	sweepStats(eng)

@@ -213,11 +213,7 @@ func smallCampaignWarm(t *testing.T) testing.BenchmarkResult {
 // through the same paper.RenderCampaign call.
 func runSmallSweep(t *testing.T, eng *sweep.Engine) {
 	t.Helper()
-	m, err := paper.MeasureWith(eng, kernels.SmallSuite())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := paper.RenderCampaign(io.Discard, eng, m, paper.CampaignOptions{}); err != nil {
+	if err := paper.RenderCampaign(io.Discard, paper.LocalRunner(eng), kernels.SmallSuite(), paper.CampaignOptions{}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -41,6 +41,7 @@ import (
 	"hetsim/internal/paper"
 	"hetsim/internal/power"
 	"hetsim/internal/sensor"
+	"hetsim/internal/sweep"
 )
 
 // --- Targets and runtime modes ----------------------------------------------
@@ -281,4 +282,6 @@ var NewTimeline = obs.NewTimeline
 type Measurements = paper.Measurements
 
 // Measure simulates a kernel suite on every configuration of the study.
-func Measure(suite []*Kernel) (*Measurements, error) { return paper.Measure(suite) }
+func Measure(suite []*Kernel) (*Measurements, error) {
+	return paper.MeasureWith(sweep.New(sweep.Config{}), suite)
+}

@@ -17,7 +17,8 @@ import (
 )
 
 // CrashDrill is the process-level half of the durability story: it re-execs
-// the real hetexp binary on the small suite, SIGKILLs it at seeded points
+// the real hetexp binary on the small campaign (`-small -exp all`, one
+// sweep of every experiment's jobs), SIGKILLs it at seeded points
 // mid-sweep — no cleanup, no signal handler, the exact failure -resume
 // exists for — and then resumes the campaign in a fresh process. For every
 // kill point it asserts the three crash-safety invariants end to end:
@@ -201,7 +202,7 @@ func (d *CrashDrill) exec(dir string, killAt int) (stdout []byte, st *runStats, 
 	}
 	statsPath := filepath.Join(dir, "stats.json")
 	cmd := exec.Command(d.Hetexp,
-		"-small", "-exp", "table1",
+		"-small", "-exp", "all",
 		"-j", strconv.Itoa(workers),
 		"-cache-dir", filepath.Join(dir, "cache"),
 		"-resume", filepath.Join(dir, "journal"),
@@ -264,7 +265,7 @@ func splitProgress(data []byte, atEOF bool) (advance int, token []byte, err erro
 }
 
 // parseProgress extracts N from a "sweep: N/M jobs" repaint. The final
-// summary line ("sweep: 60 jobs, ...") has no slash and is ignored.
+// summary line ("sweep: 135 jobs, ...") has no slash and is ignored.
 func parseProgress(line string) (int, bool) {
 	const prefix = "sweep: "
 	i := strings.Index(line, prefix)

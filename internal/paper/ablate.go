@@ -1,15 +1,13 @@
 package paper
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 
-	"hetsim/internal/cluster"
 	"hetsim/internal/core"
-	"hetsim/internal/devrt"
 	"hetsim/internal/isa"
 	"hetsim/internal/kernels"
-	"hetsim/internal/loader"
 	"hetsim/internal/power"
 	"hetsim/internal/sensor"
 	"hetsim/internal/sweep"
@@ -18,10 +16,10 @@ import (
 // This file holds the beyond-paper ablations: the studies Section V
 // sketches (decoupled link clock, sensor-direct data path) and the
 // design-choice ablations DESIGN.md calls out (per-extension speedup
-// contribution, TCDM banking). Each simulating ablation is a sweep
-// producer/consumer: it emits one job per simulated point and folds the
-// in-order results into its rows. The link and sensor ablations simulate
-// nothing: they compose offloads from the measured pulp-4t compute.
+// contribution, TCDM banking). Each simulating ablation is a plan (its
+// points, see plan.go) and a fold of their in-order results into its rows.
+// The link and sensor ablations simulate nothing: they compose offloads
+// from the measured pulp-4t compute.
 
 // --- Per-extension ablation -----------------------------------------------------
 
@@ -49,84 +47,45 @@ type ExtAblationRow struct {
 	Slowdown   []float64 // parallel to ExtVariants
 }
 
-// ExtensionAblation measures how much each OR10N extension contributes to
-// each kernel, using a default engine.
-func ExtensionAblation(suite []*kernels.Instance) ([]ExtAblationRow, error) {
-	return ExtensionAblationWith(defaultEngine(), suite)
-}
-
 // ExtensionAblationWith measures how much each OR10N extension contributes
 // to each kernel: the kernel is rebuilt with one feature disabled (the code
 // generator adapts, exactly like recompiling with a flag off) and rerun on
 // a single core. A slowdown of 1.0 means the kernel never used the
 // feature. One job per (kernel, variant) pair, plus the full build.
 func ExtensionAblationWith(eng *sweep.Engine, suite []*kernels.Instance) ([]ExtAblationRow, error) {
-	var jobs []sweep.Job[uint64]
+	return runFold(LocalRunner(eng), extPoints(suite), foldExt)
+}
+
+// extPoints plans the extension ablation: per kernel, the full build and
+// then one point per ExtVariants entry.
+func extPoints(suite []*kernels.Instance) []Point {
+	var pts []Point
 	for _, k := range suite {
-		full, err := variantJob(k, isa.PULPFull)
-		if err != nil {
-			return nil, err
-		}
-		jobs = append(jobs, full)
+		specs := []JobSpec{{Kernel: k.Name, Seed: measureSeed, Study: StudyExt}}
 		for _, v := range ExtVariants {
-			tgt := isa.PULPFull
-			tgt.Name = isa.PULPFull.Name + v.Name
-			v.Mod(&tgt.Feat)
-			job, err := variantJob(k, tgt)
-			if err != nil {
-				return nil, fmt.Errorf("%s %s: %w", k.Name, v.Name, err)
-			}
-			jobs = append(jobs, job)
+			specs = append(specs, JobSpec{Kernel: k.Name, Seed: measureSeed, Study: StudyExt, Variant: v.Name})
 		}
+		pts = append(pts, kernelPoints(k, specs...)...)
 	}
-	cycles, err := sweep.Run(eng, jobs)
+	return pts
+}
+
+// foldExt folds the cycle counts of an extPoints plan into rows.
+func foldExt(pts []Point, raws []json.RawMessage) ([]ExtAblationRow, error) {
+	cycles, err := decode[uint64](pts, raws)
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]ExtAblationRow, 0, len(suite))
 	perKernel := 1 + len(ExtVariants)
-	for i, k := range suite {
-		row := ExtAblationRow{Name: k.Name, FullCycles: cycles[i*perKernel]}
+	rows := make([]ExtAblationRow, 0, len(pts)/perKernel)
+	for i := 0; i < len(pts); i += perKernel {
+		row := ExtAblationRow{Name: pts[i].k.Name, FullCycles: cycles[i]}
 		for v := range ExtVariants {
-			row.Slowdown = append(row.Slowdown,
-				float64(cycles[i*perKernel+1+v])/float64(row.FullCycles))
+			row.Slowdown = append(row.Slowdown, float64(cycles[i+1+v])/float64(row.FullCycles))
 		}
 		rows = append(rows, row)
 	}
 	return rows, nil
-}
-
-// variantJob builds the single-core run of one (kernel, target-variant)
-// pair as a sweep job.
-func variantJob(k *kernels.Instance, tgt isa.Target) (sweep.Job[uint64], error) {
-	prog, err := k.Build(tgt, devrt.Accel)
-	if err != nil {
-		return sweep.Job[uint64]{}, err
-	}
-	cfg := cluster.PULPConfig()
-	cfg.Target = tgt
-	in := k.Input(1)
-	ph, err := progKey(prog)
-	if err != nil {
-		return sweep.Job[uint64]{}, err
-	}
-	key := fmt.Sprintf("extablate|%s|%s|prog=%s|threads=1|max=%d",
-		kernelKey(k, in), clusterKey(cfg), ph, uint64(measureMaxCycles))
-	comp, err := kernels.Compiled(prog, cfg.Target)
-	if err != nil {
-		return sweep.Job[uint64]{}, err
-	}
-	job := loader.Job{Prog: prog, In: in, OutLen: k.OutLen(), Iters: 1, Threads: 1, Args: k.Args(), Compiled: comp}
-	return sweep.Job[uint64]{
-		Key: key,
-		Run: func() (uint64, error) {
-			res, err := cluster.RunJob(cfg, devrt.Accel, job, measureMaxCycles)
-			if err != nil {
-				return 0, err
-			}
-			return res.Cycles, nil
-		},
-	}, nil
 }
 
 // RenderExtensionAblation prints the slowdown matrix.
@@ -155,56 +114,21 @@ type BankSweepPoint struct {
 	ConflictRate float64
 }
 
-// BankSweep measures the 4-core matmul against the number of TCDM banks,
-// using a default engine.
-func BankSweep(k *kernels.Instance) ([]BankSweepPoint, error) {
-	return BankSweepWith(defaultEngine(), k)
-}
-
 // BankSweepWith measures the 4-core kernel against the number of TCDM
 // banks: with fewer banks than cores the interconnect serializes (the
 // ablation behind the "2 banks per core" rule of PULP clusters). One job
 // per bank count.
 func BankSweepWith(eng *sweep.Engine, k *kernels.Instance) ([]BankSweepPoint, error) {
-	prog, err := k.Build(isa.PULPFull, devrt.Accel)
-	if err != nil {
-		return nil, err
+	return runFold(LocalRunner(eng), bankPoints(k), decode[BankSweepPoint])
+}
+
+// bankPoints plans the bank sweep of k, one point per bank count.
+func bankPoints(k *kernels.Instance) []Point {
+	specs := make([]JobSpec, len(bankCounts))
+	for i, banks := range bankCounts {
+		specs[i] = JobSpec{Kernel: k.Name, Seed: measureSeed, Study: StudyBanks, Banks: banks}
 	}
-	in := k.Input(1)
-	ph, err := progKey(prog)
-	if err != nil {
-		return nil, err
-	}
-	bankCounts := []int{1, 2, 4, 8, 16}
-	jobs := make([]sweep.Job[BankSweepPoint], 0, len(bankCounts))
-	for _, banks := range bankCounts {
-		banks := banks
-		cfg := cluster.PULPConfig()
-		cfg.TCDMBanks = banks
-		key := fmt.Sprintf("banksweep|%s|%s|prog=%s|threads=4|max=%d",
-			kernelKey(k, in), clusterKey(cfg), ph, uint64(measureMaxCycles))
-		comp, err := kernels.Compiled(prog, cfg.Target)
-		if err != nil {
-			return nil, err
-		}
-		job := loader.Job{Prog: prog, In: in, OutLen: k.OutLen(), Iters: 1, Threads: 4, Args: k.Args(), Compiled: comp}
-		jobs = append(jobs, sweep.Job[BankSweepPoint]{
-			Key: key,
-			Run: func() (BankSweepPoint, error) {
-				res, err := cluster.RunJob(cfg, devrt.Accel, job, measureMaxCycles)
-				if err != nil {
-					return BankSweepPoint{}, fmt.Errorf("banks=%d: %w", banks, err)
-				}
-				tot := res.Stats.TCDMAccess + res.Stats.TCDMConf
-				rate := 0.0
-				if tot > 0 {
-					rate = float64(res.Stats.TCDMConf) / float64(tot)
-				}
-				return BankSweepPoint{Banks: banks, Cycles: res.Cycles, ConflictRate: rate}, nil
-			},
-		})
-	}
-	return sweep.Run(eng, jobs)
+	return kernelPoints(k, specs...)
 }
 
 // RenderBankSweep prints the sweep.
@@ -232,12 +156,6 @@ type LinkAblationPoint struct {
 	Decoupled   bool
 	Efficiency  float64 // double-buffered, 64 iterations
 	PerIterTime float64
-}
-
-// LinkAblation quantifies Section V's decoupled-link proposal; it
-// simulates nothing, so it needs no engine.
-func LinkAblation(k *kernels.Instance, m *Measurements) ([]LinkAblationPoint, error) {
-	return LinkAblationWith(nil, k, m)
 }
 
 // LinkAblationWith quantifies Section V's proposal: at a slow MCU clock
@@ -301,12 +219,6 @@ type SensorAblationPoint struct {
 	EnergyPerIt float64
 }
 
-// SensorAblation runs the camera-fed pipeline comparison; it simulates
-// nothing, so it needs no engine.
-func SensorAblation(k *kernels.Instance, m *Measurements, cam sensor.Sensor, mcuHz float64) ([]SensorAblationPoint, error) {
-	return SensorAblationWith(nil, k, m, cam, mcuHz)
-}
-
 // SensorAblationWith runs a camera-fed pipeline with the sample routed
 // through the host (Figure 1) and directly into L2 (Section V variant).
 // Both paths are composed from the kernel's measured pulp-4t compute, in
@@ -367,66 +279,35 @@ type ScalingPoint struct {
 	Speedup float64 // vs 1 thread
 }
 
-// ScalingStudy extends Fig. 4's parallel panel with a default engine.
-func ScalingStudy(k *kernels.Instance) ([]ScalingPoint, error) {
-	return ScalingStudyWith(defaultEngine(), k)
-}
-
 // ScalingStudyWith extends Fig. 4's parallel panel beyond the paper's
 // 4-core cluster: the same binaries run on an 8-core cluster (16 TCDM
 // banks, doubled I$) with team sizes 1..8, showing where the kernels stop
 // scaling. One job per team size.
 func ScalingStudyWith(eng *sweep.Engine, k *kernels.Instance) ([]ScalingPoint, error) {
-	prog, err := k.Build(isa.PULPFull, devrt.Accel)
-	if err != nil {
-		return nil, err
-	}
-	in := k.Input(1)
-	ph, err := progKey(prog)
-	if err != nil {
-		return nil, err
-	}
-	teamSizes := []int{1, 2, 4, 6, 8}
-	jobs := make([]sweep.Job[uint64], 0, len(teamSizes))
-	for _, threads := range teamSizes {
-		threads := threads
-		cfg := cluster.PULPConfig()
-		cfg.Cores = 8
-		cfg.TCDMBanks = 16
-		cfg.ICacheSize = 8 * 1024
-		key := fmt.Sprintf("scaling|%s|%s|prog=%s|threads=%d|max=%d",
-			kernelKey(k, in), clusterKey(cfg), ph, threads, uint64(measureMaxCycles))
-		comp, err := kernels.Compiled(prog, cfg.Target)
-		if err != nil {
-			return nil, err
-		}
-		job := loader.Job{Prog: prog, In: in, OutLen: k.OutLen(), Iters: 1,
-			Threads: uint32(threads), Args: k.Args(), Compiled: comp}
-		jobs = append(jobs, sweep.Job[uint64]{
-			Key: key,
-			Run: func() (uint64, error) {
-				res, err := cluster.RunJob(cfg, devrt.Accel, job, measureMaxCycles)
-				if err != nil {
-					return 0, fmt.Errorf("threads=%d: %w", threads, err)
-				}
-				return res.Cycles, nil
-			},
-		})
-	}
-	cycles, err := sweep.Run(eng, jobs)
-	if err != nil {
-		return nil, err
-	}
-	pts := make([]ScalingPoint, 0, len(teamSizes))
-	base := cycles[0]
+	return runFold(LocalRunner(eng), scalingPoints(k), foldScaling)
+}
+
+// scalingPoints plans the scaling study of k, one point per team size.
+func scalingPoints(k *kernels.Instance) []Point {
+	specs := make([]JobSpec, len(teamSizes))
 	for i, threads := range teamSizes {
-		pts = append(pts, ScalingPoint{
-			Threads: threads,
-			Cycles:  cycles[i],
-			Speedup: float64(base) / float64(cycles[i]),
-		})
+		specs[i] = JobSpec{Kernel: k.Name, Seed: measureSeed, Study: StudyScaling, Threads: threads}
 	}
-	return pts, nil
+	return kernelPoints(k, specs...)
+}
+
+// foldScaling folds the cycle counts of a scalingPoints plan into the
+// scaling curve, relative to the first (one-thread) point.
+func foldScaling(pts []Point, raws []json.RawMessage) ([]ScalingPoint, error) {
+	cycles, err := decode[uint64](pts, raws)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]ScalingPoint, len(pts))
+	for i, p := range pts {
+		out[i] = ScalingPoint{Threads: p.Spec.Threads, Cycles: cycles[i], Speedup: float64(cycles[0]) / float64(cycles[i])}
+	}
+	return out, nil
 }
 
 // RenderScalingStudy prints the scaling curve.

@@ -20,7 +20,9 @@ func TestPULP4ArtifactMatchesOffload(t *testing.T) {
 	for _, measure := range []struct {
 		name string
 		run  func(*sweep.Engine, []*kernels.Instance) (*Measurements, error)
-	}{{"MeasureWith", MeasureWith}, {"MeasureObservedWith", MeasureObservedWith}} {
+	}{{"MeasureWith", MeasureWith}, {"observed", func(eng *sweep.Engine, suite []*kernels.Instance) (*Measurements, error) {
+		return measure(LocalRunner(eng), suite, true)
+	}}} {
 		m, err := measure.run(sweep.New(sweep.Config{}), suite)
 		if err != nil {
 			t.Fatal(err)
@@ -57,10 +59,10 @@ func TestPULP4ArtifactMatchesOffload(t *testing.T) {
 func TestComposersRejectForeignKernel(t *testing.T) {
 	m := smallMeasure(t)
 	big := kernels.PaperSuite()[0] // matmul at paper size, measured small
-	if _, err := Figure5b(big, m); err == nil {
-		t.Error("Figure5b composed a kernel instance that was not measured")
+	if _, err := Figure5bWith(nil, big, m); err == nil {
+		t.Error("Figure5bWith composed a kernel instance that was not measured")
 	}
-	if _, err := LinkAblation(big, m); err == nil {
-		t.Error("LinkAblation composed a kernel instance that was not measured")
+	if _, err := LinkAblationWith(nil, big, m); err == nil {
+		t.Error("LinkAblationWith composed a kernel instance that was not measured")
 	}
 }

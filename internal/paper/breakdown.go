@@ -30,7 +30,7 @@ func (r BreakdownRow) Total() uint64 {
 }
 
 // BreakdownTable builds the per-kernel stall breakdown from an observed
-// measurement (MeasureObserved/MeasureObservedWith). It enforces the
+// measurement (CampaignOptions.Breakdown). It enforces the
 // attribution exactness invariant — each row's class cycles sum to
 // exactly Cores x Cycles — and fails loudly if the measurement was not
 // observed or a core's accounting leaked.
@@ -39,7 +39,7 @@ func (m *Measurements) BreakdownTable() ([]BreakdownRow, error) {
 	for _, k := range m.Suite {
 		km := m.ByK[k.Name]
 		if km.Attr == nil {
-			return nil, fmt.Errorf("paper: %s has no attribution; use MeasureObserved", k.Name)
+			return nil, fmt.Errorf("paper: %s has no attribution; measure with attribution", k.Name)
 		}
 		row := BreakdownRow{
 			Name:    k.Name,

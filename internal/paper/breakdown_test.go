@@ -7,6 +7,7 @@ import (
 
 	"hetsim/internal/kernels"
 	"hetsim/internal/obs"
+	"hetsim/internal/sweep"
 )
 
 // TestObservedMeasureIsByteIdentical completes the observability
@@ -17,7 +18,7 @@ import (
 // row per kernel.
 func TestObservedMeasureIsByteIdentical(t *testing.T) {
 	plain := smallMeasure(t)
-	observed, err := MeasureObserved(kernels.SmallSuite())
+	observed, err := measure(LocalRunner(sweep.New(sweep.Config{})), kernels.SmallSuite(), true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -302,12 +302,6 @@ type Fig5bSeries struct {
 	EffDB      []float64 // with double buffering
 }
 
-// Figure5b composes the offload-amortization curves; it simulates nothing,
-// so it needs no engine.
-func Figure5b(k *kernels.Instance, m *Measurements) ([]Fig5bSeries, error) {
-	return Figure5bWith(nil, k, m)
-}
-
 // Figure5bWith prices the full offload pipeline (binary + per-iteration
 // data over QSPI) for the given kernel at every host frequency, with the
 // accelerator at its envelope operating point, and reports efficiency vs

@@ -28,13 +28,8 @@ func TestFullReproductionGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-size suite")
 	}
-	eng := sweep.New(sweep.Config{})
-	m, err := MeasureWith(eng, kernels.PaperSuite())
-	if err != nil {
-		t.Fatal(err)
-	}
 	var buf bytes.Buffer
-	if err := RenderCampaign(&buf, eng, m, CampaignOptions{}); err != nil {
+	if err := RenderCampaign(&buf, LocalRunner(sweep.New(sweep.Config{})), kernels.PaperSuite(), CampaignOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, "full_reproduction.golden", buf.Bytes())
@@ -45,21 +40,22 @@ func TestFullReproductionGolden(t *testing.T) {
 // all five ablations — through the same RenderCampaign call hetexp makes,
 // and compares the bytes against the recorded golden file. It also pins
 // Experiments (the names `hetexp -exp` accepts) to the sections
-// RenderCampaign asks about, in order.
+// RenderCampaign asks about, in order, and the campaign to one sweep.Run:
+// every progress event counts against the same total of 135 jobs.
 func TestSmallCampaignGolden(t *testing.T) {
-	eng := sweep.New(sweep.Config{})
-	m, err := MeasureObservedWith(eng, kernels.SmallSuite())
-	if err != nil {
-		t.Fatal(err)
-	}
+	totals := map[int]bool{}
+	eng := sweep.New(sweep.Config{Progress: func(ev sweep.Event) { totals[ev.Total] = true }})
 	var buf bytes.Buffer
 	var asked []string
 	include := func(exp string) bool {
 		asked = append(asked, exp)
 		return true
 	}
-	if err := RenderCampaign(&buf, eng, m, CampaignOptions{Include: include, Breakdown: true}); err != nil {
+	if err := RenderCampaign(&buf, LocalRunner(eng), kernels.SmallSuite(), CampaignOptions{Include: include, Breakdown: true}); err != nil {
 		t.Fatal(err)
+	}
+	if len(totals) != 1 || !totals[135] || eng.Stats().Jobs != 135 {
+		t.Errorf("campaign ran as sweeps totalling %v, %d jobs; want one sweep.Run of 135", totals, eng.Stats().Jobs)
 	}
 	if !slices.Equal(asked, Experiments) {
 		t.Errorf("RenderCampaign asks about %v, Experiments lists %v", asked, Experiments)

@@ -6,17 +6,18 @@
 // rows (consumed by the benchmarks and the hetexp tool) and has a Render
 // function producing the ASCII form recorded in EXPERIMENTS.md.
 //
-// Every simulation is expressed as an internal/sweep job: the generators
-// are producers (they emit self-describing jobs with stable content keys)
-// and consumers (they fold the in-order results into rows), so the whole
-// evaluation parallelizes across a worker pool and memoizes into the run
-// cache while staying byte-identical to a serial run.
+// Every simulation is a JobSpec that one builder (plan.go) turns into an
+// internal/sweep job with a stable content key; each simulating generator
+// is a plan (its points) and a fold (the in-order results to rows), so the
+// whole evaluation runs as one job set — on a worker pool and the run
+// cache, or as one hetsimd batch — byte-identical to a serial run.
 package paper
 
 import (
+	"encoding/json"
 	"fmt"
+	"slices"
 
-	"hetsim/internal/cluster"
 	"hetsim/internal/core"
 	"hetsim/internal/devrt"
 	"hetsim/internal/isa"
@@ -53,7 +54,7 @@ type kernelMeasurement struct {
 	OutBytes int
 
 	// Attr is the per-core cycle attribution of the pulp-4t run; non-nil
-	// only after MeasureObserved/MeasureObservedWith (the breakdown table).
+	// only for an observed measurement (the breakdown table).
 	Attr *obs.Attribution
 }
 
@@ -62,12 +63,7 @@ type kernelMeasurement struct {
 type Measurements struct {
 	Suite []*kernels.Instance
 	ByK   map[string]*kernelMeasurement
-	seed  uint64
 }
-
-// defaultEngine backs the argument-free entry points: full parallelism,
-// no cache.
-func defaultEngine() *sweep.Engine { return sweep.New(sweep.Config{}) }
 
 // measureRun is one (configuration, target, mode, team size) row of the
 // per-kernel measurement matrix.
@@ -98,154 +94,85 @@ type measureResult struct {
 	Attr     *obs.Attribution `json:",omitempty"` // cfgPULP4 under observation
 }
 
-// Measure runs the whole suite on every configuration with a default
-// engine (one worker per CPU, no cache).
-func Measure(suite []*kernels.Instance) (*Measurements, error) {
-	return MeasureWith(defaultEngine(), suite)
-}
-
 // MeasureWith runs the whole suite on every configuration through the
 // given sweep engine: every (kernel, configuration) pair is one job. With
 // the paper suite this simulates ~100M core cycles across 60 mutually
 // independent jobs.
 func MeasureWith(eng *sweep.Engine, suite []*kernels.Instance) (*Measurements, error) {
-	return measureWith(eng, suite, false)
+	return measure(LocalRunner(eng), suite, false)
 }
 
-// MeasureObserved is MeasureObservedWith on a default engine.
-func MeasureObserved(suite []*kernels.Instance) (*Measurements, error) {
-	return MeasureObservedWith(defaultEngine(), suite)
-}
-
-// MeasureObservedWith measures like MeasureWith but runs the pulp-4t
-// configuration with cycle attribution attached (see internal/obs), so
-// the Measurements can additionally produce the stall-breakdown table.
-// Attribution is purely observational: every number shared with an
-// unobserved measurement is bit-identical (the differential test pins
-// this), and only the observed job's cache key carries the "|obs" marker.
-func MeasureObservedWith(eng *sweep.Engine, suite []*kernels.Instance) (*Measurements, error) {
-	return measureWith(eng, suite, true)
-}
-
-func measureWith(eng *sweep.Engine, suite []*kernels.Instance, observe bool) (*Measurements, error) {
-	m, ins, err := newMeasurements(suite)
+// measure runs the measure matrix of suite through run. With observe the
+// pulp-4t configuration runs with cycle attribution attached (see
+// internal/obs), so the Measurements can additionally produce the
+// stall-breakdown table. Attribution is purely observational: every
+// number shared with an unobserved measurement is bit-identical, and only
+// the observed job's cache key carries the "|obs" marker.
+func measure(run Runner, suite []*kernels.Instance, observe bool) (*Measurements, error) {
+	pts, err := measurePoints(suite, observe)
 	if err != nil {
 		return nil, err
 	}
-	var jobs []sweep.Job[measureResult]
+	return runFold(run, pts, foldMeasure)
+}
+
+// measureSpecs lists the measure matrix row of one kernel, in matrix
+// order.
+func measureSpecs(k *kernels.Instance, observe bool, seed uint64) []JobSpec {
+	specs := make([]JobSpec, len(measureRuns))
+	for i, rc := range measureRuns {
+		specs[i] = JobSpec{Kernel: k.Name, Seed: seed, Config: string(rc.key), Observe: observe}
+	}
+	return specs
+}
+
+// measurePoints plans the (suite × measureRuns) matrix, kernel-major. It
+// rejects a suite with two kernels of one name, which every fold keyed
+// by name depends on.
+func measurePoints(suite []*kernels.Instance, observe bool) ([]Point, error) {
+	var pts []Point
 	for i, k := range suite {
-		for _, rc := range measureRuns {
-			job, err := measureJob(k, ins[i], rc, observe)
-			if err != nil {
-				return nil, err
+		if slices.ContainsFunc(suite[:i], func(o *kernels.Instance) bool { return o.Name == k.Name }) {
+			return nil, fmt.Errorf("paper: suite has two kernels named %q", k.Name)
+		}
+		pts = append(pts, kernelPoints(k, measureSpecs(k, observe, measureSeed)...)...)
+	}
+	return pts, nil
+}
+
+// foldMeasure commits the results of a measurePoints plan, in plan order,
+// into a measurement set.
+func foldMeasure(pts []Point, raws []json.RawMessage) (*Measurements, error) {
+	results, err := decode[measureResult](pts, raws)
+	if err != nil {
+		return nil, err
+	}
+	m := &Measurements{ByK: make(map[string]*kernelMeasurement)}
+	for i, p := range pts {
+		km := m.ByK[p.k.Name]
+		if km == nil {
+			km = &kernelMeasurement{
+				K:        p.k,
+				Cycles:   make(map[configKey]uint64),
+				InBytes:  len(p.in),
+				OutBytes: int(p.k.OutLen()),
 			}
-			jobs = append(jobs, job)
+			m.ByK[p.k.Name] = km
+			m.Suite = append(m.Suite, p.k)
+		}
+		r := results[i]
+		key := configKey(p.Spec.Config)
+		km.Cycles[key] = r.Cycles
+		switch key {
+		case cfgPlain:
+			km.RISCOps = r.Retired
+		case cfgPULP4:
+			km.Activity = r.Activity
+			km.BinBytes = r.BinBytes
+			km.Attr = r.Attr
 		}
 	}
-	results, err := sweep.Run(eng, jobs)
-	if err != nil {
-		return nil, err
-	}
-	m.fold(results)
 	return m, nil
-}
-
-// newMeasurements builds the empty measurement set for a suite (with the
-// duplicate-name guard every folder depends on) and the per-kernel input
-// buffers, indexed like the suite. It is shared by the local path
-// (measureWith) and the remote one (MeasureRemoteBatch, wire.go) so both fold
-// results identically.
-func newMeasurements(suite []*kernels.Instance) (*Measurements, [][]byte, error) {
-	m := &Measurements{Suite: suite, ByK: make(map[string]*kernelMeasurement), seed: 1}
-	ins := make([][]byte, len(suite))
-	for i, k := range suite {
-		if _, dup := m.ByK[k.Name]; dup {
-			return nil, nil, fmt.Errorf("paper: suite has two kernels named %q", k.Name)
-		}
-		ins[i] = k.Input(m.seed)
-		m.ByK[k.Name] = &kernelMeasurement{
-			K:        k,
-			Cycles:   make(map[configKey]uint64),
-			InBytes:  len(ins[i]),
-			OutBytes: int(k.OutLen()),
-		}
-	}
-	return m, ins, nil
-}
-
-// fold commits the results of the (suite × measureRuns) job matrix, in
-// production order, into the measurement set.
-func (m *Measurements) fold(results []measureResult) {
-	i := 0
-	for _, k := range m.Suite {
-		km := m.ByK[k.Name]
-		for _, rc := range measureRuns {
-			r := results[i]
-			i++
-			km.Cycles[rc.key] = r.Cycles
-			switch rc.key {
-			case cfgPlain:
-				km.RISCOps = r.Retired
-			case cfgPULP4:
-				km.Activity = r.Activity
-				km.BinBytes = r.BinBytes
-				km.Attr = r.Attr
-			}
-		}
-	}
-}
-
-// measureJob builds the sweep job of one (kernel, configuration) pair.
-// The program is emitted here, producer-side, because its bytes are part
-// of the content key; the simulation itself runs worker-side.
-func measureJob(k *kernels.Instance, in []byte, rc measureRun, observe bool) (sweep.Job[measureResult], error) {
-	prog, err := k.Build(rc.tgt, rc.mode)
-	if err != nil {
-		return sweep.Job[measureResult]{}, err
-	}
-	var cfg cluster.Config
-	if rc.mode == devrt.Accel {
-		cfg = cluster.PULPConfig()
-	} else {
-		cfg = cluster.MCUConfig(rc.tgt)
-	}
-	// Only the run whose attribution is kept pays for observation; every
-	// other job reuses the exact cache entries of an unobserved measure.
-	cfg.Observe = observe && rc.key == cfgPULP4
-	ph, err := progKey(prog)
-	if err != nil {
-		return sweep.Job[measureResult]{}, err
-	}
-	key := fmt.Sprintf("measure|%s|cfg=%s|mode=%d|threads=%d|%s|prog=%s|max=%d",
-		kernelKey(k, in), rc.key, rc.mode, rc.threads, clusterKey(cfg), ph, uint64(measureMaxCycles))
-	comp, err := kernels.Compiled(prog, cfg.Target)
-	if err != nil {
-		return sweep.Job[measureResult]{}, err
-	}
-	job := loader.Job{Prog: prog, In: in, OutLen: k.OutLen(), Iters: 1, Threads: rc.threads, Args: k.Args(), Compiled: comp}
-	return sweep.Job[measureResult]{
-		Key: key,
-		Run: func() (measureResult, error) {
-			res, err := cluster.RunJob(cfg, rc.mode, job, measureMaxCycles)
-			if err != nil {
-				return measureResult{}, fmt.Errorf("paper: measuring %s on %s: %w", k.Name, rc.key, err)
-			}
-			r := measureResult{Cycles: res.Cycles}
-			switch rc.key {
-			case cfgPlain:
-				r.Retired = res.Stats.Retired()
-			case cfgPULP4:
-				r.Activity = power.ActivityOf(res.Stats)
-				img, err := prog.Image()
-				if err != nil {
-					return measureResult{}, err
-				}
-				r.BinBytes = len(img)
-				r.Attr = res.Attr
-			}
-			return r, nil
-		},
-	}, nil
 }
 
 // offloadCompute pairs the job a direct offload of one measured kernel
@@ -265,8 +192,8 @@ func (m *Measurements) offload(k *kernels.Instance) (offloadCompute, error) {
 	if !ok {
 		return offloadCompute{}, fmt.Errorf("paper: kernel %q not measured", k.Name)
 	}
-	in := k.Input(m.seed)
-	if kernelKey(k, in) != kernelKey(km.K, km.K.Input(m.seed)) {
+	in := k.Input(measureSeed)
+	if kernelKey(k, in) != kernelKey(km.K, km.K.Input(measureSeed)) {
 		return offloadCompute{}, fmt.Errorf("paper: kernel %q differs from the measured instance", k.Name)
 	}
 	prog, err := k.Build(isa.PULPFull, devrt.Accel)

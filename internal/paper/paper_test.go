@@ -7,6 +7,7 @@ import (
 
 	"hetsim/internal/kernels"
 	"hetsim/internal/sensor"
+	"hetsim/internal/sweep"
 )
 
 // smallMeasure measures the reduced suite once per test binary.
@@ -19,7 +20,7 @@ func smallMeasure(t *testing.T) *Measurements {
 	}
 	// The small suite keeps simulation time low; "matmul" must be present
 	// because Figure3 keys on it.
-	m, err := Measure(kernels.SmallSuite())
+	m, err := MeasureWith(sweep.New(sweep.Config{}), kernels.SmallSuite())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +170,7 @@ func TestFigure5aShape(t *testing.T) {
 func TestFigure5bShape(t *testing.T) {
 	m := smallMeasure(t)
 	k := m.Suite[0] // small matmul
-	series, err := Figure5b(k, m)
+	series, err := Figure5bWith(nil, k, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +202,7 @@ func TestFigure5bShape(t *testing.T) {
 
 func TestExtensionAblationShape(t *testing.T) {
 	m := smallMeasure(t)
-	rows, err := ExtensionAblation(m.Suite[:4]) // the linear-algebra group
+	rows, err := ExtensionAblationWith(sweep.New(sweep.Config{}), m.Suite[:4]) // the linear-algebra group
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +231,7 @@ func TestExtensionAblationShape(t *testing.T) {
 
 func TestBankSweepShape(t *testing.T) {
 	m := smallMeasure(t)
-	pts, err := BankSweep(m.Suite[0])
+	pts, err := BankSweepWith(sweep.New(sweep.Config{}), m.Suite[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +255,7 @@ func TestBankSweepShape(t *testing.T) {
 
 func TestLinkAblationShape(t *testing.T) {
 	m := smallMeasure(t)
-	pts, err := LinkAblation(m.Suite[0], m)
+	pts, err := LinkAblationWith(nil, m.Suite[0], m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +279,7 @@ func TestSensorAblationShape(t *testing.T) {
 	hogK := m.Suite[len(m.Suite)-1]
 	cam := sensor.QVGACamera()
 	cam.SampleBytes = 32 * 32
-	pts, err := SensorAblation(hogK, m, cam, 8e6)
+	pts, err := SensorAblationWith(nil, hogK, m, cam, 8e6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +298,7 @@ func TestSensorAblationShape(t *testing.T) {
 
 func TestScalingStudyShape(t *testing.T) {
 	m := smallMeasure(t)
-	pts, err := ScalingStudy(m.Suite[0]) // small matmul
+	pts, err := ScalingStudyWith(sweep.New(sweep.Config{}), m.Suite[0]) // small matmul
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -127,7 +127,7 @@ func TestMeasureCacheSkipsSimulation(t *testing.T) {
 // TestMeasureDuplicateKernel checks the duplicate-name guard.
 func TestMeasureDuplicateKernel(t *testing.T) {
 	s := kernels.SmallSuite()
-	if _, err := Measure([]*kernels.Instance{s[0], s[0]}); err == nil {
+	if _, err := MeasureWith(sweep.New(sweep.Config{}), []*kernels.Instance{s[0], s[0]}); err == nil {
 		t.Fatal("expected an error for a duplicate kernel name")
 	}
 }

@@ -5,21 +5,20 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 
 	"hetsim/internal/kernels"
 	"hetsim/internal/sweep"
 )
 
 // This file is the wire codec of the simulation service (internal/serve,
-// cmd/hetsimd): a JobSpec names one measurement point of the paper sweep
-// compactly — kernel, suite size, input seed, configuration — and
-// BuildSpecJob deterministically reconstructs the exact sweep job (same
-// program bytes, same input, same content key) on the server, so a
-// request is self-describing and two clients asking for the same point
-// dedupe onto one simulation. MeasureRemoteBatch is the client-side fold:
-// it routes the same job matrix measureWith runs locally through a
-// remote batch runner and commits the results through the shared fold,
-// which is what makes `hetexp -remote` byte-identical to local execution.
+// cmd/hetsimd): a JobSpec names one simulation point of the campaign
+// compactly, and BuildSpecJob deterministically reconstructs the exact
+// sweep job (same program bytes, same input, same content key) on the
+// server, so a request is self-describing and two clients asking for the
+// same point dedupe onto one simulation. RemoteRunner (plan.go) sends a
+// local plan as one batch whose results go through the same folds, which
+// is what makes `hetexp -remote` byte-identical to local execution.
 
 // SpecConfigs lists the valid JobSpec.Config values — the measurement
 // configurations of the paper sweep, in matrix order.
@@ -31,7 +30,8 @@ func SpecConfigs() []string {
 	return cs
 }
 
-// JobSpec names one (kernel, configuration) measurement point.
+// JobSpec names one simulation point: a (kernel, configuration) point of
+// the measure matrix, or a point of the study Study selects.
 type JobSpec struct {
 	// Kernel is the Table I kernel name within the selected suite.
 	Kernel string `json:"kernel"`
@@ -40,11 +40,21 @@ type JobSpec struct {
 	// Seed feeds the kernel's deterministic input generator.
 	Seed uint64 `json:"seed"`
 	// Config is one of SpecConfigs: plain, m3, m4, pulp1, pulp2, pulp4.
-	Config string `json:"config"`
+	// Measure points only.
+	Config string `json:"config,omitempty"`
 	// Observe attaches cycle attribution to the pulp4 point (the
 	// breakdown table); it is ignored — exactly like the local path — on
-	// every other configuration.
+	// every other configuration. Measure points only.
 	Observe bool `json:"observe,omitempty"`
+	// Study selects StudyExt, StudyBanks or StudyScaling; "" is a measure
+	// point.
+	Study string `json:"study,omitempty"`
+	// Variant is an ExtVariants name, "" for the full build (StudyExt).
+	Variant string `json:"variant,omitempty"`
+	// Banks is the TCDM bank count (StudyBanks).
+	Banks int `json:"banks,omitempty"`
+	// Threads is the team size (StudyScaling).
+	Threads int `json:"threads,omitempty"`
 }
 
 // Validate checks the shape of a spec without touching the kernel
@@ -56,12 +66,8 @@ func (s *JobSpec) Validate() error {
 	if len(s.Kernel) > 128 {
 		return fmt.Errorf("paper: job spec: kernel name longer than 128 bytes")
 	}
-	for _, rc := range measureRuns {
-		if string(rc.key) == s.Config {
-			return nil
-		}
-	}
-	return fmt.Errorf("paper: job spec: unknown config %q", s.Config)
+	_, err := s.resolve()
+	return err
 }
 
 // JobResponse is the JSON body of a refused /v1/batch submission: any
@@ -161,15 +167,8 @@ func ParseBatchRequest(b []byte) (*BatchRequest, error) {
 		return nil, fmt.Errorf("paper: batch of %d specs exceeds the %d-spec bound", len(req.Specs), MaxBatchSpecs)
 	}
 	if req.Suite != "" {
-		ok := false
-		for _, n := range suiteNames {
-			if n == req.Suite {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return nil, fmt.Errorf("paper: unknown suite %q", req.Suite)
+		if err := checkSuite(req.Suite); err != nil {
+			return nil, err
 		}
 	} else if req.Small || req.Observe || req.Seed != 0 {
 		return nil, fmt.Errorf("paper: small/observe/seed parameterize a suite expansion; explicit specs carry their own")
@@ -197,44 +196,40 @@ func (r *BatchRequest) Expand() ([]JobSpec, error) {
 // same content keys (and so the same cache entries and dedup flights) as
 // both a local sweep and an explicit-spec batch.
 func SuiteSpecs(name string, small, observe bool, seed uint64) ([]JobSpec, error) {
-	known := false
-	for _, n := range suiteNames {
-		if n == name {
-			known = true
-			break
-		}
-	}
-	if !known {
-		return nil, fmt.Errorf("paper: unknown suite %q", name)
+	if err := checkSuite(name); err != nil {
+		return nil, err
 	}
 	if name == "breakdown" {
 		observe = true
 	}
 	if seed == 0 {
-		seed = 1 // newMeasurements' seed — the local default
+		seed = measureSeed // the local default
 	}
-	suite := kernels.PaperSuite()
-	if small {
-		suite = kernels.SmallSuite()
-	}
-	return matrixSpecs(suite, small, observe, seed), nil
-}
-
-// matrixSpecs lists the (kernel × configuration) measurement matrix of
-// suite as wire specs, in exactly the order measureWith schedules it —
-// the property that makes every remote content key equal its local one.
-// SuiteSpecs and MeasureRemoteBatch both build their campaigns here.
-func matrixSpecs(suite []*kernels.Instance, small, observe bool, seed uint64) []JobSpec {
 	var specs []JobSpec
-	for _, k := range suite {
-		for _, rc := range measureRuns {
-			specs = append(specs, JobSpec{
-				Kernel: k.Name, Small: small, Seed: seed,
-				Config: string(rc.key), Observe: observe,
-			})
+	for _, k := range Registry(small) {
+		for _, s := range measureSpecs(k, observe, seed) {
+			s.Small = small
+			specs = append(specs, s)
 		}
 	}
-	return specs
+	return specs, nil
+}
+
+// checkSuite rejects a BatchRequest.Suite name that is not in suiteNames.
+func checkSuite(name string) error {
+	if !slices.Contains(suiteNames, name) {
+		return fmt.Errorf("paper: unknown suite %q", name)
+	}
+	return nil
+}
+
+// Registry is the kernel suite -small (JobSpec.Small) selects: the
+// reduced SmallSuite or the full PaperSuite.
+func Registry(small bool) []*kernels.Instance {
+	if small {
+		return kernels.SmallSuite()
+	}
+	return kernels.PaperSuite()
 }
 
 // BatchRecord is one NDJSON line of a /v1/batch response stream. Type
@@ -264,10 +259,10 @@ const (
 // point in the submitted batch and Key is its content key. Cached reports
 // a server-side cache hit; Shared reports that the point coalesced onto
 // another request's in-flight simulation. Result is the simulation result
-// (a measureResult), exactly the bytes the content-addressed cache stores
-// for Key. Error and Retryable describe a failure: Retryable tells the
-// client whether re-submitting the point can succeed (transient failure)
-// or not (panic, job timeout).
+// (its study's payload), exactly the bytes the content-addressed cache
+// stores for Key. Error and Retryable describe a failure: Retryable tells
+// the client whether re-submitting the point can succeed (transient
+// failure) or not (panic, job timeout).
 type BatchJob struct {
 	Index     int             `json:"index"`
 	Key       string          `json:"key"`
@@ -295,54 +290,18 @@ type BatchSummary struct {
 	State     string `json:"state"`
 }
 
-// BuildSpecJob reconstructs the sweep job a spec names. The returned
-// job's key is exactly the key the local measurement path produces for
-// the same point — the property the whole dedup story rests on — and its
-// result marshals to exactly the bytes a local cache entry would hold.
+// BuildSpecJob reconstructs the sweep job a spec names: it resolves the
+// kernel in the registry Small selects and builds the job exactly as a
+// local plan does, so the job's key is the key the local path produces
+// for the same point — the property the whole dedup story rests on — and
+// its result is exactly the bytes a local cache entry holds.
 func BuildSpecJob(spec JobSpec) (sweep.Job[json.RawMessage], error) {
-	var zero sweep.Job[json.RawMessage]
-	if err := spec.Validate(); err != nil {
-		return zero, err
-	}
-	suite := kernels.PaperSuite()
-	if spec.Small {
-		suite = kernels.SmallSuite()
-	}
-	var k *kernels.Instance
-	for _, c := range suite {
-		if c.Name == spec.Kernel {
-			k = c
-			break
+	for _, k := range Registry(spec.Small) {
+		if k.Name == spec.Kernel {
+			return kernelPoints(k, spec)[0].job()
 		}
 	}
-	if k == nil {
-		return zero, fmt.Errorf("paper: job spec: unknown kernel %q", spec.Kernel)
-	}
-	var rc measureRun
-	for _, r := range measureRuns {
-		if string(r.key) == spec.Config {
-			rc = r
-			break
-		}
-	}
-	inner, err := measureJob(k, k.Input(spec.Seed), rc, spec.Observe)
-	if err != nil {
-		return zero, err
-	}
-	return sweep.Job[json.RawMessage]{
-		Key: inner.Key,
-		Run: func() (json.RawMessage, error) {
-			v, err := inner.Run()
-			if err != nil {
-				return nil, err
-			}
-			raw, err := json.Marshal(v)
-			if err != nil {
-				return nil, err
-			}
-			return json.RawMessage(raw), nil
-		},
-	}, nil
+	return sweep.Job[json.RawMessage]{}, fmt.Errorf("paper: job spec: unknown kernel %q", spec.Kernel)
 }
 
 // BatchRunner executes a whole campaign remotely in one submission and
@@ -352,30 +311,11 @@ func BuildSpecJob(spec JobSpec) (sweep.Job[json.RawMessage], error) {
 type BatchRunner func(ctx context.Context, specs []JobSpec) ([]json.RawMessage, error)
 
 // MeasureRemoteBatch measures the suite through a batch runner: the
-// (kernel × configuration) matrix measureWith schedules locally goes out
+// (kernel × configuration) matrix MeasureWith schedules locally goes out
 // as a single batch submission, and the in-order raw results fold
 // through the shared path — byte-identical Measurements. small must
 // match the suite (it tells the server which registry resolves kernel
 // names); observe requests cycle attribution on the pulp4 points.
 func MeasureRemoteBatch(ctx context.Context, run BatchRunner, suite []*kernels.Instance, small, observe bool) (*Measurements, error) {
-	m, _, err := newMeasurements(suite)
-	if err != nil {
-		return nil, err
-	}
-	specs := matrixSpecs(suite, small, observe, m.seed)
-	raws, err := run(ctx, specs)
-	if err != nil {
-		return nil, err
-	}
-	if len(raws) != len(specs) {
-		return nil, fmt.Errorf("paper: batch runner returned %d results for %d specs", len(raws), len(specs))
-	}
-	results := make([]measureResult, len(specs))
-	for i, raw := range raws {
-		if err := json.Unmarshal(raw, &results[i]); err != nil {
-			return nil, fmt.Errorf("paper: remote point %s/%s: undecodable result: %w", specs[i].Kernel, specs[i].Config, err)
-		}
-	}
-	m.fold(results)
-	return m, nil
+	return measure(RemoteRunner(ctx, run, small), suite, observe)
 }

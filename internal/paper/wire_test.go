@@ -3,10 +3,13 @@ package paper
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"io"
 	"strings"
 	"testing"
 
 	"hetsim/internal/kernels"
+	"hetsim/internal/sweep"
 )
 
 func TestSpecConfigsMatchMatrix(t *testing.T) {
@@ -22,63 +25,61 @@ func TestSpecConfigsMatchMatrix(t *testing.T) {
 }
 
 // TestBuildSpecJobMatchesLocal pins the property the service rests on:
-// the job a wire spec reconstructs has exactly the content key the local
-// measurement path produces for the same point, and its result marshals
-// to the same bytes.
+// for every point of every study in the small campaign — plain and with
+// the breakdown — the job a wire spec reconstructs has exactly the content
+// key of the local plan's job, and for one cheap point per study its
+// result is the same bytes.
 func TestBuildSpecJobMatchesLocal(t *testing.T) {
-	k := kernels.SmallSuite()[0]
-	in := k.Input(1)
-	for _, rc := range measureRuns {
-		local, err := measureJob(k, in, rc, false)
+	var pts []Point
+	stop := errors.New("planned")
+	capture := func(plan []Point) ([]json.RawMessage, error) {
+		pts = append(pts, plan...)
+		return nil, stop
+	}
+	for _, breakdown := range []bool{false, true} {
+		if err := RenderCampaign(io.Discard, capture, kernels.SmallSuite(), CampaignOptions{Breakdown: breakdown}); err != stop {
+			t.Fatalf("RenderCampaign = %v, want the capturing runner's error", err)
+		}
+	}
+	if len(pts) != 2*135 {
+		t.Fatalf("small campaign plans %d points, want 2×135", len(pts))
+	}
+	ran := map[string]bool{}
+	for _, pt := range pts {
+		local, err := pt.job()
 		if err != nil {
 			t.Fatal(err)
 		}
-		remote, err := BuildSpecJob(JobSpec{Kernel: k.Name, Small: true, Seed: 1, Config: string(rc.key)})
+		spec := pt.Spec
+		spec.Small = true
+		remote, err := BuildSpecJob(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if remote.Key != local.Key {
-			t.Fatalf("%s: spec key %q != local key %q", rc.key, remote.Key, local.Key)
+			t.Fatalf("%+v: spec key %q != local key %q", spec, remote.Key, local.Key)
 		}
-	}
-	// Observe only marks the pulp4 key, exactly like the local path.
-	for _, rc := range measureRuns {
-		local, err := measureJob(k, in, rc, true)
+		// Result bytes: the first one-core point of each study (the m3
+		// point for the matrix) both ways.
+		cheap := spec.Config == "m3" || spec.Study != "" && spec.Banks <= 1 && spec.Threads <= 1
+		if !cheap || ran[spec.Study] {
+			continue
+		}
+		ran[spec.Study] = true
+		want, err := local.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
-		remote, err := BuildSpecJob(JobSpec{Kernel: k.Name, Small: true, Seed: 1, Config: string(rc.key), Observe: true})
+		got, err := remote.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if remote.Key != local.Key {
-			t.Fatalf("%s observed: spec key %q != local key %q", rc.key, remote.Key, local.Key)
+		if string(got) != string(want) {
+			t.Fatalf("%+v: spec result bytes differ from local:\n got %s\nwant %s", spec, got, want)
 		}
 	}
-	// Result bytes: run one cheap point both ways.
-	rc := measureRuns[1] // m3
-	local, err := measureJob(k, in, rc, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lv, err := local.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := json.Marshal(lv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	remote, err := BuildSpecJob(JobSpec{Kernel: k.Name, Small: true, Seed: 1, Config: string(rc.key)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := remote.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(want) {
-		t.Fatalf("spec result bytes differ from local:\n got %s\nwant %s", got, want)
+	if len(ran) != 4 {
+		t.Fatalf("compared result bytes for studies %v, want all four", ran)
 	}
 }
 
@@ -120,6 +121,12 @@ func TestParseBatchRequest(t *testing.T) {
 		t.Fatalf("suite expanded to %d specs, want %d", len(sspecs), want)
 	}
 
+	studies := `{"specs":[{"kernel":"matmul","seed":1,"study":"ext"},{"kernel":"matmul","seed":1,"study":"ext","variant":"-MinMax"},` +
+		`{"kernel":"matmul","seed":1,"study":"banks","banks":16},{"kernel":"cnn","seed":1,"study":"scaling","threads":8}]}`
+	if _, err := ParseBatchRequest([]byte(studies)); err != nil {
+		t.Fatalf("good study specs rejected: %v", err)
+	}
+
 	bad := []struct{ name, body string }{
 		{"empty", ``},
 		{"not json", `hello`},
@@ -136,6 +143,14 @@ func TestParseBatchRequest(t *testing.T) {
 		{"long tenant", `{"tenant":"` + strings.Repeat("t", 65) + `","suite":"measure"}`},
 		{"control tenant", `{"tenant":"a\tb","suite":"measure"}`},
 		{"oversized", `{"tenant":"` + strings.Repeat(" ", maxBatchRequestBytes) + `"}`},
+		{"unknown study", `{"specs":[{"kernel":"matmul","seed":1,"study":"voltage"}]}`},
+		{"unknown variant", `{"specs":[{"kernel":"matmul","seed":1,"study":"ext","variant":"-FPU"}]}`},
+		{"banks 3", `{"specs":[{"kernel":"matmul","seed":1,"study":"banks","banks":3}]}`},
+		{"threads 0", `{"specs":[{"kernel":"matmul","seed":1,"study":"scaling","threads":0}]}`},
+		{"threads 16", `{"specs":[{"kernel":"matmul","seed":1,"study":"scaling","threads":16}]}`},
+		{"study field on a measure point", `{"specs":[{"kernel":"matmul","seed":1,"config":"m3","banks":4}]}`},
+		{"config on a study point", `{"specs":[{"kernel":"matmul","seed":1,"config":"m3","study":"banks","banks":4}]}`},
+		{"second study parameter", `{"specs":[{"kernel":"matmul","seed":1,"study":"scaling","threads":4,"banks":4}]}`},
 	}
 	for _, tc := range bad {
 		if _, err := ParseBatchRequest([]byte(tc.body)); err == nil {
@@ -172,26 +187,24 @@ func TestSuiteSpecsMatchLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	suite := kernels.SmallSuite()
-	if len(specs) != len(suite)*len(measureRuns) {
-		t.Fatalf("%d specs for a %d-kernel suite", len(specs), len(suite))
+	pts, err := measurePoints(kernels.SmallSuite(), false)
+	if err != nil {
+		t.Fatal(err)
 	}
-	i := 0
-	for _, k := range suite {
-		in := k.Input(1)
-		for _, rc := range measureRuns {
-			local, err := measureJob(k, in, rc, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			remote, err := BuildSpecJob(specs[i])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if remote.Key != local.Key {
-				t.Fatalf("spec %d (%s/%s): key %q != local %q", i, k.Name, rc.key, remote.Key, local.Key)
-			}
-			i++
+	if len(specs) != len(pts) {
+		t.Fatalf("%d specs for a %d-point matrix", len(specs), len(pts))
+	}
+	for i, pt := range pts {
+		local, err := pt.job()
+		if err != nil {
+			t.Fatal(err)
+		}
+		remote, err := BuildSpecJob(specs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if remote.Key != local.Key {
+			t.Fatalf("spec %d (%+v): key %q != local %q", i, pt.Spec, remote.Key, local.Key)
 		}
 	}
 	// The measurement aliases all expand identically.
@@ -233,7 +246,7 @@ func TestMeasureRemoteBatchFoldsLikeLocal(t *testing.T) {
 		t.Skip("simulates the small suite twice")
 	}
 	suite := kernels.SmallSuite()[:2]
-	local, err := MeasureWith(defaultEngine(), suite)
+	local, err := MeasureWith(sweep.New(sweep.Config{}), suite)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,6 +292,9 @@ func FuzzParseBatchRequest(f *testing.F) {
 	f.Add([]byte(`{"tenant":"lab","timeout_ms":500,"specs":[{"kernel":"matmul","seed":1,"config":"pulp4"}]}`))
 	f.Add([]byte(`{"suite":"table1","small":true,"observe":true,"seed":7}`))
 	f.Add([]byte(`{"suite":"breakdown"}`))
+	f.Add([]byte(`{"specs":[{"kernel":"matmul","seed":1,"study":"ext","variant":"-SIMD"}]}`))
+	f.Add([]byte(`{"specs":[{"kernel":"matmul","seed":1,"study":"banks","banks":8}]}`))
+	f.Add([]byte(`{"specs":[{"kernel":"cnn","small":true,"seed":1,"study":"scaling","threads":6}]}`))
 	f.Add([]byte(`{"specs":[]}`))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`null`))

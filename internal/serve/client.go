@@ -22,8 +22,7 @@ import (
 // waits, not errors), re-submits the incomplete remainder of a cut
 // stream, and propagates its context's deadline to the server. Its zero
 // value plus a BaseURL is usable; Client.RunBatch is a paper.BatchRunner,
-// which is how `hetexp -remote` plugs a server under
-// paper.MeasureRemoteBatch.
+// which is how `hetexp -remote` plugs a server under paper.RemoteRunner.
 type Client struct {
 	// BaseURL roots the service, e.g. "http://127.0.0.1:9966".
 	BaseURL string
