@@ -46,6 +46,7 @@ import (
 	"hetsim/internal/isa"
 	"hetsim/internal/kernels"
 	"hetsim/internal/loader"
+	"hetsim/internal/paper"
 	"hetsim/internal/power"
 	"hetsim/internal/sweep"
 )
@@ -375,13 +376,14 @@ func (c Campaign) Run(eng *sweep.Engine) (*Report, error) {
 }
 
 // trialKey pins down everything a trial's outcome depends on: programs,
-// input, the full system shape, the resilience armament, and the fault
-// coordinates — so the run cache can never serve a stale trial for a
-// changed campaign, and a repeated campaign is pure cache hits.
+// input, the full system shape, the resilience armament, the fault
+// coordinates and the model fingerprint — so the run cache can never
+// serve a stale trial for a changed campaign or model, and a repeated
+// campaign is pure cache hits.
 func (c *Campaign) trialKey(k *kernels.Instance, in []byte, accHash, hostHash string, class fault.Class, rate float64, trial int, seed uint64) string {
-	return fmt.Sprintf("chaos|kernel=%s(%s)|in=%s|outlen=%d|args=%x|acc=%s|fb=%s|host=%s@%g|lanes=%d|vdd=%g|facc=%g|wd=%d|retries=%d|e2e=%d|max=%d|maxfaults=%d|class=%s|rate=%g|trial=%d|seed=%d",
+	return fmt.Sprintf("chaos|kernel=%s(%s)|in=%s|outlen=%d|args=%x|acc=%s|fb=%s|host=%s@%g|lanes=%d|vdd=%g|facc=%g|wd=%d|retries=%d|e2e=%d|max=%d|maxfaults=%d|class=%s|rate=%g|trial=%d|seed=%d|model=%s",
 		k.Name, k.ParamDesc, checksum(in), k.OutLen(), k.Args(), accHash, hostHash,
 		c.Host.Name, c.HostFreqHz, c.Lanes, c.AccVdd, c.AccFreqHz,
 		c.WatchdogCycles, c.Retries, c.E2ERetries, c.MaxCycles, c.MaxFaults,
-		class, rate, trial, seed)
+		class, rate, trial, seed, paper.ModelFingerprint())
 }

@@ -19,7 +19,7 @@ import (
 
 // BlockTable is the compiled run-length table of a program text: one entry
 // per instruction, shared read-only across cores and jobs (the kernels
-// package memoizes it next to ProgramHash).
+// package memoizes it per program and target).
 type BlockTable struct {
 	// Multi[i] is the number of instructions the core may fuse starting
 	// at instruction i while other cores (or the DMA) are active: an
@@ -58,12 +58,6 @@ var BlockCompiles atomic.Uint64
 // event in a tracing JIT). Unconditional edges — jumps and hardware-loop
 // back-edges — chain statically and never record a formation.
 var SuperCompiles atomic.Uint64
-
-// CompileVersion names the compiled-table format. The kernels package
-// folds it into the compile-memo key so a process upgrade that changes
-// table semantics (PR 8 added the Span side-table) can never serve a
-// stale entry shape to a newer executor.
-const CompileVersion = 2
 
 // maxRunLen caps a table entry; longer straight-line stretches simply
 // re-dispatch (uint16 keeps the table at 2 bytes/instruction).

@@ -1,7 +1,6 @@
 package kernels
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -11,12 +10,21 @@ import (
 )
 
 // compileCache memoizes block-compiled programs per process, keyed by the
-// program's image hash plus the full target spec (the same discipline as
-// buildKey: timing and feature ablations change predecode metadata and
-// block spans, so they must never alias). Compiled images are immutable —
+// built program plus the full target spec (timing and feature ablations
+// change predecode metadata and block spans, so they must never alias).
+// buildCache hands out one *asm.Program per build key, so the pointer
+// stands for the image without hashing it. Compiled images are immutable —
 // cores only ever read them — so one *cpu.Compiled is shared across all
-// clusters, sweep workers and repeat runs of the same image.
-var compileCache sync.Map // key string -> *compileEntry
+// clusters, sweep workers and repeat runs of the same program. The cache
+// lives and dies with the process, so a change to the table format can
+// never meet an entry of the old one.
+var compileCache sync.Map // compileKey -> *compileEntry
+
+// compileKey is a compileCache key.
+type compileKey struct {
+	prog *asm.Program
+	tgt  isa.Target
+}
 
 // compileEntry is the cache slot: LoadOrStore claims the key, the once
 // runs the compilation single-flight, so under a parallel sweep each
@@ -45,16 +53,9 @@ func CompileStats() (blockCompiles, superCompiles, memoHits, memoMisses uint64) 
 }
 
 // Compiled returns the shared predecoded text and block run table of a
-// program for a target, compiling on first use. The memo key carries
-// cpu.CompileVersion so cached tables from an older builder layout can
-// never alias a newer one across the format change.
+// program for a target, compiling on first use.
 func Compiled(p *asm.Program, t isa.Target) (*cpu.Compiled, error) {
-	h, err := HashProgram(p)
-	if err != nil {
-		return nil, err
-	}
-	key := fmt.Sprintf("v%d|%s|%s%+v%+v", cpu.CompileVersion, h, t.Name, t.Feat, t.Time)
-	e, loaded := compileCache.LoadOrStore(key, &compileEntry{})
+	e, loaded := compileCache.LoadOrStore(compileKey{p, t}, &compileEntry{})
 	if loaded {
 		compiledHits.Add(1)
 	} else {

@@ -46,9 +46,9 @@ type Instance struct {
 // pure function of the instance parameters, the target and the runtime
 // mode (TestProgramHashStable pins this down), and built programs are
 // never mutated — every consumer treats them as read-only images — so
-// identical requests can share one *asm.Program. The sweep producers
-// re-emit every program to compute content keys; without the memo that
-// emission dominates a warm-cache evaluation run.
+// identical requests can share one *asm.Program. Every sweep job of one
+// (kernel, target, mode) shares its program this way, and the compile
+// memo (Compiled) keys on that one pointer.
 var buildCache sync.Map // buildKey string -> *asm.Program
 
 // buildKey pins down everything code generation depends on: the kernel's

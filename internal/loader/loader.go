@@ -27,9 +27,8 @@ type Job struct {
 	StackCores int
 	// Compiled, when non-nil, is the shared predecoded text and block run
 	// table of Prog for the cluster's target (kernels.Compiled memoizes
-	// it per image, keyed on the image hash, the full target spec and
-	// cpu.CompileVersion — a table-format change can never resurrect a
-	// stale entry). Nil makes the cluster compile privately at load.
+	// it per process, keyed on the program and the full target spec). Nil
+	// makes the cluster compile privately at load.
 	Compiled *cpu.Compiled
 }
 

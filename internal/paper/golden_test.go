@@ -63,6 +63,26 @@ func TestSmallCampaignGolden(t *testing.T) {
 	checkGolden(t, "small_campaign.golden", buf.Bytes())
 }
 
+// TestModelFingerprint recomputes the model fingerprint from the goldens
+// and the campaign's content keys and compares it with the checked-in
+// testdata/model.fingerprint, which every job key carries. A change to a
+// program, an input, a cluster shape or a golden result fails here until
+// -update (after the golden tests above, in this file's order) re-records
+// it; the new fingerprint sends every existing cache entry cold once.
+func TestModelFingerprint(t *testing.T) {
+	got := treeFingerprint(t)
+	if *updateGolden {
+		if err := os.WriteFile(filepath.Join("testdata", "model.fingerprint"), []byte(got+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("model fingerprint updated: %s", got)
+		return
+	}
+	if got != ModelFingerprint() {
+		t.Errorf("model fingerprint of the tree is %s, the binary carries %s: the model changed; run go test ./internal/paper -update to re-record it", got, ModelFingerprint())
+	}
+}
+
 // checkGolden compares got against testdata/name, or rewrites the file
 // under -update.
 func checkGolden(t *testing.T, name string, got []byte) {

@@ -2,53 +2,53 @@ package paper
 
 import (
 	"crypto/sha256"
+	_ "embed"
 	"encoding/hex"
 	"fmt"
+	"strings"
 
-	"hetsim/internal/asm"
-	"hetsim/internal/cluster"
 	"hetsim/internal/kernels"
 )
 
-// This file builds the stable content keys of the sweep jobs. A key must
-// pin down everything a simulation's result depends on — the emitted
-// program bytes, the input buffer, the full cluster or system shape, the
-// run parameters — so that the content-addressed cache can never serve a
-// stale result for a changed experiment. What keys deliberately do NOT
-// capture is the simulator's own semantics; sweep.Version exists for that
-// (see DESIGN.md §8 for the invalidation rules).
+// This file builds the cache keys of the campaign's sweep jobs. A key
+// names what a point asks for — its study, kernel, seed and parameter —
+// plus the model fingerprint, which stands for everything the spec does
+// not spell out: the emitted programs, the inputs, the cluster shapes and
+// the simulator's results. Forming a key therefore builds nothing, and a
+// warm campaign touches only the cache (see DESIGN.md §8).
 
-// hashBytes fingerprints a byte buffer for use inside a job key.
+// modelFingerprint is the checked-in testdata/model.fingerprint: the
+// sha256 of the campaign goldens and of the content keys of every
+// campaign point. TestModelFingerprint recomputes it and fails when the
+// tree disagrees; `go test ./internal/paper -update` rewrites it together
+// with the goldens, which sends every existing cache entry cold once.
+//
+//go:embed testdata/model.fingerprint
+var modelFingerprint string
+
+// ModelFingerprint returns the model fingerprint every campaign and chaos
+// key carries.
+func ModelFingerprint() string { return strings.TrimSpace(modelFingerprint) }
+
+// specKey is the cache key of a point: the study prefix (disjoint per
+// study), the kernel and its sizes, the seed, the point's one
+// configuration or study parameter, the resolved observation flag and the
+// model fingerprint. resolve leaves every parameter but the point's own at
+// its zero value, and JobSpec.Small is left out: the sizes in ParamDesc
+// already tell the suites apart, and a local point does not set it.
+func specKey(prefix string, k *kernels.Instance, s JobSpec, observe bool) string {
+	return fmt.Sprintf("%s|kernel=%s(%s)|seed=%d|cfg=%s|variant=%s|banks=%d|threads=%d|obs=%t|model=%s",
+		prefix, k.Name, k.ParamDesc, s.Seed, s.Config, s.Variant, s.Banks, s.Threads, observe, ModelFingerprint())
+}
+
+// hashBytes fingerprints a byte buffer for use inside a key.
 func hashBytes(b []byte) string {
 	sum := sha256.Sum256(b)
 	return hex.EncodeToString(sum[:])
-}
-
-// progKey fingerprints the program exactly as the device would see it:
-// the serialized binary image (see kernels.HashProgram).
-func progKey(p *asm.Program) (string, error) {
-	return kernels.HashProgram(p)
 }
 
 // kernelKey identifies a kernel instance plus its concrete input.
 func kernelKey(k *kernels.Instance, in []byte) string {
 	return fmt.Sprintf("kernel=%s(%s)|in=%s|outlen=%d|args=%x",
 		k.Name, k.ParamDesc, hashBytes(in), k.OutLen(), k.Args())
-}
-
-// clusterKey identifies the cluster shape. Target features and timing are
-// spelled out (not just the name) so an ablated variant can never alias
-// the full configuration.
-func clusterKey(cfg cluster.Config) string {
-	k := fmt.Sprintf("cores=%d|tgt=%s%+v%+v|tcdm=%d/%d|l2=%d|ic=%d/%d|l2lat=%d",
-		cfg.Cores, cfg.Target.Name, cfg.Target.Feat, cfg.Target.Time,
-		cfg.TCDMSize, cfg.TCDMBanks, cfg.L2Size, cfg.ICacheSize, cfg.ICacheLine,
-		cfg.L2Latency)
-	// Observation changes the cached payload (the attribution rides in the
-	// result), not the simulation; the marker is appended only when set so
-	// every pre-existing cache key stays valid.
-	if cfg.Observe {
-		k += "|obs"
-	}
-	return k
 }

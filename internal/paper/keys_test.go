@@ -1,0 +1,176 @@
+package paper
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
+	"slices"
+	"testing"
+
+	"hetsim/internal/cluster"
+	"hetsim/internal/kernels"
+	"hetsim/internal/sweep"
+)
+
+// campaignPlan captures the points RenderCampaign plans for suite, without
+// running any.
+func campaignPlan(t *testing.T, suite []*kernels.Instance, breakdown bool) []Point {
+	t.Helper()
+	var pts []Point
+	stop := errors.New("planned")
+	capture := func(plan []Point) ([]json.RawMessage, error) {
+		pts = plan
+		return nil, stop
+	}
+	if err := RenderCampaign(io.Discard, capture, suite, CampaignOptions{Breakdown: breakdown}); err != stop {
+		t.Fatalf("RenderCampaign = %v, want the capturing runner's error", err)
+	}
+	return pts
+}
+
+// campaignPlans is every point of the full and small campaigns, with and
+// without the breakdown.
+func campaignPlans(t *testing.T) []Point {
+	t.Helper()
+	var pts []Point
+	for _, suite := range [][]*kernels.Instance{kernels.PaperSuite(), kernels.SmallSuite()} {
+		for _, breakdown := range []bool{false, true} {
+			pts = append(pts, campaignPlan(t, suite, breakdown)...)
+		}
+	}
+	return pts
+}
+
+// clusterKey identifies the cluster shape. Target features and timing are
+// spelled out (not just the name) so an ablated variant can never alias
+// the full configuration; observation adds a marker, since it changes the
+// cached payload.
+func clusterKey(cfg cluster.Config) string {
+	k := fmt.Sprintf("cores=%d|tgt=%s%+v%+v|tcdm=%d/%d|l2=%d|ic=%d/%d|l2lat=%d",
+		cfg.Cores, cfg.Target.Name, cfg.Target.Feat, cfg.Target.Time,
+		cfg.TCDMSize, cfg.TCDMBanks, cfg.L2Size, cfg.ICacheSize, cfg.ICacheLine,
+		cfg.L2Latency)
+	if cfg.Observe {
+		k += "|obs"
+	}
+	return k
+}
+
+// contentKey names everything a point's simulation reads: the kernel and
+// its input, the program image, the cluster shape, the runtime mode, the
+// team size and the cycle bound.
+func contentKey(p Point) (string, error) {
+	sim, err := p.Spec.resolve()
+	if err != nil {
+		return "", err
+	}
+	prog, err := p.k.Build(sim.cfg.Target, sim.mode)
+	if err != nil {
+		return "", err
+	}
+	img, err := kernels.HashProgram(prog)
+	if err != nil {
+		return "", err
+	}
+	return fmt.Sprintf("%s|prog=%s|%s|mode=%d|threads=%d|max=%d",
+		kernelKey(p.k, p.in()), img, clusterKey(sim.cfg), sim.mode, sim.threads, uint64(measureMaxCycles)), nil
+}
+
+// treeFingerprint computes the model fingerprint of the tree: the sha256
+// of the two campaign goldens and of the sorted set of content keys of
+// every campaign point.
+func treeFingerprint(t *testing.T) string {
+	t.Helper()
+	h := sha256.New()
+	for _, name := range []string{"small_campaign.golden", "full_reproduction.golden"} {
+		b, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(h, "%s %d\n", name, len(b))
+		h.Write(b)
+	}
+	var keys []string
+	for _, p := range campaignPlans(t) {
+		ck, err := contentKey(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, ck)
+	}
+	slices.Sort(keys)
+	for _, k := range slices.Compact(keys) {
+		fmt.Fprintln(h, k)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestSpecKeysDoNotAlias checks that a spec key names one simulation
+// across the full and small campaigns, with and without the breakdown:
+// equal spec keys have equal content keys, and no key is shared by two
+// studies (each study's payload differs, and the cold gate of a replica
+// that runs the studies as separate sweeps counts them apart).
+func TestSpecKeysDoNotAlias(t *testing.T) {
+	content := map[string]string{}
+	study := map[string]string{}
+	for _, p := range campaignPlans(t) {
+		job, err := p.job()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ck, err := contentKey(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prev, ok := content[job.Key]; ok && prev != ck {
+			t.Fatalf("spec key %q names two simulations:\n%s\n%s", job.Key, prev, ck)
+		}
+		if prev, ok := study[job.Key]; ok && prev != p.Spec.Study {
+			t.Fatalf("spec key %q is shared by studies %q and %q", job.Key, prev, p.Spec.Study)
+		}
+		content[job.Key], study[job.Key] = ck, p.Spec.Study
+	}
+	// 135 points per plan; the breakdown adds one observed pulp4 point
+	// per kernel and both suites have ten kernels.
+	if want := 2 * (135 + 10); len(content) != want {
+		t.Errorf("%d distinct spec keys, want %d", len(content), want)
+	}
+}
+
+// TestWarmCampaignBuildsNothing checks that a campaign on a filled cache
+// touches only the cache: no job runs, no program reaches the compile
+// memo, and the output is byte-identical to the cold run's.
+func TestWarmCampaignBuildsNothing(t *testing.T) {
+	dir := t.TempDir()
+	render := func() ([]byte, sweep.Stats) {
+		c, err := sweep.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng := sweep.New(sweep.Config{Workers: 2, Cache: c})
+		var buf bytes.Buffer
+		if err := RenderCampaign(&buf, LocalRunner(eng), kernels.SmallSuite(), CampaignOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes(), eng.Stats()
+	}
+	cold, _ := render()
+	_, _, hits0, misses0 := kernels.CompileStats()
+	warm, st := render()
+	_, _, hits1, misses1 := kernels.CompileStats()
+	if memo := hits1 + misses1 - hits0 - misses0; memo != 0 {
+		t.Errorf("warm campaign asked the compile memo %d times, want 0", memo)
+	}
+	if st.Executed != 0 || st.CacheHits != st.Jobs {
+		t.Errorf("warm campaign stats %+v, want every job a cache hit", st)
+	}
+	if !bytes.Equal(warm, cold) {
+		t.Errorf("warm campaign output differs from cold:\n--- warm ---\n%s\n--- cold ---\n%s", warm, cold)
+	}
+}

@@ -7,7 +7,7 @@
 // function producing the ASCII form recorded in EXPERIMENTS.md.
 //
 // Every simulation is a JobSpec that one builder (plan.go) turns into an
-// internal/sweep job with a stable content key; each simulating generator
+// internal/sweep job with a stable cache key; each simulating generator
 // is a plan (its points) and a fold (the in-order results to rows), so the
 // whole evaluation runs as one job set — on a worker pool and the run
 // cache, or as one hetsimd batch — byte-identical to a serial run.
@@ -154,7 +154,7 @@ func foldMeasure(pts []Point, raws []json.RawMessage) (*Measurements, error) {
 			km = &kernelMeasurement{
 				K:        p.k,
 				Cycles:   make(map[configKey]uint64),
-				InBytes:  len(p.in),
+				InBytes:  len(p.in()),
 				OutBytes: int(p.k.OutLen()),
 			}
 			m.ByK[p.k.Name] = km
@@ -193,7 +193,7 @@ func (m *Measurements) offload(k *kernels.Instance) (offloadCompute, error) {
 		return offloadCompute{}, fmt.Errorf("paper: kernel %q not measured", k.Name)
 	}
 	in := k.Input(measureSeed)
-	if kernelKey(k, in) != kernelKey(km.K, km.K.Input(measureSeed)) {
+	if k != km.K && kernelKey(k, in) != kernelKey(km.K, km.K.Input(measureSeed)) {
 		return offloadCompute{}, fmt.Errorf("paper: kernel %q differs from the measured instance", k.Name)
 	}
 	prog, err := k.Build(isa.PULPFull, devrt.Accel)

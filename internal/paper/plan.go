@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"slices"
+	"sync"
 
 	"hetsim/internal/asm"
 	"hetsim/internal/cluster"
@@ -43,12 +44,13 @@ const measureSeed = 1
 type Point struct {
 	Spec JobSpec
 	k    *kernels.Instance
-	in   []byte // k's input at Spec.Seed, generated once per kernel and plan
+	in   func() []byte // k's input at Spec.Seed, generated on first use once per kernel and plan
 }
 
 // kernelPoints pairs specs, all of one seed, with k and its input.
 func kernelPoints(k *kernels.Instance, specs ...JobSpec) []Point {
-	in := k.Input(specs[0].Seed)
+	seed := specs[0].Seed
+	in := sync.OnceValue(func() []byte { return k.Input(seed) })
 	pts := make([]Point, len(specs))
 	for i, s := range specs {
 		pts[i] = Point{Spec: s, k: k, in: in}
@@ -205,41 +207,28 @@ func (s *JobSpec) payload(res *cluster.JobResult, prog *asm.Program) (any, error
 	return r, nil
 }
 
-// job builds the sweep job of a point. The program is emitted here,
-// producer-side, because its bytes are part of the content key; the
-// simulation itself runs worker-side. Each study keeps its own key layout
-// and payload, so a cache filled before the studies shared this builder
-// stays warm.
+// job builds the sweep job of a point. The key is the spec itself plus the
+// model fingerprint (specKey), so forming it builds nothing: the program
+// is emitted and block-compiled and the input generated in Run, which a
+// cache hit never calls.
 func (p Point) job() (sweep.Job[json.RawMessage], error) {
 	s := p.Spec
 	sim, err := s.resolve()
 	if err != nil {
 		return sweep.Job[json.RawMessage]{}, err
 	}
-	prog, err := p.k.Build(sim.cfg.Target, sim.mode)
-	if err != nil {
-		return sweep.Job[json.RawMessage]{}, err
-	}
-	ph, err := progKey(prog)
-	if err != nil {
-		return sweep.Job[json.RawMessage]{}, err
-	}
-	var key string
-	if kk, ck := kernelKey(p.k, p.in), clusterKey(sim.cfg); s.Study == "" {
-		key = fmt.Sprintf("%s|%s|cfg=%s|mode=%d|threads=%d|%s|prog=%s|max=%d",
-			sim.prefix, kk, s.Config, sim.mode, sim.threads, ck, ph, uint64(measureMaxCycles))
-	} else {
-		key = fmt.Sprintf("%s|%s|%s|prog=%s|threads=%d|max=%d",
-			sim.prefix, kk, ck, ph, sim.threads, uint64(measureMaxCycles))
-	}
-	comp, err := kernels.Compiled(prog, sim.cfg.Target)
-	if err != nil {
-		return sweep.Job[json.RawMessage]{}, err
-	}
-	job := loader.Job{Prog: prog, In: p.in, OutLen: p.k.OutLen(), Iters: 1, Threads: sim.threads, Args: p.k.Args(), Compiled: comp}
 	return sweep.Job[json.RawMessage]{
-		Key: key,
+		Key: specKey(sim.prefix, p.k, s, sim.cfg.Observe),
 		Run: func() (json.RawMessage, error) {
+			prog, err := p.k.Build(sim.cfg.Target, sim.mode)
+			if err != nil {
+				return nil, err
+			}
+			comp, err := kernels.Compiled(prog, sim.cfg.Target)
+			if err != nil {
+				return nil, err
+			}
+			job := loader.Job{Prog: prog, In: p.in(), OutLen: p.k.OutLen(), Iters: 1, Threads: sim.threads, Args: p.k.Args(), Compiled: comp}
 			res, err := cluster.RunJob(sim.cfg, sim.mode, job, measureMaxCycles)
 			if err != nil {
 				return nil, fmt.Errorf("paper: simulating %+v: %w", s, err)

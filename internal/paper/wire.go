@@ -14,9 +14,9 @@ import (
 // This file is the wire codec of the simulation service (internal/serve,
 // cmd/hetsimd): a JobSpec names one simulation point of the campaign
 // compactly, and BuildSpecJob deterministically reconstructs the exact
-// sweep job (same program bytes, same input, same content key) on the
-// server, so a request is self-describing and two clients asking for the
-// same point dedupe onto one simulation. RemoteRunner (plan.go) sends a
+// sweep job (same key, same simulation) on the server, so a request is
+// self-describing and two clients asking for the same point dedupe onto
+// one simulation. RemoteRunner (plan.go) sends a
 // local plan as one batch whose results go through the same folds, which
 // is what makes `hetexp -remote` byte-identical to local execution.
 
@@ -193,7 +193,7 @@ func (r *BatchRequest) Expand() ([]JobSpec, error) {
 // SuiteSpecs expands a named suite into exactly the spec list the local
 // MeasureWith-family producers schedule — same (kernel × configuration)
 // matrix, same order, same seed default — so a suite-form batch hits the
-// same content keys (and so the same cache entries and dedup flights) as
+// same keys (and so the same cache entries and dedup flights) as
 // both a local sweep and an explicit-spec batch.
 func SuiteSpecs(name string, small, observe bool, seed uint64) ([]JobSpec, error) {
 	if err := checkSuite(name); err != nil {
@@ -256,7 +256,7 @@ const (
 )
 
 // BatchJob is one streamed per-point completion. Index positions the
-// point in the submitted batch and Key is its content key. Cached reports
+// point in the submitted batch and Key is its cache key. Cached reports
 // a server-side cache hit; Shared reports that the point coalesced onto
 // another request's in-flight simulation. Result is the simulation result
 // (its study's payload), exactly the bytes the content-addressed cache
@@ -294,7 +294,9 @@ type BatchSummary struct {
 // kernel in the registry Small selects and builds the job exactly as a
 // local plan does, so the job's key is the key the local path produces
 // for the same point — the property the whole dedup story rests on — and
-// its result is exactly the bytes a local cache entry holds.
+// its result is exactly the bytes a local cache entry holds. Forming the
+// key builds nothing: the program, its block tables and the input are
+// made only if the job runs.
 func BuildSpecJob(spec JobSpec) (sweep.Job[json.RawMessage], error) {
 	for _, k := range Registry(spec.Small) {
 		if k.Name == spec.Kernel {

@@ -25,9 +25,10 @@ import (
 //     exactly the jobs from that record on — never a wrong or duplicated
 //     result, because every record carries a CRC-32C over its payload and
 //     an undecodable or checksum-failing record ends the replay.
-//   - The header pins sweep.Version: a journal written by a simulator
-//     whose timing or power models have since changed is discarded whole
-//     (the resumed campaign re-simulates; it never serves stale results).
+//   - The header pins sweep.Version, the record format: a journal of
+//     another format is discarded whole (the resumed campaign
+//     re-simulates). A model change needs no header check: it changes
+//     the job keys, so old records are never looked up.
 //
 // A journal is owned by one process at a time; the engine serializes
 // appends internally. Replayed values live in memory (campaign results
@@ -64,8 +65,7 @@ type JournalStats struct {
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // journalHeader is the first line of every journal file; it pins the
-// format version and the sweep.Version the recorded results were computed
-// under.
+// journal format version and the sweep.Version of the recorded entries.
 func journalHeader() []byte {
 	return []byte(fmt.Sprintf("hetsim-journal v1 sweep=%d\n", Version))
 }

@@ -34,10 +34,11 @@ import (
 	"time"
 )
 
-// Version tags every cache entry. The job keys capture program bytes,
-// inputs and configuration, but not the simulator's own semantics: bump
-// this whenever a change to the timing or power models alters results for
-// an unchanged key, invalidating every prior cache entry at once.
+// Version names the on-disk format of cache entries and journals; bump it
+// only when that format changes. Model changes need no bump: the campaign
+// and chaos job keys carry the model fingerprint (paper.ModelFingerprint),
+// which a test keeps equal to the tree, so a changed model asks for new
+// keys and never meets an old entry.
 // History: 2 — fault-injection knobs entered the content keys (chaos
 // campaigns) and the memory system gained SEU hooks.
 const Version = 2
