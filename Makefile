@@ -51,19 +51,22 @@ chaos-drill:
 
 # Seeded soak of the simulation service (DESIGN.md §11, §15): campaigns
 # and single points (one-spec batches) race over overlapping keys under
-# injected slow jobs, cache-write failures and mid-request cancellations
+# injected slow jobs, cache-write failures (sweep.WriteFaults on the run
+# cache) and mid-request cancellations
 # — the cancellations cut streams, forcing the client's
 # reconnect-and-resume path — while a stats reader polls concurrently,
 # then the server drains. Asserts exactly-once execution per key across
 # campaigns, points, cuts and resumes, persisted cache writes, no stuck
 # waiters and a clean drain; plus the deterministic drain-cursor-resume,
 # client-reconnect and dedup legs, byte-identical remote-vs-local tables
-# and the late-result-after-timeout discard — all under the race
-# detector, bounded in wall clock. Also fuzzes the request decoder
+# and the late-result-after-timeout discard; plus the sweep tests the
+# batch stream and the injected write faults rest on (RunNotify, and the
+# cache's write-fault injector) — all under the race detector, bounded
+# in wall clock. Also fuzzes the request decoder
 # briefly.
 serve-drill:
 	$(GO) test -race -count=1 -timeout 120s \
-		-run 'TestServeSoak|TestBatchSoak|TestBatchDrainCursor|TestBatchClientReconnect|TestBatchDedupOneSpecOntoBatch|TestRemoteEquivalence|TestLateResultAfterTimeoutIsDiscarded' \
+		-run 'TestServeSoak|TestBatchSoak|TestBatchDrainCursor|TestBatchClientReconnect|TestBatchDedupOneSpecOntoBatch|TestRemoteEquivalence|TestLateResultAfterTimeoutIsDiscarded|TestRunNotify|TestCacheWriteFail' \
 		./internal/serve ./internal/sweep
 	$(GO) test -run FuzzParseBatchRequest -fuzz FuzzParseBatchRequest -fuzztime 5s ./internal/paper
 	@echo "serve drill passed"

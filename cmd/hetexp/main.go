@@ -58,7 +58,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"runtime"
 	"slices"
 	"strconv"
@@ -84,7 +83,7 @@ func main() {
 	small := flag.Bool("small", false, "use reduced kernel sizes (fast smoke run)")
 	kernel := flag.String("kernel", "matmul", "kernel for fig5b")
 	workers := flag.Int("j", runtime.GOMAXPROCS(0), "parallel simulation workers")
-	cacheDir := flag.String("cache-dir", defaultCacheDir(), "run-cache directory (empty disables caching)")
+	cacheDir := flag.String("cache-dir", cli.DefaultCacheDir(), "run-cache directory (empty disables caching)")
 	noCache := flag.Bool("no-cache", false, "disable the run cache")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
@@ -379,16 +378,6 @@ func runChaos(eng *sweep.Engine, suite []*kernels.Instance, o chaosOpts) error {
 			o.drill, rep.TrialsPerCell*len(rep.Cells))
 	}
 	return nil
-}
-
-// defaultCacheDir places the run cache under the user cache directory
-// (an unresolvable one disables caching rather than failing).
-func defaultCacheDir() string {
-	base, err := os.UserCacheDir()
-	if err != nil {
-		return ""
-	}
-	return filepath.Join(base, "hetsim")
 }
 
 func fatal(err error) {

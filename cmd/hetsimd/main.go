@@ -7,7 +7,8 @@
 // Usage:
 //
 //	hetsimd [-addr :9966] [-cache-dir DIR] [-no-cache] [-scrub=false] [-j N]
-//	        [-queue N] [-job-timeout D] [-retries N] [-rate R] [-burst N]
+//	        [-queue N] [-job-timeout D] [-retries N] [-retry-base D]
+//	        [-rate R] [-burst N]
 //	        [-tenant-quota N] [-drain-timeout D] [-heartbeat D] [-seed N]
 //	        [-fault-slow-every N] [-fault-slow D] [-fault-cachefail-first N]
 //	        [-fault-cachefail RATE] [-fault-cancel RATE] [-fault-seed N]
@@ -33,8 +34,10 @@
 // force-exits with status 3 instead of waiting on a wedged job.
 //
 // The -fault-* flags turn the chaos discipline inward for drills: seeded
-// slow jobs, cache-write failures and mid-request cancellations injected
-// into the serving path itself (see `make serve-drill`).
+// slow jobs and mid-request cancellations injected into the serving path
+// itself, and cache-write failures injected into the run cache's own
+// write path (first N writes of every key, plus a rate), which the
+// server's put retry rides out (see `make serve-drill`).
 package main
 
 import (
@@ -44,7 +47,6 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"path/filepath"
 	"runtime"
 	"time"
 
@@ -55,7 +57,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":9966", "listen address")
-	cacheDir := flag.String("cache-dir", defaultCacheDir(), "run-cache directory (empty disables persistence)")
+	cacheDir := flag.String("cache-dir", cli.DefaultCacheDir(), "run-cache directory (empty disables persistence)")
 	noCache := flag.Bool("no-cache", false, "disable the run cache")
 	scrub := flag.Bool("scrub", true, "scrub the cache at startup (quarantine corrupt entries and leftover temp files)")
 	workers := flag.Int("j", runtime.GOMAXPROCS(0), "concurrent simulation workers")
@@ -98,12 +100,17 @@ func main() {
 		}
 	}
 	var faults *serve.Faults
-	if *fSlowEvery > 0 || *fCacheFirst > 0 || *fCacheRate > 0 || *fCancel > 0 {
-		faults = &serve.Faults{
-			Seed: *fSeed, SlowEvery: *fSlowEvery, SlowDelay: *fSlow,
-			CacheFailFirst: *fCacheFirst, CacheFailRate: *fCacheRate,
-			CancelRate: *fCancel,
-		}
+	if *fSlowEvery > 0 || *fCancel > 0 {
+		faults = &serve.Faults{Seed: *fSeed, SlowEvery: *fSlowEvery, SlowDelay: *fSlow, CancelRate: *fCancel}
+	}
+	if cache != nil && (*fCacheFirst > 0 || *fCacheRate > 0) {
+		// Cache-write faults fail the temp-file write inside the real
+		// Cache.Put, which the server's put retry then rides out.
+		cache.Faults = &sweep.WriteFaults{Seed: *fSeed}
+		cache.Faults.FailFirst[sweep.FaultTempWrite] = *fCacheFirst
+		cache.Faults.Rates[sweep.FaultTempWrite] = *fCacheRate
+	}
+	if faults != nil || (cache != nil && cache.Faults != nil) {
 		fmt.Fprintf(os.Stderr, "hetsimd: fault injection armed (seed %d)\n", *fSeed)
 	}
 	srv := serve.New(serve.Config{
@@ -159,18 +166,6 @@ func main() {
 	if derr != nil {
 		fatal(derr)
 	}
-}
-
-// defaultCacheDir places the run cache under the user cache directory
-// (an unresolvable one disables caching rather than failing) — the same
-// location cmd/hetexp uses, so a local sweep warms the server and vice
-// versa.
-func defaultCacheDir() string {
-	base, err := os.UserCacheDir()
-	if err != nil {
-		return ""
-	}
-	return filepath.Join(base, "hetsim")
 }
 
 func fatal(err error) {

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"time"
 
+	"hetsim/internal/fault"
 	"hetsim/internal/sweep"
 )
 
@@ -119,7 +120,7 @@ func (d *CrashDrill) Run() (*CrashReport, error) {
 	for i := 0; i < points; i++ {
 		// Seeded threshold in [1, jobs-1]: always after the first possible
 		// commit, always before the campaign can be complete.
-		threshold := 1 + int(splitmix(&rng)%uint64(jobs-1))
+		threshold := 1 + int(fault.SplitMix64(&rng)%uint64(jobs-1))
 		dir := filepath.Join(d.Scratch, fmt.Sprintf("trial-%02d", i))
 		_, _, progress, killed, err := d.exec(dir, threshold)
 		if killed {
@@ -282,13 +283,4 @@ func parseProgress(line string) (int, bool) {
 		return 0, false
 	}
 	return n, true
-}
-
-// splitmix advances a splitmix64 state (the repo's seeded-stream idiom).
-func splitmix(s *uint64) uint64 {
-	*s += 0x9e3779b97f4a7c15
-	z := *s
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }

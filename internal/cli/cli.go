@@ -1,9 +1,10 @@
 // Package cli holds command-line plumbing shared by the hetsim tools:
-// the two-stage interrupt contract. The first SIGINT/SIGTERM starts an
-// orderly shutdown (cancel contexts, drain in-flight work, flush
-// partial state); a second signal force-exits immediately with a
-// distinct status code — so a wedged drain (a hung job, a blocked
-// flush) is killable without reaching for SIGKILL.
+// the default run-cache location and the two-stage interrupt contract.
+// The first SIGINT/SIGTERM starts an orderly shutdown (cancel contexts,
+// drain in-flight work, flush partial state); a second signal
+// force-exits immediately with a distinct status code — so a wedged
+// drain (a hung job, a blocked flush) is killable without reaching for
+// SIGKILL.
 package cli
 
 import (
@@ -11,8 +12,20 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"syscall"
 )
+
+// DefaultCacheDir places the run cache under the user cache directory (an
+// unresolvable one disables caching rather than failing). hetexp and
+// hetsimd share it, so a local sweep warms the server and vice versa.
+func DefaultCacheDir() string {
+	base, err := os.UserCacheDir()
+	if err != nil {
+		return ""
+	}
+	return filepath.Join(base, "hetsim")
+}
 
 // ForceExitCode is the exit status of a second-signal force exit,
 // distinct from both success (0) and an orderly failure (1) so wrappers

@@ -234,17 +234,23 @@ func New(cfg Config) *Injector {
 	return &Injector{cfg: cfg, state: cfg.Seed}
 }
 
-// next advances the splitmix64 stream.
-func (in *Injector) next() uint64 {
-	in.state += 0x9E3779B97F4A7C15
-	z := in.state
+// SplitMix64 advances the splitmix64 state s and returns the stream's
+// next value. It is the one seeded generator behind every injector and
+// jitter source in the repository, so a seed replays bit-identically
+// wherever it is drawn.
+func SplitMix64(s *uint64) uint64 {
+	*s += 0x9E3779B97F4A7C15
+	z := *s
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 	return z ^ (z >> 31)
 }
 
-// unit returns a float in [0, 1).
-func (in *Injector) unit() float64 { return float64(in.next()>>11) / (1 << 53) }
+// Unit maps a SplitMix64 value to a uniform float in [0, 1).
+func Unit(x uint64) float64 { return float64(x>>11) / (1 << 53) }
+
+// next advances the injector's splitmix64 stream.
+func (in *Injector) next() uint64 { return SplitMix64(&in.state) }
 
 // roll decides one fault of class c at the given rate and records it.
 func (in *Injector) roll(rate float64, c Class) bool {
@@ -254,7 +260,7 @@ func (in *Injector) roll(rate float64, c Class) bool {
 	if in.cfg.MaxFaults > 0 && in.Injected() >= in.cfg.MaxFaults {
 		return false
 	}
-	if in.unit() >= rate {
+	if Unit(in.next()) >= rate {
 		return false
 	}
 	in.injected[c]++

@@ -3,15 +3,18 @@ package serve
 import (
 	"sync"
 	"time"
+
+	"hetsim/internal/fault"
 )
 
 // Faults is the service-level fault injector — the chaos discipline of
 // internal/fault turned inward on the serving layer itself. It decides,
 // deterministically where the drill needs determinism and from a seeded
-// splitmix64 stream where a rate is enough, when a simulation runs slow,
-// when a cache write fails, and when a request's context is cancelled
-// mid-flight. A nil *Faults is a no-op on every decision, so a clean
-// server pays nothing.
+// splitmix64 stream where a rate is enough, when a simulation runs slow
+// and when a request's context is cancelled mid-flight. Cache-write
+// failures are the cache's own injector, sweep.WriteFaults, armed on
+// Config.Cache (still per key: first N writes fail, plus a rate). A nil
+// *Faults is a no-op on every decision, so a clean server pays nothing.
 type Faults struct {
 	// Seed feeds the splitmix64 stream behind the rate-based decisions.
 	Seed uint64
@@ -20,14 +23,6 @@ type Faults struct {
 	// and dedup-under-latency drills.
 	SlowEvery int
 	SlowDelay time.Duration
-	// CacheFailFirst fails the first N cache-write attempts of every key
-	// (0 disables). Deterministic per key, so a put retry budget > N
-	// provably exercises the retry path and still always persists —
-	// which is what lets the soak assert zero duplicated executions.
-	CacheFailFirst int
-	// CacheFailRate additionally fails cache-write attempts at this rate
-	// from the seeded stream (0 disables).
-	CacheFailRate float64
 	// CancelRate cancels a request's wait mid-flight at this rate (0
 	// disables): the waiter gets a cancellation error; the simulation it
 	// was waiting on is never cancelled and still lands in the cache.
@@ -35,29 +30,18 @@ type Faults struct {
 	// CancelAfter delays an injected cancellation (default: immediate).
 	CancelAfter time.Duration
 
-	mu       sync.Mutex
-	rng      uint64
-	seeded   bool
-	execs    int
-	putFails map[string]int
+	mu     sync.Mutex
+	rng    uint64
+	seeded bool
+	execs  int
 }
 
-// next advances the splitmix64 stream (the internal/fault generator).
-func (f *Faults) next() uint64 {
-	if !f.seeded {
-		f.rng = f.Seed
-		f.seeded = true
-	}
-	f.rng += 0x9e3779b97f4a7c15
-	z := f.rng
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// roll draws a uniform [0,1) decision from the stream.
+// roll draws a uniform [0,1) decision from the seeded stream.
 func (f *Faults) roll() float64 {
-	return float64(f.next()>>11) / float64(1<<53)
+	if !f.seeded {
+		f.rng, f.seeded = f.Seed, true
+	}
+	return fault.Unit(fault.SplitMix64(&f.rng))
 }
 
 // SlowJob reports how long the next led execution should stall (0 = run
@@ -73,26 +57,6 @@ func (f *Faults) SlowJob() time.Duration {
 		return f.SlowDelay
 	}
 	return 0
-}
-
-// CacheWriteFail reports whether this cache-write attempt for key should
-// fail.
-func (f *Faults) CacheWriteFail(key string) bool {
-	if f == nil {
-		return false
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.CacheFailFirst > 0 {
-		if f.putFails == nil {
-			f.putFails = make(map[string]int)
-		}
-		if f.putFails[key] < f.CacheFailFirst {
-			f.putFails[key]++
-			return true
-		}
-	}
-	return f.CacheFailRate > 0 && f.roll() < f.CacheFailRate
 }
 
 // CancelRequest reports whether this request's wait should be cancelled

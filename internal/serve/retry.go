@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"hetsim/internal/fault"
 	"hetsim/internal/sweep"
 )
 
@@ -61,12 +62,7 @@ func newRetrier(p RetryPolicy, seed uint64) *retrier {
 func (r *retrier) jitter() float64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.rng += 0x9e3779b97f4a7c15
-	z := r.rng
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
-	return 0.5 + float64(z>>11)/float64(1<<53)
+	return 0.5 + fault.Unit(fault.SplitMix64(&r.rng))
 }
 
 // backoff returns the jittered sleep before re-attempt n (0-based).

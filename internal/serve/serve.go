@@ -31,7 +31,6 @@ package serve
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -219,10 +218,6 @@ type batchCounters struct {
 	heartbeats uint64
 }
 
-// errInjectedCacheWrite marks a fault-hook cache-write failure; it is
-// transient by classification, which is the point.
-var errInjectedCacheWrite = errors.New("serve: injected cache write failure")
-
 // New builds a server. The zero-value knobs of cfg select production
 // defaults (see Config).
 func New(cfg Config) *Server {
@@ -405,9 +400,6 @@ func (s *Server) lead(job sweep.Job[json.RawMessage]) (flightVal, error) {
 	s.executed.Add(1)
 	if s.cfg.Cache != nil {
 		perr := s.retry.do(context.Background(), func() error {
-			if s.cfg.Faults.CacheWriteFail(job.Key) {
-				return errInjectedCacheWrite
-			}
 			return s.cfg.Cache.Put(job.Key, raw)
 		}, func() { s.putRetries.Add(1) })
 		if perr != nil {

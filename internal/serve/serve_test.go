@@ -575,6 +575,8 @@ func TestServeTransientRetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cache.Faults = &sweep.WriteFaults{}
+	cache.Faults.FailFirst[sweep.FaultTempWrite] = 2
 	var attempts atomic.Int64
 	build := testBuild(map[string]func() (json.RawMessage, error){
 		"flaky": func() (json.RawMessage, error) {
@@ -586,8 +588,7 @@ func TestServeTransientRetry(t *testing.T) {
 	})
 	srv := New(Config{
 		Build: build, Cache: cache, Workers: 1,
-		Retry:  RetryPolicy{Max: 3, Base: time.Millisecond, Cap: 5 * time.Millisecond},
-		Faults: &Faults{CacheFailFirst: 2},
+		Retry: RetryPolicy{Max: 3, Base: time.Millisecond, Cap: 5 * time.Millisecond},
 	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -679,7 +680,7 @@ func TestRetryableClassification(t *testing.T) {
 		{context.DeadlineExceeded, false},
 		{&sweep.PanicError{}, false},
 		{fmt.Errorf("wrapped: %w", &sweep.PanicError{}), false},
-		{errInjectedCacheWrite, true},
+		{sweep.ErrInjectedWriteFault, true},
 		{fmt.Errorf("disk full"), true},
 	}
 	for _, tc := range cases {
@@ -778,33 +779,18 @@ func TestRetryAfterRendering(t *testing.T) {
 }
 
 func TestFaultsDeterminism(t *testing.T) {
-	a := &Faults{Seed: 7, CacheFailRate: 0.5, CancelRate: 0.5}
-	b := &Faults{Seed: 7, CacheFailRate: 0.5, CancelRate: 0.5}
+	a := &Faults{Seed: 7, CancelRate: 0.5}
+	b := &Faults{Seed: 7, CancelRate: 0.5}
 	for i := 0; i < 64; i++ {
-		if a.CacheWriteFail("k") != b.CacheWriteFail("k") {
-			t.Fatal("same seed, different cache-fail stream")
-		}
 		_, ca := a.CancelRequest()
 		_, cb := b.CancelRequest()
 		if ca != cb {
 			t.Fatal("same seed, different cancel stream")
 		}
 	}
-	// CacheFailFirst is deterministic per key, independent of the stream.
-	f := &Faults{CacheFailFirst: 2}
-	for _, key := range []string{"x", "y"} {
-		for i := 0; i < 2; i++ {
-			if !f.CacheWriteFail(key) {
-				t.Fatalf("key %s attempt %d: expected injected failure", key, i)
-			}
-		}
-		if f.CacheWriteFail(key) {
-			t.Fatalf("key %s attempt 3: expected success", key)
-		}
-	}
 	// nil is a no-op everywhere.
 	var nf *Faults
-	if nf.SlowJob() != 0 || nf.CacheWriteFail("k") {
+	if nf.SlowJob() != 0 {
 		t.Fatal("nil Faults injected something")
 	}
 	if _, ok := nf.CancelRequest(); ok {

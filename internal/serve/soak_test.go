@@ -31,6 +31,8 @@ func TestServeSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cache.Faults = &sweep.WriteFaults{}
+	cache.Faults.FailFirst[sweep.FaultTempWrite] = 2 // every key's first two writes fail; retry budget covers them
 	const keys = 20
 	var mu sync.Mutex
 	execs := make(map[string]int)
@@ -50,9 +52,8 @@ func TestServeSoak(t *testing.T) {
 		Faults: &Faults{
 			Seed:      11,
 			SlowEvery: 5, SlowDelay: 2 * time.Millisecond,
-			CacheFailFirst: 2,   // every key's first two writes fail; retry budget covers them
-			CancelRate:     0.2, // a fifth of all requests lose their wait mid-flight
-			CancelAfter:    time.Millisecond,
+			CancelRate:  0.2, // a fifth of all requests lose their wait mid-flight
+			CancelAfter: time.Millisecond,
 		},
 	})
 	ts := httptest.NewServer(srv.Handler())
@@ -130,7 +131,7 @@ func TestServeSoak(t *testing.T) {
 	if resp.StatusCode != 503 {
 		t.Fatalf("readyz after drain: %d", resp.StatusCode)
 	}
-	if cs := cache.Stats(); cs.WriteFails != 0 {
+	if cs := cache.Stats(); cs.WriteFails != cache.Faults.Injected()[sweep.FaultTempWrite] {
 		t.Fatalf("real cache writes failed during the soak: %+v", cs)
 	}
 }
@@ -155,6 +156,8 @@ func TestBatchSoak(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cache.Faults = &sweep.WriteFaults{}
+	cache.Faults.FailFirst[sweep.FaultTempWrite] = 2 // every key's first two writes fail; retry budget covers them
 	const keys = 20
 	var mu sync.Mutex
 	execs := make(map[string]int)
@@ -174,9 +177,8 @@ func TestBatchSoak(t *testing.T) {
 		Faults: &Faults{
 			Seed:      7,
 			SlowEvery: 5, SlowDelay: 2 * time.Millisecond,
-			CacheFailFirst: 2,   // every key's first two writes fail; retry budget covers them
-			CancelRate:     0.2, // cuts single points AND whole campaign streams
-			CancelAfter:    time.Millisecond,
+			CancelRate:  0.2, // cuts single points AND whole campaign streams
+			CancelAfter: time.Millisecond,
 		},
 	})
 	ts := httptest.NewServer(srv.Handler())
@@ -325,7 +327,7 @@ func TestBatchSoak(t *testing.T) {
 	if resp.StatusCode != 503 {
 		t.Fatalf("readyz after drain: %d", resp.StatusCode)
 	}
-	if cs := cache.Stats(); cs.WriteFails != 0 {
+	if cs := cache.Stats(); cs.WriteFails != cache.Faults.Injected()[sweep.FaultTempWrite] {
 		t.Fatalf("real cache writes failed during the batch soak: %+v", cs)
 	}
 }

@@ -20,9 +20,9 @@ import (
 type Cache struct {
 	dir string
 
-	// Faults, when set, injects failures into write's crash windows —
-	// the serve.Faults discipline turned on the cache itself (tests and
-	// drills only; nil costs nothing).
+	// Faults, when set, injects failures into write's crash windows, so
+	// Put returns ErrInjectedWriteFault exactly where a failing disk would
+	// return its error (tests and drills only; nil costs nothing).
 	Faults *WriteFaults
 
 	hits    atomic.Uint64
@@ -155,7 +155,7 @@ func (c *Cache) write(key string, v any) error {
 	if err != nil {
 		return fmt.Errorf("sweep: cache write: %w", err)
 	}
-	if err = c.Faults.fail(FaultTempWrite); err == nil {
+	if err = c.Faults.fail(FaultTempWrite, key); err == nil {
 		_, err = tmp.Write(b)
 	}
 	if err != nil {
@@ -163,7 +163,7 @@ func (c *Cache) write(key string, v any) error {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("sweep: cache write: %w", err)
 	}
-	if err = c.Faults.fail(FaultSync); err == nil {
+	if err = c.Faults.fail(FaultSync, key); err == nil {
 		err = tmp.Sync()
 	}
 	if err != nil {
@@ -175,7 +175,7 @@ func (c *Cache) write(key string, v any) error {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("sweep: cache write: %w", err)
 	}
-	if err = c.Faults.fail(FaultRename); err == nil {
+	if err = c.Faults.fail(FaultRename, key); err == nil {
 		err = os.Rename(tmp.Name(), path)
 	}
 	if err != nil {
@@ -187,7 +187,7 @@ func (c *Cache) write(key string, v any) error {
 	// after Put could lose a committed entry. A dir-fsync failure leaves
 	// the entry present and valid (only its durability is unknown), so
 	// the error is honest but a subsequent Get is still a correct hit.
-	if err = c.Faults.fail(FaultDirSync); err == nil {
+	if err = c.Faults.fail(FaultDirSync, key); err == nil {
 		err = syncDir(dir)
 	}
 	if err != nil {

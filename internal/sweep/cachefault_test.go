@@ -160,3 +160,40 @@ func TestCacheWriteFailFirstRetries(t *testing.T) {
 		t.Fatalf("Get after retries = %+v", got)
 	}
 }
+
+// TestCacheWriteFailFirstPerKey: FailFirst counts per key — each of two
+// keys fails exactly its first N writes, whatever the interleaving — and
+// two injectors with the same seed make the same rate decisions.
+func TestCacheWriteFailFirstPerKey(t *testing.T) {
+	const n = 3
+	f := &WriteFaults{}
+	f.FailFirst[FaultTempWrite] = n
+	for round := 0; round < n+2; round++ {
+		for _, key := range []string{"x", "y"} {
+			err := f.fail(FaultTempWrite, key)
+			if want := round < n; (err != nil) != want {
+				t.Fatalf("key %s attempt %d: err = %v, want failure %v", key, round+1, err, want)
+			}
+		}
+	}
+	if got := f.Injected()[FaultTempWrite]; got != 2*n {
+		t.Fatalf("injected %d, want %d", got, 2*n)
+	}
+
+	a, b := &WriteFaults{Seed: 7}, &WriteFaults{Seed: 7}
+	a.Rates[FaultRename], b.Rates[FaultRename] = 0.5, 0.5
+	fails := 0
+	for i := 0; i < 64; i++ {
+		key := fmt.Sprintf("k-%d", i%5)
+		ea, eb := a.fail(FaultRename, key), b.fail(FaultRename, key)
+		if (ea == nil) != (eb == nil) {
+			t.Fatalf("decision %d: same seed, different rate stream", i)
+		}
+		if ea != nil {
+			fails++
+		}
+	}
+	if fails == 0 || fails == 64 {
+		t.Fatalf("rate 0.5 stream degenerate: %d/64 failures", fails)
+	}
+}

@@ -3,6 +3,8 @@ package sweep
 import (
 	"errors"
 	"sync"
+
+	"hetsim/internal/fault"
 )
 
 // WriteStage names one crash window inside Cache.write, in commit order.
@@ -38,57 +40,63 @@ func (s WriteStage) String() string {
 // and drills can tell an injected miss from a real I/O error.
 var ErrInjectedWriteFault = errors.New("sweep: injected cache write fault")
 
-// WriteFaults injects failures into the crash windows of Cache.write —
-// the serve.Faults pattern (seeded splitmix64 stream, per-decision rates,
-// optional deterministic first-N) pointed at the cache's own commit
-// protocol. A nil *WriteFaults decides nothing and costs one nil compare
-// per stage.
+// WriteFaults injects failures into the crash windows of Cache.write:
+// a seeded splitmix64 stream (fault.SplitMix64) decides the per-stage
+// rates, and FailFirst deterministically fails the first attempts of
+// every key. It is the one cache-write fault injector of the stack — the
+// crash-window tests arm every stage, and hetsimd's -fault-cachefail*
+// drills arm FaultTempWrite under the server's put retry. A nil
+// *WriteFaults decides nothing and costs one nil compare per stage.
 type WriteFaults struct {
 	// Seed feeds the splitmix64 stream behind the rate-based decisions.
 	Seed uint64
 	// Rates holds the per-stage failure probability (zero = never).
 	Rates [4]float64
-	// FailFirst deterministically fails the first N write attempts that
-	// reach the given stage (0 disables) — the knob that lets a retry
-	// budget > N provably exercise the retry path and still persist.
+	// FailFirst deterministically fails the first N write attempts of
+	// every key that reach the given stage (0 disables) — the knob that
+	// lets a retry budget > N provably exercise the retry path and still
+	// persist each entry.
 	FailFirst [4]int
 
 	mu       sync.Mutex
 	rng      uint64
 	seeded   bool
 	injected [4]uint64
-	firsts   [4]int
+	firsts   map[firstFail]int
 }
 
-// next advances the splitmix64 stream (the internal/fault generator).
-func (f *WriteFaults) next() uint64 {
-	if !f.seeded {
-		f.rng = f.Seed
-		f.seeded = true
-	}
-	f.rng += 0x9e3779b97f4a7c15
-	z := f.rng
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+// firstFail keys the FailFirst counters: one per stage and cache key.
+type firstFail struct {
+	stage WriteStage
+	key   string
 }
 
-// fail decides whether the write attempt currently at stage should fail,
-// returning ErrInjectedWriteFault when it should.
-func (f *WriteFaults) fail(stage WriteStage) error {
+// fail decides whether the write attempt of key currently at stage
+// should fail, returning ErrInjectedWriteFault when it should.
+func (f *WriteFaults) fail(stage WriteStage, key string) error {
 	if f == nil {
 		return nil
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.FailFirst[stage] > 0 && f.firsts[stage] < f.FailFirst[stage] {
-		f.firsts[stage]++
-		f.injected[stage]++
-		return ErrInjectedWriteFault
+	if n := f.FailFirst[stage]; n > 0 {
+		if f.firsts == nil {
+			f.firsts = make(map[firstFail]int)
+		}
+		if k := (firstFail{stage, key}); f.firsts[k] < n {
+			f.firsts[k]++
+			f.injected[stage]++
+			return ErrInjectedWriteFault
+		}
 	}
-	if f.Rates[stage] > 0 && float64(f.next()>>11)/float64(1<<53) < f.Rates[stage] {
-		f.injected[stage]++
-		return ErrInjectedWriteFault
+	if f.Rates[stage] > 0 {
+		if !f.seeded {
+			f.rng, f.seeded = f.Seed, true
+		}
+		if fault.Unit(fault.SplitMix64(&f.rng)) < f.Rates[stage] {
+			f.injected[stage]++
+			return ErrInjectedWriteFault
+		}
 	}
 	return nil
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"path/filepath"
+	"reflect"
 	"sync/atomic"
 	"testing"
 )
@@ -186,5 +188,97 @@ func TestRunNotifyCacheAccounting(t *testing.T) {
 	st := eng.Stats()
 	if st.Jobs != 16 || st.Executed != 8 || st.CacheHits != 8 {
 		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestRunNotifyMatchesRun: Run and RunNotify are one worker loop, so one
+// batch — journal hits, cache hits and fresh runs mixed — driven through
+// each from identical fresh state yields the same values and leaves the
+// same engine, cache and journal accounting and the same Progress series.
+func TestRunNotifyMatchesRun(t *testing.T) {
+	const n = 12 // jobs 0-3 journaled, 4-7 cached, 8-11 fresh
+	type outcome struct {
+		values  []payload
+		hits    int
+		events  int
+		stats   Stats
+		cache   CacheStats
+		journal JournalStats
+	}
+	execute := func(notify bool) outcome {
+		dir := t.TempDir()
+		jpath := filepath.Join(dir, "journal")
+		seedCache, err := Open(filepath.Join(dir, "cache"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		seedJournal, err := OpenJournal(jpath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		val := func(i int) payload { return payload{Cycles: uint64(i * i), Eff: float64(i) / 4} }
+		for i := 0; i < 8; i++ {
+			key := fmt.Sprintf("job-%d", i)
+			if i < 4 {
+				err = seedJournal.Append(key, val(i))
+			} else {
+				err = seedCache.Put(key, val(i))
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		seedJournal.Close()
+		// Fresh handles, so the counters start from zero in both modes.
+		cache, err := Open(seedCache.Dir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		journal, err := OpenJournal(jpath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer journal.Close()
+
+		var o outcome
+		eng := New(Config{Workers: 4, Cache: cache, Journal: journal,
+			Progress: func(Event) { o.events++ }})
+		jobs := make([]Job[payload], n)
+		for i := range jobs {
+			i := i
+			jobs[i] = Job[payload]{Key: fmt.Sprintf("job-%d", i), Run: func() (payload, error) { return val(i), nil }}
+		}
+		if notify {
+			o.values = make([]payload, n)
+			err = RunNotify(eng, jobs, func(c Completion[payload]) {
+				if c.Err != nil {
+					t.Errorf("job %d: %v", c.Index, c.Err)
+				}
+				o.values[c.Index] = c.Value
+				if c.Hit {
+					o.hits++
+				}
+			})
+		} else {
+			o.values, err = Run(eng, jobs)
+			o.hits = eng.Stats().JournalHits + eng.Stats().CacheHits
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.stats, o.cache, o.journal = eng.Stats(), cache.Stats(), journal.Stats()
+		return o
+	}
+	run, notify := execute(false), execute(true)
+	if !reflect.DeepEqual(run, notify) {
+		t.Fatalf("Run and RunNotify diverge:\nRun:       %+v\nRunNotify: %+v", run, notify)
+	}
+	want := Stats{Jobs: n, Executed: 4, CacheHits: 4, JournalHits: 4}
+	if run.stats != want || run.hits != 8 || run.events != n {
+		t.Fatalf("outcome = %+v, want stats %+v, 8 hits, %d events", run, want, n)
+	}
+	// Cache hits are journaled and fresh runs are journaled then cached.
+	if run.journal.Appended != 8 || run.cache.Hits != 4 || run.cache.Writes != 4 {
+		t.Fatalf("cache %+v, journal %+v", run.cache, run.journal)
 	}
 }

@@ -7,10 +7,11 @@
 // byte-identical to a serial run, at any worker count.
 //
 // On top of the pool sits a content-addressed run cache (cache.go):
-// completed jobs are memoized on disk under a hash of their key, which
-// includes the emitted program bytes and the input buffer, so a repeat
-// invocation — or a single re-rendered figure after a full run — skips
-// already-simulated points entirely.
+// completed jobs are memoized on disk under a hash of their key — for the
+// campaign, the job's spec (study, kernel, parameters, seed,
+// configuration) plus the checked-in model fingerprint — so a repeat
+// invocation, or a single re-rendered figure after a full run, skips
+// already-simulated points entirely without building anything.
 //
 // The scheduler itself never inspects results: values only need to
 // round-trip through encoding/json (Go's float64 encoding is exact, so
@@ -225,79 +226,7 @@ type Completion[T any] struct {
 // journal-append before cache-put, and engine Stats accrue exactly as
 // under Run. notify must not call back into the engine.
 func RunNotify[T any](e *Engine, jobs []Job[T], notify func(Completion[T])) error {
-	n := len(jobs)
-	workers := e.workers
-	if workers > n {
-		workers = n
-	}
-	var (
-		next   atomic.Int64
-		wg     sync.WaitGroup
-		done   int // guarded by e.mu, batch-local
-		cached int // guarded by e.mu, batch-local
-	)
-	next.Store(-1)
-	worker := func() {
-		defer wg.Done()
-		for {
-			i := int(next.Add(1))
-			if i >= n || e.ctx.Err() != nil {
-				return
-			}
-			j := jobs[i]
-			var v T
-			var err error
-			hit, journaled := false, false
-			if e.journal != nil {
-				hit = e.journal.Lookup(j.Key, &v)
-				journaled = hit
-			}
-			if !hit && e.cache != nil {
-				hit = e.cache.Get(j.Key, &v)
-				if hit && e.journal != nil {
-					_ = e.journal.Append(j.Key, v)
-				}
-			}
-			if !hit {
-				v, err = exec(e, j)
-				if err == nil {
-					// Journal first: once Append returns the job is durably
-					// complete, whatever happens to the cache write after.
-					if e.journal != nil {
-						_ = e.journal.Append(j.Key, v)
-					}
-					if e.cache != nil {
-						_ = e.cache.Put(j.Key, v)
-					}
-				}
-			}
-			e.mu.Lock()
-			done++
-			switch {
-			case journaled:
-				cached++
-				e.stats.JournalHits++
-			case hit:
-				cached++
-				e.stats.CacheHits++
-			default:
-				e.stats.Executed++
-			}
-			e.stats.Jobs++
-			if notify != nil {
-				notify(Completion[T]{Index: i, Key: j.Key, Value: v, Err: err, Hit: hit})
-			}
-			if e.progress != nil {
-				e.progress(Event{Done: done, Total: n, Cached: cached, Key: j.Key, Hit: hit})
-			}
-			e.mu.Unlock()
-		}
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go worker()
-	}
-	wg.Wait()
+	run(e, e.ctx, jobs, notify)
 	if err := e.ctx.Err(); err != nil {
 		return fmt.Errorf("sweep: batch cancelled: %w", err)
 	}
@@ -315,16 +244,39 @@ func RunNotify[T any](e *Engine, jobs []Job[T], notify func(Completion[T])) erro
 // jobs finish (and still land in the cache), and Run returns the context
 // error. Successful results of a failed or cancelled batch are discarded.
 func Run[T any](e *Engine, jobs []Job[T]) ([]T, error) {
-	n := len(jobs)
-	results := make([]T, n)
-	errs := make([]error, n)
-	workers := e.workers
-	if workers > n {
-		workers = n
+	// The first failure cancels the batch's own context, which is what
+	// stops the pool claiming; the engine's context stays untouched.
+	ctx, cancel := context.WithCancel(e.ctx)
+	defer cancel()
+	results := make([]T, len(jobs))
+	failed, ferr := -1, error(nil)
+	run(e, ctx, jobs, func(c Completion[T]) {
+		results[c.Index] = c.Value
+		if c.Err != nil && (failed < 0 || c.Index < failed) {
+			failed, ferr = c.Index, c.Err
+			cancel()
+		}
+	})
+	if failed >= 0 {
+		return nil, fmt.Errorf("sweep: job %q: %w", jobs[failed].Key, ferr)
 	}
+	if err := e.ctx.Err(); err != nil {
+		return nil, fmt.Errorf("sweep: batch cancelled: %w", err)
+	}
+	return results, nil
+}
+
+// run is the one worker loop behind Run and RunNotify. Workers claim jobs
+// in submission order until ctx ends; each claimed job is served from the
+// journal, else from the cache (a hit is journaled too), else executed —
+// its result journaled before it is cached. The Stats counts, deliver and
+// the Progress event then follow under e.mu, so deliver and Progress are
+// serialized and arrive in Done order; neither may call back into the
+// engine. run returns once every claimed job has been delivered.
+func run[T any](e *Engine, ctx context.Context, jobs []Job[T], deliver func(Completion[T])) {
+	n := len(jobs)
 	var (
 		next   atomic.Int64 // next job index to claim
-		failed atomic.Bool
 		wg     sync.WaitGroup
 		done   int // guarded by e.mu, batch-local
 		cached int // guarded by e.mu, batch-local
@@ -334,38 +286,31 @@ func Run[T any](e *Engine, jobs []Job[T]) ([]T, error) {
 		defer wg.Done()
 		for {
 			i := int(next.Add(1))
-			if i >= n || failed.Load() || e.ctx.Err() != nil {
+			if i >= n || ctx.Err() != nil {
 				return
 			}
-			j := jobs[i]
-			hit, journaled := false, false
-			if e.journal != nil {
-				hit = e.journal.Lookup(j.Key, &results[i])
-				journaled = hit
-			}
-			if !hit && e.cache != nil {
-				hit = e.cache.Get(j.Key, &results[i])
-				if hit && e.journal != nil {
+			c := Completion[T]{Index: i, Key: jobs[i].Key}
+			journaled := e.journal != nil && e.journal.Lookup(c.Key, &c.Value)
+			c.Hit = journaled
+			if !c.Hit && e.cache != nil {
+				c.Hit = e.cache.Get(c.Key, &c.Value)
+				if c.Hit && e.journal != nil {
 					// A cache hit is a completed job: journal it so the
 					// resume guarantee never depends on the (best-effort)
 					// cache still holding the entry.
-					_ = e.journal.Append(j.Key, results[i])
+					_ = e.journal.Append(c.Key, c.Value)
 				}
 			}
-			if !hit {
-				v, err := exec(e, j)
-				if err != nil {
-					errs[i] = err
-					failed.Store(true)
-				} else {
-					results[i] = v
+			if !c.Hit {
+				c.Value, c.Err = exec(e, jobs[i])
+				if c.Err == nil {
 					// Journal first: once Append returns the job is durably
 					// complete, whatever happens to the cache write after.
 					if e.journal != nil {
-						_ = e.journal.Append(j.Key, v) // counted in JournalStats.AppendFails
+						_ = e.journal.Append(c.Key, c.Value) // counted in JournalStats.AppendFails
 					}
 					if e.cache != nil {
-						_ = e.cache.Put(j.Key, v) // best effort: a failed write is only a future miss
+						_ = e.cache.Put(c.Key, c.Value) // best effort: a failed write is only a future miss
 					}
 				}
 			}
@@ -375,34 +320,25 @@ func Run[T any](e *Engine, jobs []Job[T]) ([]T, error) {
 			case journaled:
 				cached++
 				e.stats.JournalHits++
-			case hit:
+			case c.Hit:
 				cached++
 				e.stats.CacheHits++
 			default:
 				e.stats.Executed++
 			}
 			e.stats.Jobs++
+			if deliver != nil {
+				deliver(c)
+			}
 			if e.progress != nil {
-				// Called under the engine lock so events arrive serialized
-				// and in Done order; callbacks must not call back into the
-				// engine.
-				e.progress(Event{Done: done, Total: n, Cached: cached, Key: j.Key, Hit: hit})
+				e.progress(Event{Done: done, Total: n, Cached: cached, Key: c.Key, Hit: c.Hit})
 			}
 			e.mu.Unlock()
 		}
 	}
-	for w := 0; w < workers; w++ {
+	for w := 0; w < min(e.workers, n); w++ {
 		wg.Add(1)
 		go worker()
 	}
 	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("sweep: job %q: %w", jobs[i].Key, err)
-		}
-	}
-	if err := e.ctx.Err(); err != nil {
-		return nil, fmt.Errorf("sweep: batch cancelled: %w", err)
-	}
-	return results, nil
 }
