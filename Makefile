@@ -76,14 +76,19 @@ serve-drill:
 # campaign from its journal, and asserts byte-identical output, exact
 # only-the-missing-jobs resume accounting, and a scrub that quarantines
 # every leftover without finding corruption — under the race detector.
+# Every run drills fresh kill points: CRASH_SEED defaults to a random
+# seed, which a failing TestCrashDrill logs with the command that replays
+# it (make crash-drill CRASH_SEED=N). Plain `go test` drills seed 1.
 # Also fuzzes the journal's torn-tail recovery parser briefly.
 CRASH_POINTS ?= 24
-CRASH_SEED ?= 1
+ifeq ($(origin CRASH_SEED),undefined)
+CRASH_SEED := $(shell od -An -N4 -tu4 /dev/urandom | tr -d ' ')
+endif
 crash-drill:
 	HETSIM_CRASH_POINTS=$(CRASH_POINTS) HETSIM_CRASH_SEED=$(CRASH_SEED) \
 		$(GO) test -race -count=1 -timeout 600s -run TestCrashDrill ./internal/chaos
 	$(GO) test -run FuzzJournalParse -fuzz FuzzJournalParse -fuzztime 5s ./internal/sweep
-	@echo "crash drill passed ($(CRASH_POINTS) kill points)"
+	@echo "crash drill passed ($(CRASH_POINTS) kill points, seed $(CRASH_SEED))"
 
 # Differential cycle-accuracy: the event-driven run loop must agree with
 # the naive reference loop on cycles, outputs and stats for every kernel

@@ -6,13 +6,18 @@
 // deterministic reliability report (recovery coverage, silent-data-
 // corruption rate, mean recovery overhead in cycles and joules).
 //
+// Every trial runs on one fixed system (see system): a campaign chooses
+// only what to inject, never the hardware it lands on.
+//
 // Determinism is the load-bearing property: every trial owns a private
 // injector whose seed derives from (campaign seed, kernel, class, rate,
 // trial index) alone, so the same campaign spec produces a byte-identical
 // report at any worker count and on a warm run cache. Trials are
-// individually cacheable sweep jobs — the fault knobs are part of the
-// content key — so re-rendering a campaign after an interrupt re-simulates
-// only what is missing.
+// individually cacheable sweep jobs keyed like campaign points — what the
+// trial asks for plus the model fingerprint, which covers the fault model
+// through testdata/drill.golden — so re-rendering a campaign after an
+// interrupt re-simulates only what is missing, and a cache hit builds
+// nothing.
 //
 // Trial taxonomy (every trial lands in exactly one class):
 //
@@ -39,7 +44,9 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"sync"
 
+	"hetsim/internal/asm"
 	"hetsim/internal/core"
 	"hetsim/internal/devrt"
 	"hetsim/internal/fault"
@@ -51,6 +58,25 @@ import (
 	"hetsim/internal/sweep"
 )
 
+// system is the system under test of every trial: an STM32-L476 host at
+// 16 MHz, a CRC-framed four-lane QSPI link, and the accelerator at
+// 0.8 V / 200 MHz.
+var system = core.Config{
+	Host: power.STM32L476, HostFreqHz: 16e6, Lanes: 4,
+	AccVdd: 0.8, AccFreqHz: 200e6, LinkCRC: true,
+}
+
+// The resilience armament of the offload runtime, and the inputs. CRC
+// framing and descriptor write-verify are always on — a chaos campaign
+// measures the armed runtime; the disarmed one is the silent-fault study
+// of cmd/hetsim.
+const (
+	watchdogCycles = 2_000_000   // per-attempt EOC watchdog
+	offloadRetries = 2           // offload retry budget
+	maxCycles      = 200_000_000 // per-attempt simulation bound
+	inputSeed      = 1           // kernel input generator seed (the paper's)
+)
+
 // Campaign specifies one chaos run. The zero value of every optional
 // field selects the documented default.
 type Campaign struct {
@@ -59,34 +85,14 @@ type Campaign struct {
 	Rates   []float64           // per-decision fault rates (default 1e-5, 1e-4)
 	Trials  int                 // trials per (kernel, class, rate) cell (default 8)
 	Seed    uint64              // campaign seed (default 1)
-	// MaxFaults bounds each trial's injector (0 = unlimited).
-	MaxFaults int
-	// InputSeed seeds the kernel input generator (default 1, the paper's).
-	InputSeed uint64
-
-	// System under test (defaults: STM32-L476 @ 16 MHz, QSPI, 0.8 V /
-	// 200 MHz accelerator).
-	Host       power.MCUModel
-	HostFreqHz float64
-	Lanes      int
-	AccVdd     float64
-	AccFreqHz  float64
-
-	// Resilience armament of the offload runtime. CRC framing and
-	// descriptor write-verify are always on — a chaos campaign measures
-	// the armed runtime; the disarmed one is PR 1's silent-fault study.
-	WatchdogCycles uint64 // per-attempt EOC watchdog (default 2e6 cycles)
-	Retries        int    // offload retry budget (default 2)
 	// E2ERetries is the application-level acceptance-check budget: how
 	// many times a trial whose output fails the golden checksum re-runs
 	// the whole offload (default 1; negative disables the check so every
 	// corrupted output counts as SDC).
 	E2ERetries int
-	MaxCycles  uint64 // per-attempt simulation bound (default 2e8)
 }
 
-// withDefaults fills unset fields and validates the campaign by probing
-// the system configuration once.
+// withDefaults fills unset fields and validates the rates.
 func (c Campaign) withDefaults() (Campaign, error) {
 	if len(c.Kernels) == 0 {
 		return c, fmt.Errorf("chaos: campaign has no kernels")
@@ -108,51 +114,10 @@ func (c Campaign) withDefaults() (Campaign, error) {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.InputSeed == 0 {
-		c.InputSeed = 1
-	}
-	if c.Host.Name == "" {
-		host, err := power.MCUByName("STM32-L476")
-		if err != nil {
-			return c, err
-		}
-		c.Host = host
-	}
-	if c.HostFreqHz == 0 {
-		c.HostFreqHz = 16e6
-	}
-	if c.Lanes == 0 {
-		c.Lanes = 4
-	}
-	if c.AccVdd == 0 {
-		c.AccVdd = 0.8
-	}
-	if c.AccFreqHz == 0 {
-		c.AccFreqHz = 200e6
-	}
-	if c.WatchdogCycles == 0 {
-		c.WatchdogCycles = 2_000_000
-	}
-	if c.Retries == 0 {
-		c.Retries = 2
-	}
 	if c.E2ERetries == 0 {
 		c.E2ERetries = 1
 	}
-	if c.MaxCycles == 0 {
-		c.MaxCycles = 200_000_000
-	}
-	if _, err := core.NewSystem(c.sysConfig()); err != nil {
-		return c, fmt.Errorf("chaos: invalid system: %w", err)
-	}
 	return c, nil
-}
-
-func (c *Campaign) sysConfig() core.Config {
-	return core.Config{
-		Host: c.Host, HostFreqHz: c.HostFreqHz, Lanes: c.Lanes,
-		AccVdd: c.AccVdd, AccFreqHz: c.AccFreqHz, LinkCRC: true,
-	}
 }
 
 // Verdict is the classification of one trial (see the package comment).
@@ -209,7 +174,7 @@ func trialSeed(seed uint64, kernel int, class fault.Class, rate float64, trial i
 // single advancing fault stream, classified against the golden checksum.
 // A panic anywhere inside the simulator is recovered into a hang-fallback
 // verdict so one pathological trial cannot kill the campaign.
-func (c *Campaign) runTrial(job loader.Job, hostProg loader.Job, golden string, seed uint64, class fault.Class, rate float64) (t Trial) {
+func (c *Campaign) runTrial(tk *trialKernel, seed uint64, class fault.Class, rate float64) (t Trial) {
 	defer func() {
 		if p := recover(); p != nil {
 			t.Verdict = VerdictHang
@@ -217,7 +182,7 @@ func (c *Campaign) runTrial(job loader.Job, hostProg loader.Job, golden string, 
 			t.Err = fmt.Sprintf("panic: %v", p)
 		}
 	}()
-	fcfg := fault.Config{Seed: seed, MaxFaults: c.MaxFaults}
+	fcfg := fault.Config{Seed: seed}
 	fcfg.SetRate(class, rate)
 	inj := fault.New(fcfg)
 
@@ -227,19 +192,19 @@ func (c *Campaign) runTrial(job loader.Job, hostProg loader.Job, golden string, 
 		maxAttempts = 1 // negative E2ERetries: acceptance check disabled
 	}
 	for attempt := 0; attempt < maxAttempts; attempt++ {
-		sys, err := core.NewSystem(c.sysConfig())
+		sys, err := core.NewSystem(system)
 		if err != nil {
 			t.Verdict = VerdictHang
 			t.Err = err.Error()
 			break
 		}
-		out, rep, err := sys.Offload(job, core.Options{
+		out, rep, err := sys.Offload(tk.job, core.Options{
 			Iterations:       1,
-			MaxCycles:        c.MaxCycles,
-			WatchdogCycles:   c.WatchdogCycles,
-			Retries:          c.Retries,
+			MaxCycles:        maxCycles,
+			WatchdogCycles:   watchdogCycles,
+			Retries:          offloadRetries,
 			VerifyDescriptor: true,
-			HostFallback:     hostProg.Prog,
+			HostFallback:     tk.fallback,
 			Faults:           inj,
 		})
 		if err != nil {
@@ -254,7 +219,7 @@ func (c *Campaign) runTrial(job loader.Job, hostProg loader.Job, golden string, 
 		t.DescRewrites += rep.DescRewrites
 		recT += rep.RecoveryTime
 		recE += rep.RecoveryEnergyJ
-		ok := checksum(out) == golden
+		ok := checksum(out) == tk.golden
 		if rep.FallbackUsed {
 			t.Verdict = VerdictHang
 			t.Fallback = true
@@ -290,7 +255,7 @@ func (c *Campaign) runTrial(job loader.Job, hostProg loader.Job, golden string, 
 			t.Verdict = VerdictRecov
 		}
 	}
-	t.RecoveryCycles = recT * c.AccFreqHz
+	t.RecoveryCycles = recT * system.AccFreqHz
 	t.RecoveryEnergyJ = recE
 	return t
 }
@@ -326,26 +291,9 @@ func (c Campaign) Run(eng *sweep.Engine) (*Report, error) {
 	}
 	rep := &Report{Seed: c.Seed, TrialsPerCell: c.Trials}
 	for ki, k := range c.Kernels {
-		in := k.Input(c.InputSeed)
-		golden := checksum(k.Golden(in))
-		accProg, err := k.Build(isa.PULPFull, devrt.Accel)
-		if err != nil {
-			return rep, err
-		}
-		hostProg, err := k.Build(c.Host.Target, devrt.Host)
-		if err != nil {
-			return rep, err
-		}
-		accHash, err := kernels.HashProgram(accProg)
-		if err != nil {
-			return rep, err
-		}
-		hostHash, err := kernels.HashProgram(hostProg)
-		if err != nil {
-			return rep, err
-		}
-		job := loader.Job{Prog: accProg, In: in, OutLen: k.OutLen(), Iters: 1, Args: k.Args()}
-		fallback := loader.Job{Prog: hostProg}
+		// Built on the first cache miss among the kernel's trials, and
+		// shared by all of them; a warm campaign builds nothing.
+		prep := sync.OnceValues(func() (*trialKernel, error) { return buildTrialKernel(k) })
 		for _, class := range c.Classes {
 			for _, rate := range c.Rates {
 				if err := eng.Context().Err(); err != nil {
@@ -353,13 +301,16 @@ func (c Campaign) Run(eng *sweep.Engine) (*Report, error) {
 					return rep, err
 				}
 				jobs := make([]sweep.Job[Trial], c.Trials)
-				for ti := 0; ti < c.Trials; ti++ {
+				for ti := range jobs {
 					seed := trialSeed(c.Seed, ki, class, rate, ti)
-					class, rate := class, rate
 					jobs[ti] = sweep.Job[Trial]{
-						Key: c.trialKey(k, in, accHash, hostHash, class, rate, ti, seed),
+						Key: c.trialKey(k, class, rate, ti, seed),
 						Run: func() (Trial, error) {
-							return c.runTrial(job, fallback, golden, seed, class, rate), nil
+							tk, err := prep()
+							if err != nil {
+								return Trial{}, err
+							}
+							return c.runTrial(tk, seed, class, rate), nil
 						},
 					}
 				}
@@ -375,15 +326,41 @@ func (c Campaign) Run(eng *sweep.Engine) (*Report, error) {
 	return rep, nil
 }
 
-// trialKey pins down everything a trial's outcome depends on: programs,
-// input, the full system shape, the resilience armament, the fault
-// coordinates and the model fingerprint — so the run cache can never
-// serve a stale trial for a changed campaign or model, and a repeated
-// campaign is pure cache hits.
-func (c *Campaign) trialKey(k *kernels.Instance, in []byte, accHash, hostHash string, class fault.Class, rate float64, trial int, seed uint64) string {
-	return fmt.Sprintf("chaos|kernel=%s(%s)|in=%s|outlen=%d|args=%x|acc=%s|fb=%s|host=%s@%g|lanes=%d|vdd=%g|facc=%g|wd=%d|retries=%d|e2e=%d|max=%d|maxfaults=%d|class=%s|rate=%g|trial=%d|seed=%d|model=%s",
-		k.Name, k.ParamDesc, checksum(in), k.OutLen(), k.Args(), accHash, hostHash,
-		c.Host.Name, c.HostFreqHz, c.Lanes, c.AccVdd, c.AccFreqHz,
-		c.WatchdogCycles, c.Retries, c.E2ERetries, c.MaxCycles, c.MaxFaults,
+// trialKernel is what every trial of one kernel runs: the accelerator
+// job, the host fallback program and the golden output checksum.
+type trialKernel struct {
+	job      loader.Job
+	fallback *asm.Program
+	golden   string
+}
+
+// buildTrialKernel emits the kernel's accelerator and host programs and
+// its input and golden checksum at the paper's input seed.
+func buildTrialKernel(k *kernels.Instance) (*trialKernel, error) {
+	in := k.Input(inputSeed)
+	acc, err := k.Build(isa.PULPFull, devrt.Accel)
+	if err != nil {
+		return nil, err
+	}
+	host, err := k.Build(system.Host.Target, devrt.Host)
+	if err != nil {
+		return nil, err
+	}
+	return &trialKernel{
+		job:      loader.Job{Prog: acc, In: in, OutLen: k.OutLen(), Iters: 1, Args: k.Args()},
+		fallback: host,
+		golden:   checksum(k.Golden(in)),
+	}, nil
+}
+
+// trialKey names what a trial asks for — the kernel, the fixed system and
+// armament, the acceptance-check budget and the fault coordinates — plus
+// the model fingerprint, which stands for the programs, the input, the
+// golden output and the fault model. Forming a key builds nothing.
+func (c *Campaign) trialKey(k *kernels.Instance, class fault.Class, rate float64, trial int, seed uint64) string {
+	return fmt.Sprintf("chaos|kernel=%s(%s)|outlen=%d|args=%x|host=%s@%g|lanes=%d|crc=%t|vdd=%g|facc=%g|wd=%d|retries=%d|max=%d|e2e=%d|class=%s|rate=%g|trial=%d|seed=%d|model=%s",
+		k.Name, k.ParamDesc, k.OutLen(), k.Args(),
+		system.Host.Name, system.HostFreqHz, system.Lanes, system.LinkCRC, system.AccVdd, system.AccFreqHz,
+		watchdogCycles, offloadRetries, maxCycles, c.E2ERetries,
 		class, rate, trial, seed, paper.ModelFingerprint())
 }

@@ -4,35 +4,94 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"hetsim/internal/core"
 	"hetsim/internal/fault"
 	"hetsim/internal/kernels"
 	"hetsim/internal/sweep"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/drill.golden")
+
+// smallMatmul is the reduced-size matmul of the small suite.
+func smallMatmul(t *testing.T) *kernels.Instance {
+	t.Helper()
+	for _, k := range kernels.SmallSuite() {
+		if k.Name == "matmul" {
+			return k
+		}
+	}
+	t.Fatal("no matmul in the small suite")
+	return nil
+}
 
 // smallCampaign is a fast, fault-heavy campaign used across the tests:
 // the reduced matmul with rates high enough that every verdict class has
 // a chance to appear within a few trials.
 func smallCampaign(t *testing.T) Campaign {
 	t.Helper()
-	k, err := kernels.ByName("matmul")
-	if err != nil {
-		t.Fatal(err)
-	}
-	small := kernels.SmallSuite()
-	for _, c := range small {
-		if c.Name == "matmul" {
-			k = c
-		}
-	}
 	return Campaign{
-		Kernels: []*kernels.Instance{k},
+		Kernels: []*kernels.Instance{smallMatmul(t)},
 		Classes: fault.MemClasses,
 		Rates:   []float64{1e-3},
 		Trials:  4,
 		Seed:    1,
+	}
+}
+
+// TestDrillGolden renders the campaign of `make chaos-drill` — the small
+// matmul, all four memory fault classes, rate 2e-3, six trials, seed 1 —
+// without a cache and compares the report with testdata/drill.golden.
+// The report is deterministic, so any diff is a real change in the fault
+// model, the recovery runtime or the simulator. The model fingerprint
+// (internal/paper) hashes this file, so after an intentional change run
+// `go test ./internal/chaos -update`, then `go test ./internal/paper
+// -update`.
+func TestDrillGolden(t *testing.T) {
+	c := Campaign{
+		Kernels: []*kernels.Instance{smallMatmul(t)},
+		Classes: fault.MemClasses,
+		Rates:   []float64{2e-3},
+		Trials:  6,
+		Seed:    1,
+	}
+	rep, err := c.Run(sweep.New(sweep.Config{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	Render(&buf, rep)
+	path := filepath.Join("testdata", "drill.golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("golden %s updated: %d bytes", path, buf.Len())
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("no golden file (run with -update to record): %v", err)
+	}
+	if !bytes.Equal(want, buf.Bytes()) {
+		t.Errorf("drill report changed; if intentional, run go test ./internal/chaos -update, then go test ./internal/paper -update.\n--- got ---\n%s\n--- want ---\n%s",
+			buf.Bytes(), want)
+	}
+}
+
+// TestFixedSystemBuilds checks that the one system every trial runs on is
+// a valid configuration.
+func TestFixedSystemBuilds(t *testing.T) {
+	if _, err := core.NewSystem(system); err != nil {
+		t.Fatalf("the fixed chaos system is invalid: %v", err)
 	}
 }
 
@@ -143,28 +202,30 @@ func TestCancelledCampaignReturnsPartial(t *testing.T) {
 }
 
 // TestCampaignCacheRoundTrip checks that trials memoized in the run cache
-// reproduce the fresh report byte for byte.
+// reproduce the fresh report byte for byte, and that the warm campaign
+// simulates nothing.
 func TestCampaignCacheRoundTrip(t *testing.T) {
 	cache, err := sweep.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func() []byte {
-		rep, err := smallCampaign(t).Run(sweep.New(sweep.Config{Workers: 4, Cache: cache}))
+	run := func() ([]byte, sweep.Stats) {
+		eng := sweep.New(sweep.Config{Workers: 4, Cache: cache})
+		rep, err := smallCampaign(t).Run(eng)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
 		Render(&buf, rep)
-		return buf.Bytes()
+		return buf.Bytes(), eng.Stats()
 	}
-	cold := run()
-	warm := run()
+	cold, _ := run()
+	warm, st := run()
 	if !bytes.Equal(cold, warm) {
 		t.Fatal("warm-cache report differs from the fresh one")
 	}
-	if st := cache.Stats(); st.Hits == 0 {
-		t.Fatalf("second campaign hit the cache 0 times: %+v", st)
+	if st.Executed != 0 || st.CacheHits != st.Jobs {
+		t.Fatalf("warm campaign simulated %d of %d trials (%d cache hits), want 0", st.Executed, st.Jobs, st.CacheHits)
 	}
 }
 

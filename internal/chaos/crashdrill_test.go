@@ -9,9 +9,10 @@ import (
 )
 
 // TestCrashDrill builds the real hetexp binary and runs the kill-9 drill
-// against it. Plain `go test` drills a handful of seeded points to stay
-// fast in the tier-1 suite; `make crash-drill` raises the count to the
-// full 24 via HETSIM_CRASH_POINTS.
+// against it. Plain `go test` drills a handful of points from seed 1 to
+// stay fast in the tier-1 suite; `make crash-drill` raises the count to
+// the full 24 via HETSIM_CRASH_POINTS and draws a fresh HETSIM_CRASH_SEED
+// per run. The test logs its seed with the command that replays it.
 func TestCrashDrill(t *testing.T) {
 	if testing.Short() {
 		t.Skip("crash drill re-execs hetexp; skipped under -short")
@@ -39,6 +40,7 @@ func TestCrashDrill(t *testing.T) {
 		}
 		seed = n
 	}
+	t.Logf("crash drill: seed %d; replay with: make crash-drill CRASH_POINTS=%d CRASH_SEED=%d", seed, points, seed)
 
 	d := &CrashDrill{
 		Hetexp:  bin,

@@ -37,32 +37,6 @@ func Float(x int32, q Q) float64 {
 	return float64(x) / float64(int64(1)<<q)
 }
 
-// Mul multiplies two fixed-point values of format q, truncating the result
-// back to q. This is the exact sequence the device kernels perform with a
-// 32x32->32 multiply followed by an arithmetic shift, so intermediate
-// products must fit in 32 bits (callers pick operand magnitudes accordingly).
-func Mul(a, b int32, q Q) int32 {
-	return (a * b) >> q
-}
-
-// MulR is Mul with round-to-nearest (adds half an LSB before shifting).
-func MulR(a, b int32, q Q) int32 {
-	return (a*b + (1 << (q - 1))) >> q
-}
-
-// Mul64 multiplies in 64-bit precision and truncates to q; used by the hog
-// kernel's Q16 arithmetic where 32-bit products would overflow.
-func Mul64(a, b int32, q Q) int32 {
-	return int32((int64(a) * int64(b)) >> q)
-}
-
-// SatAdd16 adds two values and saturates the result to the int16 range.
-// Mirrors the clipping performed by the 16-bit fixed-point kernels.
-func SatAdd16(a, b int32) int32 {
-	s := a + b
-	return Clamp16(s)
-}
-
 // Clamp16 saturates v to [-32768, 32767].
 func Clamp16(v int32) int32 {
 	if v > 32767 {
@@ -105,37 +79,4 @@ func ISqrt32(v uint32) uint32 {
 		bit >>= 2
 	}
 	return res
-}
-
-// ISqrt64 returns floor(sqrt(v)) for a non-negative 64-bit value. Mirrors
-// the device routine __sqrt64 (used by hog block normalization, where the
-// energy accumulator is a software-emulated 64-bit value).
-func ISqrt64(v uint64) uint32 {
-	var res uint64
-	bit := uint64(1) << 62
-	for bit > v {
-		bit >>= 2
-	}
-	for bit != 0 {
-		if v >= res+bit {
-			v -= res + bit
-			res = res>>1 + bit
-		} else {
-			res >>= 1
-		}
-		bit >>= 2
-	}
-	return uint32(res)
-}
-
-// Div divides two fixed-point values of format q (a/b), truncating toward
-// zero, matching the device's 32-cycle serial divider semantics.
-func Div(a, b int32, q Q) int32 {
-	if b == 0 {
-		if a >= 0 {
-			return 0x7fffffff
-		}
-		return -0x80000000
-	}
-	return int32((int64(a) << q) / int64(b))
 }

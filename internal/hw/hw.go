@@ -104,13 +104,3 @@ const DataVMABase uint32 = TCDMBase
 // StackSize is the per-core stack carved from the top of TCDM. Core i's
 // stack pointer starts at TCDMBase+TCDMSize-i*StackSize.
 const StackSize uint32 = 512
-
-// InTCDM reports whether the address range [addr, addr+n) lies in TCDM.
-func InTCDM(addr uint32, n uint32, tcdmSize uint32) bool {
-	return addr >= TCDMBase && addr+n <= TCDMBase+tcdmSize
-}
-
-// InL2 reports whether the address range lies in L2.
-func InL2(addr uint32, n uint32, l2Size uint32) bool {
-	return addr >= L2Base && addr+n <= L2Base+l2Size
-}

@@ -44,15 +44,6 @@ func TestDescriptorLayout(t *testing.T) {
 	}
 }
 
-func TestRangePredicates(t *testing.T) {
-	if !InTCDM(TCDMBase, 4, DefaultTCDMSize) || InTCDM(TCDMBase+DefaultTCDMSize, 1, DefaultTCDMSize) {
-		t.Error("InTCDM bounds")
-	}
-	if !InL2(L2Base+100, 4, DefaultL2Size) || InL2(TCDMBase, 4, DefaultL2Size) {
-		t.Error("InL2 bounds")
-	}
-}
-
 func TestStackBudget(t *testing.T) {
 	// Eight cores of stack must still leave most of the TCDM for data.
 	if 8*StackSize > DefaultTCDMSize/8 {

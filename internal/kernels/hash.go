@@ -5,8 +5,6 @@ import (
 	"encoding/hex"
 
 	"hetsim/internal/asm"
-	"hetsim/internal/devrt"
-	"hetsim/internal/isa"
 )
 
 // HashProgram fingerprints an emitted program by its serialized binary
@@ -22,15 +20,4 @@ func HashProgram(p *asm.Program) (string, error) {
 	}
 	sum := sha256.Sum256(img)
 	return hex.EncodeToString(sum[:]), nil
-}
-
-// ProgramHash builds the kernel for a (target, mode) pair and returns the
-// image hash. Kernel code generation is deterministic, so the hash is
-// stable across processes and Go releases for an unchanged generator.
-func (k *Instance) ProgramHash(t isa.Target, mode devrt.Mode) (string, error) {
-	p, err := k.Build(t, mode)
-	if err != nil {
-		return "", err
-	}
-	return HashProgram(p)
 }

@@ -12,37 +12,34 @@ import (
 // different targets or runtime modes produce different hashes.
 func TestProgramHashStable(t *testing.T) {
 	k := MatMulChar(16)
-	h1, err := k.ProgramHash(isa.PULPFull, devrt.Accel)
-	if err != nil {
-		t.Fatal(err)
+	hash := func(tgt isa.Target, mode devrt.Mode) string {
+		t.Helper()
+		p, err := k.Build(tgt, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := HashProgram(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
 	}
-	h2, err := k.ProgramHash(isa.PULPFull, devrt.Accel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h1 != h2 {
+	h1 := hash(isa.PULPFull, devrt.Accel)
+	if h2 := hash(isa.PULPFull, devrt.Accel); h1 != h2 {
 		t.Fatalf("hash not stable across builds: %s vs %s", h1, h2)
 	}
 	if len(h1) != 64 {
 		t.Fatalf("want a sha256 hex digest, got %q", h1)
 	}
 
-	hM4, err := k.ProgramHash(isa.CortexM4, devrt.Host)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hM4 == h1 {
+	if hash(isa.CortexM4, devrt.Host) == h1 {
 		t.Fatal("different target/mode must change the program hash")
 	}
 
 	ablated := isa.PULPFull
 	ablated.Name += "-SIMD"
 	ablated.Feat.SIMD = false
-	hAbl, err := k.ProgramHash(ablated, devrt.Accel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hAbl == h1 {
+	if hash(ablated, devrt.Accel) == h1 {
 		t.Fatal("ablating a used feature must change the program hash")
 	}
 }

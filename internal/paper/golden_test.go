@@ -64,11 +64,14 @@ func TestSmallCampaignGolden(t *testing.T) {
 }
 
 // TestModelFingerprint recomputes the model fingerprint from the goldens
-// and the campaign's content keys and compares it with the checked-in
-// testdata/model.fingerprint, which every job key carries. A change to a
-// program, an input, a cluster shape or a golden result fails here until
-// -update (after the golden tests above, in this file's order) re-records
-// it; the new fingerprint sends every existing cache entry cold once.
+// (the two above and internal/chaos's drill.golden) and the campaign's
+// content keys and compares it with the checked-in
+// testdata/model.fingerprint, which every campaign and chaos job key
+// carries. A change to a program, an input, a cluster shape, the fault
+// model or a golden result fails here until -update (after the golden
+// tests above, in this file's order, and after `go test ./internal/chaos
+// -update` has re-recorded the drill) re-records it; the new fingerprint
+// sends every existing cache entry cold once.
 func TestModelFingerprint(t *testing.T) {
 	got := treeFingerprint(t)
 	if *updateGolden {
@@ -79,7 +82,7 @@ func TestModelFingerprint(t *testing.T) {
 		return
 	}
 	if got != ModelFingerprint() {
-		t.Errorf("model fingerprint of the tree is %s, the binary carries %s: the model changed; run go test ./internal/paper -update to re-record it", got, ModelFingerprint())
+		t.Errorf("model fingerprint of the tree is %s, the binary carries %s: the model changed; run go test ./internal/chaos -update, then go test ./internal/paper -update to re-record it", got, ModelFingerprint())
 	}
 }
 

@@ -18,10 +18,13 @@ import (
 // warm campaign touches only the cache (see DESIGN.md §8).
 
 // modelFingerprint is the checked-in testdata/model.fingerprint: the
-// sha256 of the campaign goldens and of the content keys of every
-// campaign point. TestModelFingerprint recomputes it and fails when the
-// tree disagrees; `go test ./internal/paper -update` rewrites it together
-// with the goldens, which sends every existing cache entry cold once.
+// sha256 of the campaign goldens, of the chaos drill golden
+// (internal/chaos/testdata/drill.golden, which covers the fault model)
+// and of the content keys of every campaign point. TestModelFingerprint
+// recomputes it and fails when the tree disagrees; `go test
+// ./internal/chaos -update`, then `go test ./internal/paper -update`
+// rewrite it together with the goldens, which sends every existing cache
+// entry cold once.
 //
 //go:embed testdata/model.fingerprint
 var modelFingerprint string

@@ -83,17 +83,22 @@ func contentKey(p Point) (string, error) {
 }
 
 // treeFingerprint computes the model fingerprint of the tree: the sha256
-// of the two campaign goldens and of the sorted set of content keys of
-// every campaign point.
+// of the two campaign goldens, of the chaos drill golden (the one golden
+// that injects faults) and of the sorted set of content keys of every
+// campaign point.
 func treeFingerprint(t *testing.T) string {
 	t.Helper()
 	h := sha256.New()
-	for _, name := range []string{"small_campaign.golden", "full_reproduction.golden"} {
-		b, err := os.ReadFile(filepath.Join("testdata", name))
+	for _, path := range []string{
+		filepath.Join("testdata", "small_campaign.golden"),
+		filepath.Join("testdata", "full_reproduction.golden"),
+		filepath.Join("..", "chaos", "testdata", "drill.golden"),
+	} {
+		b, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fmt.Fprintf(h, "%s %d\n", name, len(b))
+		fmt.Fprintf(h, "%s %d\n", filepath.Base(path), len(b))
 		h.Write(b)
 	}
 	var keys []string

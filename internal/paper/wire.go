@@ -94,11 +94,9 @@ func validateTenant(tenant string) error {
 }
 
 // BatchRequest is the body of POST /v1/batch: a whole campaign, or a
-// single point as a one-spec list, in one submission. Exactly one of
-// Specs (an explicit point list) and Suite (a named server-side
-// expansion, see SuiteSpecs) must be set; Small, Observe and Seed
-// parameterize a Suite expansion only — explicit specs already carry
-// their own.
+// single point as a one-spec list, in one submission. Every point is an
+// explicit spec; the client expands suites (SuiteSpecs, RenderCampaign's
+// plan) before it sends them.
 type BatchRequest struct {
 	// Tenant attributes the whole batch for rate limiting and quotas:
 	// admission charges the full job count, so packaging requests into a
@@ -108,18 +106,8 @@ type BatchRequest struct {
 	// the batch exactly like a drain — in-flight jobs finish and land in
 	// the cache, the stream ends with a cursor of uncompleted keys.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// Specs is the explicit campaign point list.
+	// Specs is the campaign point list (at least one).
 	Specs []JobSpec `json:"specs,omitempty"`
-	// Suite names a server-side expansion: "table1", "fig3", "fig4",
-	// "fig5a" or "measure" (aliases of the same kernel × configuration
-	// measurement matrix) or "breakdown" (the matrix with attribution on
-	// the pulp4 points).
-	Suite   string `json:"suite,omitempty"`
-	Small   bool   `json:"small,omitempty"`
-	Observe bool   `json:"observe,omitempty"`
-	// Seed feeds the kernels' input generators (0 selects 1, the local
-	// sweep default — the expansion must hit the same cache entries).
-	Seed uint64 `json:"seed,omitempty"`
 }
 
 // maxBatchRequestBytes bounds a batch body (a 4096-spec campaign of
@@ -129,7 +117,7 @@ const maxBatchRequestBytes = 1 << 20
 // MaxBatchSpecs bounds the points of one batch submission.
 const MaxBatchSpecs = 4096
 
-// suiteNames lists the valid BatchRequest.Suite expansions. The
+// suiteNames lists the suites SuiteSpecs expands. The
 // measurement aliases all name the same matrix because every one of
 // those artifacts is rendered from the same Measurements.
 var suiteNames = []string{"measure", "table1", "fig3", "fig4", "fig5a", "breakdown"}
@@ -159,19 +147,10 @@ func ParseBatchRequest(b []byte) (*BatchRequest, error) {
 		return nil, fmt.Errorf("paper: negative timeout_ms")
 	}
 	switch {
-	case len(req.Specs) > 0 && req.Suite != "":
-		return nil, fmt.Errorf("paper: batch request names both specs and a suite")
-	case len(req.Specs) == 0 && req.Suite == "":
-		return nil, fmt.Errorf("paper: batch request names neither specs nor a suite")
+	case len(req.Specs) == 0:
+		return nil, fmt.Errorf("paper: batch request has no specs")
 	case len(req.Specs) > MaxBatchSpecs:
 		return nil, fmt.Errorf("paper: batch of %d specs exceeds the %d-spec bound", len(req.Specs), MaxBatchSpecs)
-	}
-	if req.Suite != "" {
-		if err := checkSuite(req.Suite); err != nil {
-			return nil, err
-		}
-	} else if req.Small || req.Observe || req.Seed != 0 {
-		return nil, fmt.Errorf("paper: small/observe/seed parameterize a suite expansion; explicit specs carry their own")
 	}
 	for i := range req.Specs {
 		if err := req.Specs[i].Validate(); err != nil {
@@ -181,20 +160,13 @@ func ParseBatchRequest(b []byte) (*BatchRequest, error) {
 	return &req, nil
 }
 
-// Expand resolves the request into its concrete spec list: explicit
-// specs verbatim, a named suite through SuiteSpecs.
-func (r *BatchRequest) Expand() ([]JobSpec, error) {
-	if r.Suite != "" {
-		return SuiteSpecs(r.Suite, r.Small, r.Observe, r.Seed)
-	}
-	return r.Specs, nil
-}
-
-// SuiteSpecs expands a named suite into exactly the spec list the local
-// MeasureWith-family producers schedule — same (kernel × configuration)
-// matrix, same order, same seed default — so a suite-form batch hits the
-// same keys (and so the same cache entries and dedup flights) as
-// both a local sweep and an explicit-spec batch.
+// SuiteSpecs expands a named suite — "table1", "fig3", "fig4", "fig5a" or
+// "measure" (aliases of the same kernel × configuration measurement
+// matrix) or "breakdown" (the matrix with attribution on the pulp4
+// points) — into exactly the spec list the local MeasureWith-family
+// producers schedule: same matrix, same order, same seed default (0
+// selects 1). A batch of these specs therefore hits the same keys, and so
+// the same cache entries and dedup flights, as a local sweep.
 func SuiteSpecs(name string, small, observe bool, seed uint64) ([]JobSpec, error) {
 	if err := checkSuite(name); err != nil {
 		return nil, err
@@ -215,7 +187,7 @@ func SuiteSpecs(name string, small, observe bool, seed uint64) ([]JobSpec, error
 	return specs, nil
 }
 
-// checkSuite rejects a BatchRequest.Suite name that is not in suiteNames.
+// checkSuite rejects a suite name that is not in suiteNames.
 func checkSuite(name string) error {
 	if !slices.Contains(suiteNames, name) {
 		return fmt.Errorf("paper: unknown suite %q", name)

@@ -103,23 +103,6 @@ func TestParseBatchRequest(t *testing.T) {
 	if req.Tenant != "lab" || req.TimeoutMS != 500 || len(req.Specs) != 2 || req.Specs[1].Kernel != "fir" {
 		t.Fatalf("good batch decoded as %+v", req)
 	}
-	specs, err := req.Expand()
-	if err != nil || len(specs) != 2 {
-		t.Fatalf("explicit Expand = %d specs, %v", len(specs), err)
-	}
-
-	suite := `{"suite":"table1","small":true}`
-	sreq, err := ParseBatchRequest([]byte(suite))
-	if err != nil {
-		t.Fatalf("good suite batch rejected: %v", err)
-	}
-	sspecs, err := sreq.Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := len(kernels.SmallSuite()) * len(measureRuns); len(sspecs) != want {
-		t.Fatalf("suite expanded to %d specs, want %d", len(sspecs), want)
-	}
 
 	studies := `{"specs":[{"kernel":"matmul","seed":1,"study":"ext"},{"kernel":"matmul","seed":1,"study":"ext","variant":"-MinMax"},` +
 		`{"kernel":"matmul","seed":1,"study":"banks","banks":16},{"kernel":"cnn","seed":1,"study":"scaling","threads":8}]}`
@@ -132,16 +115,13 @@ func TestParseBatchRequest(t *testing.T) {
 		{"not json", `hello`},
 		{"unknown field", `{"bogus":1,"specs":[{"kernel":"matmul","seed":1,"config":"m3"}]}`},
 		{"trailing data", good + `{"again":true}`},
-		{"neither form", `{"tenant":"lab"}`},
-		{"both forms", `{"suite":"table1","specs":[{"kernel":"matmul","seed":1,"config":"m3"}]}`},
-		{"unknown suite", `{"suite":"table9"}`},
-		{"specs with suite knobs", `{"small":true,"specs":[{"kernel":"matmul","seed":1,"config":"m3"}]}`},
+		{"no specs", `{"tenant":"lab"}`},
+		{"empty specs", `{"specs":[]}`},
+		{"server-side suite", `{"suite":"table1"}`},
+		{"batch-level knobs", `{"small":true,"specs":[{"kernel":"matmul","seed":1,"config":"m3"}]}`},
 		{"bad spec inside", `{"specs":[{"kernel":"matmul","seed":1,"config":"m3"},{"kernel":"matmul","seed":1,"config":"turbo"}]}`},
 		{"missing kernel", `{"specs":[{"seed":1,"config":"m3"}]}`},
 		{"long kernel", `{"specs":[{"kernel":"` + strings.Repeat("x", 129) + `","seed":1,"config":"m3"}]}`},
-		{"negative timeout", `{"timeout_ms":-5,"suite":"measure"}`},
-		{"long tenant", `{"tenant":"` + strings.Repeat("t", 65) + `","suite":"measure"}`},
-		{"control tenant", `{"tenant":"a\tb","suite":"measure"}`},
 		{"oversized", `{"tenant":"` + strings.Repeat(" ", maxBatchRequestBytes) + `"}`},
 		{"unknown study", `{"specs":[{"kernel":"matmul","seed":1,"study":"voltage"}]}`},
 		{"unknown variant", `{"specs":[{"kernel":"matmul","seed":1,"study":"ext","variant":"-FPU"}]}`},
@@ -155,6 +135,18 @@ func TestParseBatchRequest(t *testing.T) {
 	for _, tc := range bad {
 		if _, err := ParseBatchRequest([]byte(tc.body)); err == nil {
 			t.Errorf("%s: accepted", tc.name)
+		}
+	}
+	// A valid spec list does not save a batch whose timeout or tenant is
+	// bad, and the error says which.
+	specs := `"specs":[{"kernel":"matmul","seed":1,"config":"m3"}]`
+	for _, tc := range []struct{ name, body, want string }{
+		{"negative timeout", `{"timeout_ms":-5,` + specs + `}`, "negative timeout_ms"},
+		{"long tenant", `{"tenant":"` + strings.Repeat("t", 65) + `",` + specs + `}`, "longer than 64 bytes"},
+		{"control tenant", `{"tenant":"a\tb",` + specs + `}`, "control characters"},
+	} {
+		if _, err := ParseBatchRequest([]byte(tc.body)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one naming %q", tc.name, err, tc.want)
 		}
 	}
 	// A bad spec names its index for diagnosability.
@@ -177,11 +169,11 @@ func TestParseBatchRequest(t *testing.T) {
 	}
 }
 
-// TestSuiteSpecsMatchLocal pins what the suite form rests on: a named
+// TestSuiteSpecsMatchLocal pins what SuiteSpecs promises: a named
 // expansion yields exactly the (kernel × configuration) matrix the local
 // MeasureWith producers schedule — same order, same content keys — so a
-// suite batch hits the same cache entries and dedup flights as a local
-// sweep.
+// batch of its specs hits the same cache entries and dedup flights as a
+// local sweep.
 func TestSuiteSpecsMatchLocal(t *testing.T) {
 	specs, err := SuiteSpecs("table1", true, false, 0)
 	if err != nil {
@@ -287,7 +279,7 @@ func TestMeasureRemoteBatchFoldsLikeLocal(t *testing.T) {
 
 // FuzzParseBatchRequest hammers the server's first line of defense: the
 // decoder must reject or accept without panicking, and anything it
-// accepts must survive a re-encode/re-parse round trip and still expand.
+// accepts must survive a re-encode/re-parse round trip.
 func FuzzParseBatchRequest(f *testing.F) {
 	f.Add([]byte(`{"tenant":"lab","timeout_ms":500,"specs":[{"kernel":"matmul","seed":1,"config":"pulp4"}]}`))
 	f.Add([]byte(`{"suite":"table1","small":true,"observe":true,"seed":7}`))
@@ -305,9 +297,6 @@ func FuzzParseBatchRequest(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if _, err := req.Expand(); err != nil {
-			t.Fatalf("accepted batch does not expand: %v", err)
-		}
 		enc, err := json.Marshal(req)
 		if err != nil {
 			t.Fatalf("accepted batch does not re-encode: %v", err)
@@ -316,7 +305,7 @@ func FuzzParseBatchRequest(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-encoded batch rejected: %v\n%s", err, enc)
 		}
-		if again.Tenant != req.Tenant || again.Suite != req.Suite || len(again.Specs) != len(req.Specs) {
+		if again.Tenant != req.Tenant || again.TimeoutMS != req.TimeoutMS || len(again.Specs) != len(req.Specs) {
 			t.Fatalf("round trip changed the request: %+v vs %+v", again, req)
 		}
 	})

@@ -17,7 +17,6 @@ package power
 
 import (
 	"fmt"
-	"math"
 
 	"hetsim/internal/cluster"
 	"hetsim/internal/isa"
@@ -255,13 +254,4 @@ func EfficiencyGOPSW(ops float64, seconds float64, watts float64) float64 {
 		return 0
 	}
 	return ops / seconds / watts / 1e9
-}
-
-// Round3 trims a float for stable textual reports.
-func Round3(v float64) float64 {
-	if v == 0 {
-		return 0
-	}
-	mag := math.Pow(10, math.Floor(math.Log10(math.Abs(v)))-2)
-	return math.Round(v/mag) * mag
 }

@@ -14,8 +14,8 @@ import (
 )
 
 // This file is the service's one submission path: POST /v1/batch accepts
-// a whole campaign in one submission — an explicit spec list or a named
-// suite expansion — and streams per-job completions back as NDJSON the
+// a whole campaign in one submission — an explicit spec list, the one
+// request form — and streams per-job completions back as NDJSON the
 // moment each lands, so a 60-point paper sweep costs one HTTP round trip
 // instead of sixty. A single point is a one-spec batch. Every point rides
 // the single-flight layer (points of concurrent batches that share a key
@@ -69,12 +69,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, paper.JobResponse{Error: err.Error()})
 		return
 	}
-	specs, err := req.Expand()
-	if err != nil {
-		s.badRequests.Add(1)
-		writeJSON(w, http.StatusBadRequest, paper.JobResponse{Error: err.Error()})
-		return
-	}
+	specs := req.Specs
 	// Resolve every spec before the stream starts: a batch with one
 	// unresolvable point is refused whole with a diagnosable 400 rather
 	// than failing mid-stream after work has been spent.
@@ -228,9 +223,6 @@ func (s *Server) batchJob(ctx context.Context, inner sweep.Job[json.RawMessage])
 			v, err, shared := s.flight.Do(ctx, inner.Key, func() (flightVal, error) {
 				return s.lead(inner)
 			})
-			if shared {
-				s.deduped.Add(1)
-			}
 			if err != nil {
 				if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 					s.expired.Add(1)

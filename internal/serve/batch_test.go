@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"hetsim/internal/kernels"
 	"hetsim/internal/paper"
 	"hetsim/internal/sweep"
 )
@@ -152,53 +151,6 @@ func TestBatchStream(t *testing.T) {
 	}
 }
 
-// TestBatchSuiteExpansion: a suite-form submission expands server-side
-// into exactly the specs paper.SuiteSpecs produces — same points, same
-// matrix order by index.
-func TestBatchSuiteExpansion(t *testing.T) {
-	var mu sync.Mutex
-	seen := make(map[string]int)
-	build := func(spec paper.JobSpec) (sweep.Job[json.RawMessage], error) {
-		key := fmt.Sprintf("suite|%s|%s|%v|%d|%v", spec.Kernel, spec.Config, spec.Small, spec.Seed, spec.Observe)
-		return sweep.Job[json.RawMessage]{Key: key, Run: func() (json.RawMessage, error) {
-			mu.Lock()
-			seen[key]++
-			mu.Unlock()
-			return json.RawMessage(`{}`), nil
-		}}, nil
-	}
-	srv := New(Config{Build: build, Workers: 4, Queue: 512})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	code, _, recs, _ := postBatch(t, ts, `{"suite":"table1","small":true}`)
-	if code != http.StatusOK {
-		t.Fatalf("suite batch: code %d", code)
-	}
-	wantSpecs, err := paper.SuiteSpecs("table1", true, false, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := len(kernels.SmallSuite()) * len(paper.SpecConfigs()); len(wantSpecs) != n {
-		t.Fatalf("SuiteSpecs produced %d specs, want %d", len(wantSpecs), n)
-	}
-	sum := lastSummary(t, recs)
-	if sum.Jobs != len(wantSpecs) || sum.Completed != len(wantSpecs) {
-		t.Fatalf("summary = %+v, want %d jobs", sum, len(wantSpecs))
-	}
-	// Every expanded point keys exactly like the client-side expansion,
-	// and each executed once.
-	for i, spec := range wantSpecs {
-		key := fmt.Sprintf("suite|%s|%s|%v|%d|%v", spec.Kernel, spec.Config, spec.Small, spec.Seed, spec.Observe)
-		mu.Lock()
-		n := seen[key]
-		mu.Unlock()
-		if n != 1 {
-			t.Fatalf("spec %d (%s) executed %d times", i, key, n)
-		}
-	}
-}
-
 // TestBatchValidation pins the refusal envelope: everything wrong with a
 // batch is a diagnosable pre-stream status, never a torn stream.
 func TestBatchValidation(t *testing.T) {
@@ -213,8 +165,7 @@ func TestBatchValidation(t *testing.T) {
 	}{
 		{"garbage", `{{{`, http.StatusBadRequest},
 		{"empty", `{}`, http.StatusBadRequest},
-		{"both forms", `{"suite":"table1","specs":[{"kernel":"k","seed":1,"config":"plain"}]}`, http.StatusBadRequest},
-		{"unknown suite", `{"suite":"nope"}`, http.StatusBadRequest},
+		{"server-side suite", `{"suite":"table1"}`, http.StatusBadRequest},
 		{"bad spec", `{"specs":[{"kernel":"k","seed":1,"config":"warp"}]}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {

@@ -191,7 +191,6 @@ type Server struct {
 	rejectedQuota atomic.Uint64
 	rejectedDrain atomic.Uint64
 	badRequests   atomic.Uint64
-	deduped       atomic.Uint64
 	cacheHits     atomic.Uint64
 	executed      atomic.Uint64
 	execRetries   atomic.Uint64
@@ -274,7 +273,7 @@ func (s *Server) Stats() Stats {
 		RejectedQuota: s.rejectedQuota.Load(),
 		RejectedDrain: s.rejectedDrain.Load(),
 		BadRequests:   s.badRequests.Load(),
-		Deduped:       s.deduped.Load(),
+		Deduped:       fs.Shared,
 		Leads:         fs.Leads,
 		CacheHits:     s.cacheHits.Load(),
 		Executed:      s.executed.Load(),

@@ -38,8 +38,10 @@ import (
 // Version names the on-disk format of cache entries and journals; bump it
 // only when that format changes. Model changes need no bump: the campaign
 // and chaos job keys carry the model fingerprint (paper.ModelFingerprint),
-// which a test keeps equal to the tree, so a changed model asks for new
-// keys and never meets an old entry.
+// which hashes the campaign goldens, the chaos drill golden and the
+// campaign's content keys, and which a test keeps equal to the tree. A
+// changed program, input, cluster, fault model or recovery runtime
+// therefore asks for new keys and never meets an old entry.
 // History: 2 — fault-injection knobs entered the content keys (chaos
 // campaigns) and the memory system gained SEU hooks.
 const Version = 2
