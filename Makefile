@@ -3,9 +3,9 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race race-sweep differential block-differential fault-drill chaos-drill serve-drill crash-drill bench bench-smoke bench-unit gates
+.PHONY: ci vet build test race race-sweep differential block-differential fuzz-tiers fault-drill chaos-drill serve-drill crash-drill bench bench-smoke bench-unit gates
 
-ci: vet build race race-sweep differential block-differential fault-drill chaos-drill serve-drill crash-drill bench-smoke bench-unit gates
+ci: vet build race race-sweep differential block-differential fuzz-tiers fault-drill chaos-drill serve-drill crash-drill bench-smoke bench-unit gates
 
 vet:
 	$(GO) vet ./...
@@ -104,13 +104,23 @@ differential:
 # Block-mode differential under the race detector: the kernel matrix in
 # all three execution modes (fused / stepped / reference), randomized
 # programs over the fusable instruction space, the randomized
-# branch/loop-dominated family that stresses superblock chaining, the
-# hot-edge lifecycle, and the seeded-SEU stepped-fallback leg. Every
-# observable must stay bit-identical.
+# branch/loop-dominated family, the seeded-SEU stepped-fallback leg, and
+# the checked-in corpus of the tier fuzzer (1–8 cores, 1–16 banks,
+# producer/consumer sharing). Every observable must stay bit-identical.
 block-differential:
 	$(GO) test -race -count=1 \
-		-run 'TestDifferentialCycleAccuracy|TestRandomizedBlockDifferential|TestRandomizedBranchyDifferential|TestHotEdgeLifecycle|TestBlockFaultDifferential' \
+		-run 'TestDifferentialCycleAccuracy|TestRandomizedBlockDifferential|TestRandomizedBranchyDifferential|TestBlockFaultDifferential|FuzzTierDifferential' \
 		./internal/cluster
+
+# Native fuzzing of the execution tiers (FuzzTierDifferential): fresh
+# programs, core counts, bank counts and sharing modes beyond the corpus.
+# The budget comes from a 2-core runner's rate, about 700–1100 execs/s
+# with two workers, so 60 s is 40k–65k programs: 2.5x the most a
+# store→load mutant of the window commit took to surface (3–24 s over
+# seven runs from an empty fuzz cache). A failing input lands in
+# internal/cluster/testdata/fuzz and becomes a permanent case.
+fuzz-tiers:
+	$(GO) test -run FuzzTierDifferential -fuzz FuzzTierDifferential -fuzztime 60s -parallel 2 ./internal/cluster
 
 # End-to-end campaign benchmark (bench/README.md): every workload that
 # BENCHMARK.json declares, built from this tree, timed and checked against

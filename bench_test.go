@@ -1,7 +1,8 @@
 // Simulator-throughput benchmarks: the cost of the methodology in
 // simulated cycles per wall-clock second, on the 4-core matmul offload
 // (plain and with observability attached), on the fused-vs-stepped
-// straight-line kernel mix and on the branch-heavy family.
+// straight-line kernel mix, on the branch-heavy family and on the
+// paper-size four-core team.
 //
 //	go test -run xxx -bench SimulatorThroughput -benchmem .
 //
@@ -17,6 +18,7 @@ import (
 	"hetsim"
 	"hetsim/internal/cluster"
 	"hetsim/internal/devrt"
+	"hetsim/internal/hw"
 	"hetsim/internal/isa"
 	"hetsim/internal/kernels"
 	"hetsim/internal/loader"
@@ -50,6 +52,15 @@ func BenchmarkSimulatorThroughputBranchy(b *testing.B) {
 		for _, sh := range branchyShapes {
 			b.Run(tier.name+"/"+sh.name, branchyThroughput(sh, tier.stepped))
 		}
+	}
+}
+
+// BenchmarkSimulatorThroughputTeam measures multi-core execution, where
+// optimistic windows (DESIGN.md §13) do their work: the paper-size matmul,
+// cnn and hog on the four-core PULP cluster, in stepped and fused mode.
+func BenchmarkSimulatorThroughputTeam(b *testing.B) {
+	for _, tier := range tiers {
+		b.Run(tier.name, teamThroughput(tier.stepped))
 	}
 }
 
@@ -227,6 +238,70 @@ func branchyThroughput(sh branchyShape, stepped bool) func(*testing.B) {
 				}
 				cycles += res.Cycles
 			}
+		}
+		reportThroughput(b, cycles)
+	}
+}
+
+// teamThroughput returns the body of one SimulatorThroughputTeam tier:
+// matmul, cnn and hog at their paper sizes with four threads on pulp-4c.
+// Each cluster is built, loaded and staged once outside the timed loop and
+// run once untimed (which allocates the window log); each iteration is
+// Start+Run only, so the variant doubles as the steady-state allocation
+// audit of the team path.
+func teamThroughput(stepped bool) func(*testing.B) {
+	return func(b *testing.B) {
+		type run struct {
+			cl    *cluster.Cluster
+			entry uint32
+		}
+		var runs []run
+		for _, k := range []*kernels.Instance{kernels.MatMulChar(64), kernels.CNN(false), kernels.HOG(128, 128)} {
+			cfg := cluster.PULPConfig()
+			cfg.NoBlocks = stepped
+			prog, err := k.Build(cfg.Target, devrt.Accel)
+			if err != nil {
+				b.Fatal(err)
+			}
+			comp, err := kernels.Compiled(prog, cfg.Target)
+			if err != nil {
+				b.Fatal(err)
+			}
+			job := loader.Job{Prog: prog, In: k.Input(1), OutLen: k.OutLen(), Iters: 1,
+				Threads: 4, Args: k.Args(), StackCores: cfg.Cores}
+			l, err := loader.Plan(job, cfg.TCDMSize, cfg.L2Size)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cl := cluster.New(cfg)
+			if err := cl.LoadCompiled(prog, false, comp); err != nil {
+				b.Fatal(err)
+			}
+			if err := cl.L2.WriteBytes(hw.DescBase, loader.Descriptor(job, l)); err != nil {
+				b.Fatal(err)
+			}
+			if err := cl.L2.WriteBytes(l.InLMA, job.In); err != nil {
+				b.Fatal(err)
+			}
+			runs = append(runs, run{cl, prog.Entry})
+		}
+		var cycles uint64
+		pass := func() {
+			for _, rn := range runs {
+				rn.cl.Start(rn.entry)
+				res, err := rn.cl.Run(2_000_000_000)
+				if err != nil || !res.EOC || res.EOCValue != 1 {
+					b.Fatalf("team run: %+v, %v", res, err)
+				}
+				cycles += res.Cycles
+			}
+		}
+		pass()
+		cycles = 0
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			pass()
 		}
 		reportThroughput(b, cycles)
 	}

@@ -65,6 +65,7 @@ import (
 
 	"hetsim/internal/chaos"
 	"hetsim/internal/cli"
+	"hetsim/internal/cluster"
 	"hetsim/internal/fault"
 	"hetsim/internal/kernels"
 	"hetsim/internal/paper"
@@ -292,13 +293,20 @@ func sweepStats(eng *sweep.Engine) {
 				cs.WriteFails, c.Dir())
 		}
 	}
-	// Compile-tier counters (DESIGN.md §12–13): how much of the campaign
-	// ran compiled. Block/superblock are table builds in the CPU model;
-	// memo hit/miss splits kernels.Compiled lookups into reused vs freshly
-	// built tables across the whole process.
-	bc, sc, mh, mm := kernels.CompileStats()
-	fmt.Fprintf(os.Stderr, "compile: %d block tables, %d superblocks, memo %d hit / %d miss\n",
-		bc, sc, mh, mm)
+	// Compile-tier counters (DESIGN.md §12): program images predecoded,
+	// and the kernels.Compiled memo's split into reused vs freshly built
+	// images across the whole process.
+	ic, _, mh, mm := kernels.CompileStats()
+	fmt.Fprintf(os.Stderr, "compile: %d images, memo %d hit / %d miss\n", ic, mh, mm)
+	// Optimistic-window coverage (DESIGN.md §13): how much of the
+	// multi-core simulation ran windowed, and why windows were cut short.
+	ws := cluster.WindowStats()
+	pct := 0.0
+	if ws.MultiCycles > 0 {
+		pct = 100 * float64(ws.Cycles) / float64(ws.MultiCycles)
+	}
+	fmt.Fprintf(os.Stderr, "windows: %d committed, %d of %d multi-core cycles (%.1f%%), cut: bank %d, word %d, event %d\n",
+		ws.Committed, ws.Cycles, ws.MultiCycles, pct, ws.CutBank, ws.CutWord, ws.CutEvent)
 }
 
 // chaosOpts carries the -chaos-* flags into runChaos.

@@ -9,7 +9,6 @@ import (
 
 	"hetsim/internal/asm"
 	"hetsim/internal/cluster"
-	"hetsim/internal/cpu"
 	"hetsim/internal/fault"
 	"hetsim/internal/hw"
 	"hetsim/internal/isa"
@@ -243,12 +242,12 @@ func TestRandomizedBlockDifferential(t *testing.T) {
 	}
 }
 
-// TestRandomizedBranchyDifferential fuzzes the superblock tier on its home
-// turf: branch/loop-dominated programs (hot backward branches, taken-branch
+// TestRandomizedBranchyDifferential fuzzes fused execution on
+// branch/loop-dominated programs (hot backward branches, taken-branch
 // chains, nested hardware loops, barrier-separated per-core phases that
-// open solo windows) run in three execution modes — fused with chaining
-// (the default), stepped, and the naive reference — and every observable
-// including 9-class attribution must be bit-identical.
+// open solo windows) in three execution modes — fused (the default),
+// stepped, and the naive reference — and every observable including
+// 9-class attribution must be bit-identical.
 func TestRandomizedBranchyDifferential(t *testing.T) {
 	for _, tc := range blockTestConfigs() {
 		tc := tc
@@ -304,49 +303,5 @@ func TestBlockFaultDifferential(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestHotEdgeLifecycle pins when superblocks form on a loaded image: the
-// first run warms the hot-edge counters and forms superblocks, a restart
-// of the same program keeps them (Start is architectural state only), and
-// installing the image again resets them, so a fresh load forms exactly
-// the same set again. Hot edges only gate multi-core runs (a lone core
-// runs solo and chases branches without them), so the program runs on
-// all four cores without barriers: barrier phases open solo windows whose
-// placement shifts with the I$ left warm by the earlier runs.
-func TestHotEdgeLifecycle(t *testing.T) {
-	cfg := cluster.PULPConfig()
-	p := kernels.BranchyProgram(1, kernels.BranchyOpts{HWLoop: true})
-	comp, err := kernels.Compiled(p, cfg.Target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl := cluster.New(cfg)
-	load := func() {
-		if err := cl.LoadCompiled(p, true, comp); err != nil {
-			t.Fatalf("load: %v", err)
-		}
-	}
-	formed := func() uint64 {
-		before := cpu.SuperCompiles.Load()
-		cl.Start(p.Entry)
-		if _, err := cl.Run(1_000_000); err != nil {
-			t.Fatalf("run: %v", err)
-		}
-		return cpu.SuperCompiles.Load() - before
-	}
-
-	load()
-	first := formed()
-	if first == 0 {
-		t.Fatal("first run formed no superblocks")
-	}
-	if n := formed(); n != 0 {
-		t.Errorf("restart formed %d superblocks, want 0 (counters persist across Start)", n)
-	}
-	load()
-	if n := formed(); n != first {
-		t.Errorf("fresh load formed %d superblocks, want %d (counters reset on install)", n, first)
 	}
 }

@@ -122,6 +122,20 @@ type Cluster struct {
 	stepStatus uint8
 	nextEvent  uint64
 
+	// fused records that fused execution is on (LoadCompiled): solo
+	// windows (the Solo flag below) and optimistic windows (window.go).
+	// It is only sound with the event-driven loop and no fault injector
+	// or tracer.
+	fused bool
+	win   winState
+
+	// awake is the number of awake cores at the end of the last Step, and
+	// multiCycles counts the cycles with at least two awake cores — the
+	// cycles optimistic windows compete for (flushed to the window
+	// counters at the end of every Run).
+	awake       int
+	multiCycles uint64
+
 	// soloCore is the core currently flagged cpu.Core.Solo: the only
 	// possible actor until soloEnd (every sibling halted, asleep or
 	// mid-stall, DMA idle), allowed to fuse basic-block runs across
@@ -230,9 +244,7 @@ func (cl *Cluster) AttachFaults(in *fault.Injector) {
 		// write, fetch and DMA beat is an injection point that must land
 		// at its exact cycle, and a fused run batches those.
 		cl.faultsOn = true
-		for _, c := range cl.Cores {
-			c.SetBlocks(nil)
-		}
+		cl.fused = false
 	}
 }
 
@@ -257,10 +269,10 @@ func (cl *Cluster) LoadProgram(p *asm.Program, direct bool) error {
 }
 
 // LoadCompiled is LoadProgram taking an optional pre-compiled image (the
-// kernels-package memo shares one Compiled — predecoded text plus block
-// run table — across cores, clusters and sweep jobs). comp == nil compiles
-// here. The block table is only installed when fused execution is sound
-// for this cluster: event-driven loop, no fault injector, no tracer.
+// kernels-package memo shares one predecoded Compiled across cores,
+// clusters and sweep jobs). comp == nil compiles here. Fused execution is
+// only turned on when it is sound for this cluster: event-driven loop, no
+// fault injector, no tracer.
 func (cl *Cluster) LoadCompiled(p *asm.Program, direct bool, comp *cpu.Compiled) error {
 	textBytes, err := isa.EncodeProgram(p.Text)
 	if err != nil {
@@ -279,20 +291,15 @@ func (cl *Cluster) LoadCompiled(p *asm.Program, direct bool, comp *cpu.Compiled)
 			}
 		}
 	}
-	// Predecode + block-compile once and share the immutable result across
-	// all cores: they run the same target.
+	// Predecode once and share the immutable result across all cores: they
+	// run the same target.
 	if comp == nil {
 		comp = cpu.Compile(p.Text, cl.Cfg.Target)
 	}
-	useBlocks := !cl.Cfg.ReferenceRun && !cl.Cfg.NoBlocks && !cl.faultsOn && cl.tracer == nil
 	for _, c := range cl.Cores {
 		c.SetPredecoded(comp.Code, p.TextBase)
-		if useBlocks {
-			c.SetBlocks(comp.Blocks)
-		} else {
-			c.SetBlocks(nil)
-		}
 	}
+	cl.fused = !cl.Cfg.ReferenceRun && !cl.Cfg.NoBlocks && !cl.faultsOn && cl.tracer == nil
 	return nil
 }
 
@@ -373,10 +380,10 @@ func (cl *Cluster) Step() {
 	// start the DMA via an env access, which always ends a fused run
 	// first. Unbounded windows (every sibling needs an external wake)
 	// always engage, while finite ones only engage when wide enough to
-	// beat chained multi-core dispatch.
+	// beat an optimistic window over the same cycles.
 	var solo *cpu.Core
 	soloEnd := uint64(cpu.NextEventNever)
-	if !dmaBusy {
+	if cl.fused && !dmaBusy {
 		var best *cpu.Core
 		min1, min2 := uint64(cpu.NextEventNever), uint64(cpu.NextEventNever)
 		for _, c := range cl.Cores {
@@ -402,6 +409,10 @@ func (cl *Cluster) Step() {
 			solo.SetSoloWindow(soloEnd)
 		}
 		cl.soloCore, cl.soloEnd = solo, soloEnd
+	}
+	cl.awake = n - halted - sleeping
+	if cl.awake >= 2 {
+		cl.multiCycles++
 	}
 	// Fold the termination conditions into the status byte while the
 	// counts are still in registers. Bits may combine; the run loop's
@@ -434,9 +445,9 @@ func (cl *Cluster) Step() {
 
 // soloWindowMin is the minimum width of a *finite* solo window worth
 // engaging: narrower windows would churn the solo flag every cycle for a
-// handful of fused issues that chained multi-core dispatch covers just
-// as well. Purely a scheduling heuristic — simulated results are
-// bit-identical at any value.
+// handful of fused issues that an optimistic window covers just as well.
+// Purely a scheduling heuristic — simulated results are bit-identical at
+// any value.
 const soloWindowMin = 8
 
 // stepStatus bits, in no particular order (finish imposes priority).
@@ -475,10 +486,10 @@ type RunResult struct {
 // cycle-accuracy test enforces this over the whole kernel suite.
 func (cl *Cluster) Run(maxCycles uint64) (RunResult, error) {
 	res, err := cl.runLoop(maxCycles)
-	// Fused-run windows need no unwinding here: multi-core runs defer
-	// their charges to a per-cycle plan that simply stops with the run
-	// loop, and solo runs — which batch-charge up front — can only be cut
-	// short by the cycle budget, which they clamp against (the horizon).
+	// Fused runs need no unwinding here: they charge only the cycles below
+	// their issue limit, and a trailing stall past it is charged cycle by
+	// cycle as it elapses, so it simply stops with the run loop.
+	cl.flushWindowCounters()
 	// Close open sleep intervals and run spans on every exit path, so
 	// trace-derived sleep cycles always reconcile with CollectStats even
 	// when the run ends inside a fast-forwarded idle window.
@@ -504,6 +515,12 @@ func (cl *Cluster) runLoop(maxCycles uint64) (RunResult, error) {
 	}
 	n := len(cl.Cores)
 	for cl.now-start < maxCycles {
+		if cl.fused && cl.soloCore == nil && cl.now >= cl.win.next && !cl.DMA.Busy() {
+			cl.runWindow(horizon)
+			if cl.now == horizon {
+				break
+			}
+		}
 		cl.Step()
 		if cl.stepStatus != 0 {
 			return cl.finish(start)
@@ -517,7 +534,10 @@ func (cl *Cluster) runLoop(maxCycles uint64) (RunResult, error) {
 				skip = limit
 			}
 			for _, c := range cl.Cores {
-				c.CreditIdle(skip)
+				c.CreditIdle(cl.now, skip)
+			}
+			if cl.awake >= 2 {
+				cl.multiCycles += skip
 			}
 			cl.rrOffset = int((uint64(cl.rrOffset) + skip) % uint64(n))
 			cl.now += skip
@@ -614,14 +634,14 @@ func (cl *Cluster) runReference(maxCycles uint64) (RunResult, error) {
 // Start; pass nil to detach.
 func (cl *Cluster) AttachTracer(tr *trace.Tracer) {
 	cl.tracer = tr
+	if tr != nil {
+		// Per-instruction tracing forces the stepped path: a fused run
+		// pre-executes instructions whose retire events could be cut
+		// short by another core's termination or a window rollback, and
+		// trace events cannot be unemitted.
+		cl.fused = false
+	}
 	for _, c := range cl.Cores {
-		if tr != nil {
-			// Per-instruction tracing forces the stepped path: a fused
-			// run pre-executes instructions whose retire events could be
-			// cut short by another core's termination, and trace events
-			// cannot be unemitted.
-			c.SetBlocks(nil)
-		}
 		if tr == nil {
 			c.Trace = nil
 			continue

@@ -52,16 +52,16 @@ func TestDifferentialCycleAccuracy(t *testing.T) {
 					Iters: 1, Threads: rc.threads, Args: k.Args()}
 
 				// Three execution modes, compared pairwise against the naive
-				// reference loop: fused (the default, chaining through hot
-				// edges), stepped (blocks disabled), and the reference
-				// itself. Attribution is recorded in all of them so the
-				// 9-class obs exactness invariant covers fused and chained
-				// runs too.
+				// reference loop: fused (the default: solo runs and
+				// optimistic windows), stepped (fusion disabled), and the
+				// reference itself. Attribution is recorded in all of them
+				// so the 9-class obs exactness invariant covers fused runs
+				// too.
 				cfg.Observe = true
 				cfg.ReferenceRun = false
 				sup, err := cluster.RunJob(cfg, rc.mode, job, 2_000_000_000)
 				if err != nil {
-					t.Fatalf("superblock run: %v", err)
+					t.Fatalf("fused run: %v", err)
 				}
 				cfg.NoBlocks = true
 				stp, err := cluster.RunJob(cfg, rc.mode, job, 2_000_000_000)

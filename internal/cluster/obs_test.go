@@ -162,9 +162,9 @@ func TestTraceSleepMatchesStats(t *testing.T) {
 		}
 	}
 
-	// Block-mode leg (no tracer — a tracer strips block tables): fused-run
-	// charge plans, solo batch charges and CreditIdle fast-forward windows
-	// must partition the cycle axis exactly. Any cycle credited twice (a
+	// Fused leg (no tracer — a tracer turns fusion off): solo and window
+	// batch charges, their lazily charged tails and CreditIdle
+	// fast-forward windows must partition the cycle axis exactly. Any cycle credited twice (a
 	// fused completion also swept up by CreditIdle) or not at all breaks the
 	// per-core identity against the cluster cycle count.
 	cfg := cluster.PULPConfig()

@@ -691,10 +691,10 @@ func (r *offloadRun) read(addr, n uint32) ([]byte, float64, error) {
 func (r *offloadRun) buildCluster() error {
 	acc := cluster.New(r.sys.AccCfg)
 	acc.AttachFaults(r.opts.Faults)
-	// The predecoded text and block table come from the per-process memo:
-	// repeat offloads, retries and parallel sweep workers running the same
-	// image share one compilation (LoadCompiled decides per cluster whether
-	// the block table is actually installed — faults or a tracer strip it).
+	// The predecoded text comes from the per-process memo: repeat
+	// offloads, retries and parallel sweep workers running the same image
+	// share one compilation (LoadCompiled decides per cluster whether fused
+	// execution is on — faults or a tracer turn it off).
 	comp, err := kernels.Compiled(r.parsed, r.sys.AccCfg.Target)
 	if err != nil {
 		return err

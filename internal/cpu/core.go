@@ -11,7 +11,6 @@ package cpu
 
 import (
 	"fmt"
-	"math/bits"
 
 	"hetsim/internal/isa"
 	"hetsim/internal/mem"
@@ -86,32 +85,17 @@ type Stats struct {
 	Sleep   uint64 // cycles asleep in WFE/barrier
 }
 
-// Core is one simulated core. Field order is deliberate: the scalars the
-// per-cycle Step gate and fetch path touch sit first so they share cache
-// lines, followed by the register file and per-instruction state; the
-// large, cold Target descriptor and error/trace plumbing go last.
-type Core struct {
-	PC   uint32
-	base uint32
-
-	sleep         SleepKind
-	Halted        bool
-	hasPending    bool
+// execState is the part of a core that fused execution mutates and an
+// optimistic window rolls back (window.go): the architectural registers,
+// the pipeline's timing state and the fetch buffer. Sleep, halt and error
+// state are absent on purpose — no window run changes them, because every
+// instruction that can ends the run first.
+type execState struct {
+	PC            uint32
 	lastLoadArmed bool
 	lastLoadReg   isa.Reg
 	Flag          bool
-
-	// stallAccounted marks the current stallUntil window as pre-charged by
-	// a solo fused run (block.go): Step's stall gate and CreditIdle must
-	// not charge those cycles again.
-	stallAccounted bool
-	// planOn marks the plan* fields below as valid: the current stallUntil
-	// window came from a multi-core fused run whose charges are deferred —
-	// Step's stall gate and CreditIdle charge them cycle-exactly from the
-	// plan bitmasks as the window actually elapses (and simply stop if the
-	// cluster run ends mid-window, so Stats always cover exactly the
-	// simulated cycles).
-	planOn bool
+	hasPending    bool
 
 	// stallClass is the attribution class of the current stallUntil window
 	// (obs.Class). Written whenever stallUntil is set; read by the stall
@@ -119,45 +103,62 @@ type Core struct {
 	// store) so bulk idle credits classify correctly whenever Obs is on.
 	stallClass obs.Class
 
+	fetchedLine uint32
+	stallUntil  uint64
+	// acctUntil marks the cycles before it as already charged by a fused
+	// run (block.go), which batch-charges everything it simulated up to
+	// its issue limit: Step's stall gate and CreditIdle charge only the
+	// cycles of a stall window at or past it. A fused run's trailing stall
+	// that crosses the limit is therefore charged cycle by cycle like any
+	// stepped stall, so Stats always cover exactly the simulated cycles —
+	// however the run loop ends.
+	acctUntil uint64
+
+	Regs [isa.NumRegs]uint32
+	Acc  int64 // 64-bit MAC accumulator (M-profile)
+
+	lp [2]hwLoop
+	// lpEnd[i] mirrors lp[i].end while loop i is active and holds the
+	// unreachable lpInactive sentinel otherwise, so the per-instruction
+	// wraparound check in advancePC is two compares, no state test.
+	lpEnd [2]uint32
+}
+
+// Core is one simulated core. Field order is deliberate: the base and
+// gate scalars sit next to the embedded execution state the per-cycle
+// Step and fetch path touch, so they share cache lines; the large, cold
+// Target descriptor and error/trace plumbing go last.
+type Core struct {
+	base   uint32
+	sleep  SleepKind
+	Halted bool
+
+	// Solo, maintained by the cluster at the end of every cycle while
+	// fused execution is on, reports that this core is the only possible
+	// actor until winHorizon (all sibling cores halted, asleep or
+	// mid-stall, DMA idle) — the condition under which a fused run
+	// (block.go) may cross memory accesses, taken branches and loop
+	// wraparounds freely. The condition is stable until the
+	// window ends or this core itself performs an env access (waking a
+	// sibling or starting the DMA), which always ends a fused run first.
+	Solo bool
+
+	execState
+
 	// FetchLineMask models the core's line prefetch buffer: while the PC
 	// stays within the last fetched line (pc &^ mask unchanged), the cache
 	// is not consulted again. 0 disables the buffer.
 	FetchLineMask uint32
-	fetchedLine   uint32
 
-	stallUntil uint64
-	code       []Decoded // predecoded text, see Predecode
+	code []Decoded // predecoded text, see Predecode
 
-	// blocks, when non-nil, is the fused-run table over code (block.go):
-	// Step dispatches straight-line runs through runFused instead of
-	// executing one instruction. The cluster only installs it when faults
-	// and tracing are detached and the run loop is event-driven.
-	blocks *BlockTable
-	// edges are the hot-edge counters of the chained fused runs
-	// (block.go), sized and cleared by SetBlocks: one saturating counter
-	// per instruction, indexed by conditional-branch position, gating
-	// when a taken or fall-through edge is hot enough to chain through.
-	// Per-core (not shared through the memo): the counters are mutable
-	// warm-up state, not compiled output.
-	edges []uint8
-	// horizon bounds fused execution (SetRunHorizon): no solo-fused
-	// instruction issues at or past this cycle. It is the run-loop budget
-	// bound — charges for a window the budget cuts off must also be cut.
+	// horizon bounds fused execution (SetRunHorizon): no fused instruction
+	// issues at or past this cycle. It is the run-loop budget bound.
 	horizon uint64
 	// winHorizon bounds solo fused execution inside a solo *window*
 	// (SetSoloWindow): no instruction issues at or past this cycle because
-	// a sibling core resumes there. Unlike horizon it only limits issue —
-	// the cycles past it are still simulated, so a multi-cycle tail that
-	// spills across the window end is charged in full.
+	// a sibling core resumes there.
 	winHorizon uint64
-	// Solo, maintained by the cluster at the end of every cycle, reports
-	// that this core is the only possible actor until winHorizon (all
-	// sibling cores halted, asleep or mid-stall, DMA idle) — the condition
-	// under which a fused run may cross memory accesses, taken branches
-	// and loop wraparounds freely. The condition is stable until the
-	// window ends or this core itself performs an env access (waking a
-	// sibling or starting the DMA), which always ends a fused run first.
-	Solo bool
 
 	// IC, when set by the cluster, is the shared instruction cache timing
 	// the fetch path consults (a direct pointer rather than a func value:
@@ -180,52 +181,13 @@ type Core struct {
 	timeJump   int
 	timeBranch int
 
-	// Deferred charge plan of the current fused multi-core run: bitmasks
-	// over cycle offsets from planStart classifying each window cycle
-	// (issue / load-use stall / ext-mem stall; clear bits in none of the
-	// three are Issue-class stalls). planCursor is the next uncharged
-	// cycle: Step's stall gate and CreditIdle consume the window in order,
-	// one path or the other charging every simulated cycle exactly once.
-	// planWords words give chained superblock runs a 256-cycle window
-	// (maxRunSpan spills past the first word); the arrays are embedded in
-	// the Core so a fused dispatch never allocates.
-	planStart  uint64
-	planCursor uint64
-	planIssue  [planWords]uint64
-	planLU     [planWords]uint64
-	planEM     [planWords]uint64
-
-	// Fetch points of the current plan: the offsets (relative to
-	// planStart) at which chained execution crosses into a new I$ fetch
-	// line, with the pc whose line is due. The plan gate consults the
-	// shared I$ live at exactly those cycles, in the core's own rotation
-	// slot — a hit is free and mutates no I$ state, a miss inserts its
-	// refill window into the plan as ICache stall cycles (planICStall
-	// counts the remaining ones, the cursor frozen meanwhile) and extends
-	// stallUntil — so a chained run's I$ traffic interleaves with the
-	// other cores bit-identically to stepped execution. planFetchI is
-	// the next pending point and planFetchAt its absolute cycle (the
-	// refill-retry cycle mid-refill, NextEventNever when none remain);
-	// the step hint (planHint) never reaches past it, so the cluster can
-	// neither fast-forward across a fetch point nor grant a sibling a
-	// solo window covering one.
-	planFetch   [planFetchCap]uint16
-	planFetchPC [planFetchCap]uint32
-	planFetchN  uint8
-	planFetchI  uint8
-	planFetchAt uint64
-	planICStall uint64
-
-	Regs [isa.NumRegs]uint32
-	Acc  int64 // 64-bit MAC accumulator (M-profile)
-
-	lp [2]hwLoop
-	// lpEnd[i] mirrors lp[i].end while loop i is active and holds the
-	// unreachable lpInactive sentinel otherwise, so the per-instruction
-	// wraparound check in advancePC is two compares, no state test.
-	lpEnd [2]uint32
-
 	Stats Stats
+
+	// saved and held are this core's side of an optimistic window
+	// (window.go): the state to roll back to, and the charges of the
+	// window run, applied only when the window commits.
+	saved execState
+	held  charge
 
 	env     Env
 	pending memOp
@@ -289,13 +251,8 @@ func (c *Core) Start(entry uint32) {
 	c.hasPending = false
 	c.fetchedLine = ^uint32(0)
 	c.lastLoadArmed = false
-	c.stallAccounted = false
-	c.planOn = false
+	c.acctUntil = 0
 	c.winHorizon = NextEventNever
-	// c.edges is NOT reset: the hot-edge counters are compile-tier state
-	// of the loaded image (like the memoized BlockTable), not architectural
-	// state — a restart of the same program keeps its hot traces. They are
-	// cleared by SetBlocks when an image is loaded.
 	c.Halted = false
 	c.TrapCode = 0
 	c.Err = nil
@@ -411,80 +368,9 @@ func (c *Core) Step(now uint64) uint64 {
 		return NextEventNever
 	}
 	if c.stallUntil > now {
-		if c.planOn {
-			if c.planICStall > 0 {
-				// Mid-refill of a fetch-point miss: inserted ICache stall
-				// cycles, the plan cursor frozen until the retry (which
-				// planFetchAt points at).
-				c.planICStall--
-				c.Stats.Stall++
-				if o := c.Obs; o != nil {
-					o.Tick(obs.ICache)
-				}
-				return c.planFetchAt
-			}
-			if now == c.planFetchAt {
-				// Chained execution crosses into a new fetch line this
-				// cycle: consult the shared I$ live, exactly as the
-				// stepped fetch path would have at this cycle (a retry
-				// after a miss re-fetches here too and scores the hit,
-				// matching the stepped resume).
-				i := c.planFetchI
-				fpc := c.planFetchPC[i]
-				if !c.IC.Probe(fpc, now) {
-					if done := c.IC.Fetch(fpc, now); done > now {
-						c.planICStall = done - now - 1
-						c.planFetchAt = done
-						c.stallUntil += done - now
-						c.Stats.Stall++
-						if o := c.Obs; o != nil {
-							o.Tick(obs.ICache)
-							if o.TL != nil {
-								o.TL.Span(o.Tid, "I$ refill", "stall", now, done, nil)
-							}
-						}
-						return done
-					}
-				}
-				c.fetchedLine = fpc &^ c.FetchLineMask
-				c.planFetchI = i + 1
-				if i+1 < c.planFetchN {
-					c.planFetchAt = now + uint64(c.planFetch[i+1]-c.planFetch[i])
-				} else {
-					c.planFetchAt = NextEventNever
-				}
-			}
-			// Charge this cycle from the fused run's deferred plan: the
-			// bit at the cursor offset classifies it as an instruction
-			// issue or a stall of a specific class, exactly as stepped
-			// execution would have charged it at this cycle.
-			off := c.planCursor - c.planStart
-			w, bit := off>>6, uint64(1)<<(off&63)
-			c.planCursor++
-			if c.planIssue[w]&bit != 0 {
-				c.Stats.Active++
-				c.Stats.Retired++
-				if o := c.Obs; o != nil {
-					o.Tick(obs.Issue)
-				}
-			} else {
-				c.Stats.Stall++
-				if o := c.Obs; o != nil {
-					switch {
-					case c.planLU[w]&bit != 0:
-						o.Tick(obs.LoadUse)
-					case c.planEM[w]&bit != 0:
-						o.Tick(obs.ExtMem)
-					default:
-						o.Tick(obs.Issue)
-					}
-				}
-			}
-			return c.planHint()
-		}
-		if c.stallAccounted {
-			// A solo fused run pre-charged this whole window (Stats and
-			// attribution batched at issue time); just repeat the hint.
+		if now < c.acctUntil {
+			// A fused run already charged this cycle (Stats and attribution
+			// batched at issue time); just repeat the hint.
 			return c.stallUntil
 		}
 		c.Stats.Stall++
@@ -493,19 +379,24 @@ func (c *Core) Step(now uint64) uint64 {
 		}
 		return c.stallUntil
 	}
-	// The core is resuming: any fused-run window is over.
-	c.stallAccounted = false
-	c.planOn = false
 	var in isa.Inst
 	var m InstMeta
 	var addr, wdata uint32
-	var idx uint32
 	if c.hasPending {
 		// Retry the parked access: re-enter the shared access path below.
 		// Hazards and alignment were already checked when it first issued.
 		c.hasPending = false
 		in, m, addr, wdata = c.pending.in, c.pending.m, c.pending.addr, c.pending.wdata
 		goto access
+	}
+	// Solo fused dispatch (block.go): while this core is the cluster's
+	// only possible actor, one call runs the whole trace from here —
+	// fetch, hazards and all. ok=false means the instruction at the PC
+	// needs the stepped path below; nothing observable was executed.
+	if c.Solo {
+		if hint, ok := c.runSolo(now); ok {
+			return hint
+		}
 	}
 
 	// Fetch: the line prefetch buffer short-circuits the shared cache
@@ -536,7 +427,7 @@ func (c *Core) Step(now uint64) uint64 {
 	// and idx lands far above len(code) for any text segment that fits the
 	// address space — the single bound check catches both directions.
 	{
-		idx = (c.PC - c.base) / 4
+		idx := (c.PC - c.base) / 4
 		if idx >= uint32(len(c.code)) {
 			return c.failFetch()
 		}
@@ -561,28 +452,6 @@ func (c *Core) Step(now uint64) uint64 {
 				o.Tick(obs.LoadUse)
 			}
 			return c.stallUntil
-		}
-	}
-
-	// Fused basic-block dispatch (block.go): with this instruction's gate,
-	// fetch and hazard checks already done, the rest of its straight-line
-	// run can execute in one call. Solo runs (every other actor halted or
-	// asleep, DMA idle) fuse without bound; multi-core runs fuse the
-	// Multi-table run — an optional memory access at offset 0, issued
-	// through real bank arbitration right here at cycle now, plus a
-	// pure-ALU tail. ok=false means the first instruction needs the
-	// stepped path below and nothing was executed.
-	if bt := c.blocks; bt != nil {
-		if n := uint32(bt.Multi[idx]); c.Solo {
-			if n != 0 {
-				if hint, ok := c.runFusedSolo(now); ok {
-					return hint
-				}
-			}
-		} else if n > 1 {
-			if hint, ok := c.runFusedMulti(now, n); ok {
-				return hint
-			}
 		}
 	}
 
@@ -965,16 +834,17 @@ access:
 	}
 }
 
-// CreditIdle accounts a fast-forwarded idle window: the cluster verified
-// that for the next `cycles` cycles this core would only have burned one
-// Sleep (asleep) or Stall (stalled) count per cycle, and credits them in
-// bulk. Halted cores accrue no Stats, exactly as in cycle-by-cycle
-// stepping (but still attribute Halted cycles when observability is on,
-// matching Step's halted branch so the attribution sum stays exact).
-// The window never crosses a state change — the cluster's fast-forward
-// bound is the earliest event of any core — so the bulk credit lands in
-// the same class cycle-by-cycle stepping would have charged.
-func (c *Core) CreditIdle(cycles uint64) {
+// CreditIdle accounts a fast-forwarded idle window [now, now+cycles): the
+// cluster verified that in it this core would only have burned one Sleep
+// (asleep) or Stall (stalled) count per cycle, and credits them in bulk.
+// Halted cores accrue no Stats, exactly as in cycle-by-cycle stepping (but
+// still attribute Halted cycles when observability is on, matching Step's
+// halted branch so the attribution sum stays exact). The window never
+// crosses a state change — the cluster's fast-forward bound is the
+// earliest event of any core — so the bulk credit lands in the same class
+// cycle-by-cycle stepping would have charged, and a stall's cycles before
+// acctUntil, which a fused run already charged, are skipped.
+func (c *Core) CreditIdle(now, cycles uint64) {
 	switch {
 	case c.Halted:
 		if o := c.Obs; o != nil {
@@ -990,96 +860,18 @@ func (c *Core) CreditIdle(cycles uint64) {
 			}
 		}
 	default:
-		if c.planOn {
-			if c.planICStall > 0 {
-				// Refill cycles of a fetch-point miss drain first, the
-				// cursor frozen: the fast-forward bound never crosses the
-				// retry cycle (the step hint caps there), so the window
-				// is refill stall up to it.
-				k := c.planICStall
-				if k > cycles {
-					k = cycles
-				}
-				c.planICStall -= k
-				c.Stats.Stall += k
-				if o := c.Obs; o != nil {
-					o.Credit(obs.ICache, k)
-				}
-				cycles -= k
-				if cycles == 0 {
-					return
-				}
+		if c.acctUntil > now {
+			paid := c.acctUntil - now
+			if paid >= cycles {
+				return
 			}
-			// Bulk-consume the fused run's deferred plan: the skipped
-			// window is the next `cycles` offsets at the cursor, so the
-			// class split is a ranged popcount per bitmask. The
-			// fast-forward bound (the earliest event of any core) never
-			// crosses stallUntil, so the range stays within the plan.
-			off := c.planCursor - c.planStart
-			c.planCursor += cycles
-			iss := planRange(&c.planIssue, off, cycles)
-			c.Stats.Active += iss
-			c.Stats.Retired += iss
-			c.Stats.Stall += cycles - iss
-			if o := c.Obs; o != nil {
-				lu := planRange(&c.planLU, off, cycles)
-				em := planRange(&c.planEM, off, cycles)
-				// Issue-class charge = issues + stalls in no other class.
-				o.Credit(obs.Issue, cycles-lu-em)
-				if lu > 0 {
-					o.Credit(obs.LoadUse, lu)
-				}
-				if em > 0 {
-					o.Credit(obs.ExtMem, em)
-				}
-			}
-			return
-		}
-		if c.stallAccounted {
-			// The window was pre-charged by a solo fused run; the
-			// fast-forward bound never crosses stallUntil, so the whole
-			// window is already accounted.
-			return
+			cycles -= paid
 		}
 		c.Stats.Stall += cycles
 		if o := c.Obs; o != nil {
 			o.Credit(c.stallClass, cycles)
 		}
 	}
-}
-
-// planHint returns the step hint of a core mid-plan: the end of the plan
-// window, capped at the next fetch point (planFetchAt — the cycle at
-// which the core touches the shared I$ and must be stepped live, never
-// fast-forwarded past; mid-refill it holds the retry cycle instead, and
-// NextEventNever when no points remain).
-func (c *Core) planHint() uint64 {
-	if c.planFetchAt < c.stallUntil {
-		return c.planFetchAt
-	}
-	return c.stallUntil
-}
-
-// planRange counts the set bits of a charge-plan bitmask over the cycle
-// offsets [off, off+n). The loop runs at most planWords iterations and
-// usually one: idle windows rarely straddle a 64-offset word boundary.
-func planRange(p *[planWords]uint64, off, n uint64) uint64 {
-	var count uint64
-	for w := off >> 6; n > 0 && w < planWords; w++ {
-		lo := off & 63
-		take := 64 - lo
-		if take > n {
-			take = n
-		}
-		mask := ^uint64(0)
-		if take < 64 {
-			mask = (uint64(1)<<take - 1) << lo
-		}
-		count += uint64(bits.OnesCount64(p[w] & mask))
-		off += take
-		n -= take
-	}
-	return count
 }
 
 // NextUp returns the earliest future cycle, at or after `from`, at which
@@ -1089,17 +881,12 @@ func planRange(p *[planWords]uint64, off, n uint64) uint64 {
 // reads the core's *current* state, so a core woken later in the same
 // cycle reports its true wake-up-stall end rather than a stale never —
 // the cluster's solo-window scan relies on that to bound how long a lone
-// runnable core may fuse ahead. A core mid-plan reports its next fetch
-// point rather than the window end: it touches the shared I$ at that
-// cycle, so a sibling's solo window must never cover it.
+// runnable core may fuse ahead.
 func (c *Core) NextUp(from uint64) uint64 {
 	if c.Halted || c.sleep != Awake {
 		return NextEventNever
 	}
 	if c.stallUntil > from {
-		if c.planOn {
-			return c.planHint()
-		}
 		return c.stallUntil
 	}
 	return from

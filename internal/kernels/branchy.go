@@ -25,11 +25,11 @@ type BranchyOpts struct {
 
 // BranchyProgram generates a terminating branch/loop-dominated program —
 // the adversarial counterpart of the straight-line-heavy randomized family
-// in the block differentials. It stresses exactly what superblock chaining
-// compiles: counted backward-branch loops whose back edge turns hot,
-// taken-branch chains inside loop bodies, nested hardware loops, and (with
-// Barriers) per-core skewed phases that park early finishers at a barrier
-// so the last core runs inside a solo window. Memory traffic is sparse,
+// in the block differentials. It stresses what fused execution chases:
+// counted backward-branch loops, taken-branch chains inside loop bodies,
+// nested hardware loops, and (with Barriers) per-core skewed phases that
+// park early finishers at a barrier so the last core runs inside a solo
+// window. Memory traffic is sparse,
 // aligned, and confined to the first 4 KiB of TCDM; every loop trip count
 // comes from an immediate, never from memory, so the program halts even on
 // a dirty TCDM image (benches reuse one cluster across runs).

@@ -9,9 +9,9 @@ import (
 	"hetsim/internal/isa"
 )
 
-// compileCache memoizes block-compiled programs per process, keyed by the
-// built program plus the full target spec (timing and feature ablations
-// change predecode metadata and block spans, so they must never alias).
+// compileCache memoizes compiled programs per process, keyed by the built
+// program plus the full target spec (timing and feature ablations change
+// predecode metadata, so they must never alias).
 // buildCache hands out one *asm.Program per build key, so the pointer
 // stands for the image without hashing it. Compiled images are immutable —
 // cores only ever read them — so one *cpu.Compiled is shared across all
@@ -29,7 +29,7 @@ type compileKey struct {
 // compileEntry is the cache slot: LoadOrStore claims the key, the once
 // runs the compilation single-flight, so under a parallel sweep each
 // distinct image compiles exactly once (TestCompiledSharedOnce pins the
-// cpu.BlockCompiles counter on this).
+// cpu.Compiles counter on this).
 type compileEntry struct {
 	once sync.Once
 	comp *cpu.Compiled
@@ -44,16 +44,17 @@ var (
 	compiledMisses atomic.Uint64
 )
 
-// CompileStats reports the process-wide compile-tier counters: basic-block
-// table compilations, superblock formations (hot-edge threshold crossings
-// inside the executors), and the Compiled memo hit/miss split.
+// CompileStats reports the process-wide compile-tier counters: program
+// images compiled and the Compiled memo hit/miss split. superCompiles is
+// always 0 — one fused executor serves solo runs and optimistic windows
+// alike and forms no superblocks (DESIGN.md §12–13) — and stays so the
+// four-value signature its callers read keeps its shape.
 func CompileStats() (blockCompiles, superCompiles, memoHits, memoMisses uint64) {
-	return cpu.BlockCompiles.Load(), cpu.SuperCompiles.Load(),
-		compiledHits.Load(), compiledMisses.Load()
+	return cpu.Compiles.Load(), 0, compiledHits.Load(), compiledMisses.Load()
 }
 
-// Compiled returns the shared predecoded text and block run table of a
-// program for a target, compiling on first use.
+// Compiled returns the shared predecoded text of a program for a target,
+// compiling on first use.
 func Compiled(p *asm.Program, t isa.Target) (*cpu.Compiled, error) {
 	e, loaded := compileCache.LoadOrStore(compileKey{p, t}, &compileEntry{})
 	if loaded {

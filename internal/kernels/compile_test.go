@@ -21,7 +21,7 @@ func TestCompiledSharedOnce(t *testing.T) {
 		t.Fatalf("build: %v", err)
 	}
 
-	before := cpu.BlockCompiles.Load()
+	before := cpu.Compiles.Load()
 	comps := make([]*cpu.Compiled, 8)
 	var wg sync.WaitGroup
 	for i := range comps {
@@ -37,7 +37,7 @@ func TestCompiledSharedOnce(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if got := cpu.BlockCompiles.Load() - before; got != 1 {
+	if got := cpu.Compiles.Load() - before; got != 1 {
 		t.Errorf("8 concurrent Compiled calls ran %d compilations, want 1", got)
 	}
 	for i, c := range comps {
@@ -55,7 +55,7 @@ func TestCompiledSharedOnce(t *testing.T) {
 	if other == comps[0] {
 		t.Errorf("PULPFull and CortexM4 compilations aliased one cache entry")
 	}
-	if got := cpu.BlockCompiles.Load() - before; got != 2 {
+	if got := cpu.Compiles.Load() - before; got != 2 {
 		t.Errorf("second target ran %d total compilations, want 2", got)
 	}
 }

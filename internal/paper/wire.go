@@ -267,7 +267,7 @@ type BatchSummary struct {
 // local plan does, so the job's key is the key the local path produces
 // for the same point — the property the whole dedup story rests on — and
 // its result is exactly the bytes a local cache entry holds. Forming the
-// key builds nothing: the program, its block tables and the input are
+// key builds nothing: the program, its compiled image and the input are
 // made only if the job runs.
 func BuildSpecJob(spec JobSpec) (sweep.Job[json.RawMessage], error) {
 	for _, k := range Registry(spec.Small) {

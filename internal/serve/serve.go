@@ -146,17 +146,14 @@ type Stats struct {
 	// booted without one).
 	Scrub *sweep.ScrubReport `json:"scrub,omitempty"`
 
-	// Compile-tier counters (process-wide, DESIGN.md §12–13): how much
-	// of the served simulation work ran compiled. BlockCompiles and
-	// SuperblockCompiles count basic-block table builds and superblock
-	// formations in the CPU model; the memo counters split kernels.Compiled
-	// lookups into reused vs freshly built tables, so a cache-busting
-	// client mix shows up as a miss surge here before it shows up as
-	// latency.
-	BlockCompiles      uint64 `json:"block_compiles"`
-	SuperblockCompiles uint64 `json:"superblock_compiles"`
-	CompileMemoHits    uint64 `json:"compile_memo_hits"`
-	CompileMemoMisses  uint64 `json:"compile_memo_misses"`
+	// Compile-tier counters (process-wide, DESIGN.md §12): BlockCompiles
+	// counts program images predecoded for the CPU model; the memo
+	// counters split kernels.Compiled lookups into reused vs freshly built
+	// images, so a cache-busting client mix shows up as a miss surge here
+	// before it shows up as latency.
+	BlockCompiles     uint64 `json:"block_compiles"`
+	CompileMemoHits   uint64 `json:"compile_memo_hits"`
+	CompileMemoMisses uint64 `json:"compile_memo_misses"`
 }
 
 // Server is the simulation service. Create with New, mount Handler on an
@@ -261,7 +258,7 @@ func (s *Server) State() State { return State(s.state.Load()) }
 // consistent even mid-load.
 func (s *Server) Stats() Stats {
 	fs := s.flight.Stats()
-	bc, sc, mh, mm := kernels.CompileStats()
+	bc, _, mh, mm := kernels.CompileStats()
 	s.bmu.Lock()
 	bt := s.batch
 	s.bmu.Unlock()
@@ -292,10 +289,9 @@ func (s *Server) Stats() Stats {
 
 		Scrub: s.cfg.Scrub,
 
-		BlockCompiles:      bc,
-		SuperblockCompiles: sc,
-		CompileMemoHits:    mh,
-		CompileMemoMisses:  mm,
+		BlockCompiles:     bc,
+		CompileMemoHits:   mh,
+		CompileMemoMisses: mm,
 	}
 }
 
