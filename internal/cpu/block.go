@@ -10,6 +10,8 @@
 // execution: everything that interacts with shared cluster state (I$
 // refills in windows, sleep/wake, DMA and event-unit registers, SPR reads,
 // L2, faults) breaks the run back to the stepped path at its exact cycle.
+// runFused's switch is the one copy of the non-memory instruction
+// semantics: Step calls it for a single cycle to execute each such op.
 package cpu
 
 import (
@@ -113,8 +115,11 @@ func (c *Core) runSolo(now uint64) (uint64, bool) {
 // it simulated below lim to ch. No instruction issues at or past lim;
 // only the trailing stall of the last one may run past it, and that stall
 // is left to the caller (stallUntil is the returned cycle, stallClass its
-// class). Each step mirrors the stepped path in core.go exactly: fetch
-// through the line buffer, the load-use hazard, then the op.
+// class). Its fetch through the line buffer and its load-use hazard
+// reproduce the stepped path in core.go, which the tier differentials
+// check; its op switch is the only one, which Step also runs, one cycle
+// at a time (lim = t+1, fetch buffered and hazard consumed), and which the
+// oracle in cpu_test.go checks.
 //
 // The run also stops — before doing anything at that cycle — at a
 // fuse-break, illegal or unknown instruction, a fetch outside the text,
@@ -147,7 +152,7 @@ loop:
 		if idx >= uint32(len(code)) {
 			break
 		}
-		if ic := c.IC; ic != nil && (c.FetchLineMask == 0 || pc&^c.FetchLineMask != c.fetchedLine) {
+		if ic := c.IC; ic != nil && pc&^c.FetchLineMask != c.fetchedLine {
 			// A new fetch line: mirror the stepped fetch, including its
 			// retry-on-refill shape (miss, stall to the refill-complete
 			// cycle, re-fetch scoring a hit). Probe is the inlined
@@ -229,21 +234,7 @@ loop:
 			if store {
 				tm.Write(addr, size, c.reg(in.Rb))
 			} else {
-				rdata := tm.Read(addr, size)
-				var v uint32
-				switch in.Op {
-				case isa.LBZ, isa.LBZP:
-					v = rdata & 0xff
-				case isa.LBS, isa.LBSP:
-					v = uint32(int32(int8(rdata)))
-				case isa.LHZ, isa.LHZP:
-					v = rdata & 0xffff
-				case isa.LHS, isa.LHSP:
-					v = uint32(int32(int16(rdata)))
-				default:
-					v = rdata
-				}
-				c.setReg(in.Rd, v)
+				c.setReg(in.Rd, loadExt(in.Op, tm.Read(addr, size)))
 				c.lastLoadReg = in.Rd
 				c.lastLoadArmed = true
 			}
@@ -273,10 +264,9 @@ loop:
 			continue
 		}
 
-		// Non-memory execute: the switch mirrors the stepped one in core.go
-		// exactly; TRAP, WFE and MFSPR carry MetaFuseBreak and never reach
-		// it, unknown opcodes end the run so the stepped path faults at the
-		// exact cycle.
+		// Non-memory execute, the one copy of the semantics: TRAP, WFE and
+		// MFSPR carry MetaFuseBreak and never reach it (Step executes them),
+		// an unknown opcode ends the run without executing, and Step faults.
 		a := c.reg(in.Ra)
 		b := c.reg(in.Rb)
 		next := pc + 4

@@ -6,7 +6,12 @@
 //
 // The core is cycle-stepped: the surrounding cluster calls Step once per
 // cycle, and memory accesses go through an environment interface that
-// performs TCDM bank arbitration, I/O dispatch and sleep control.
+// performs TCDM bank arbitration, I/O dispatch and sleep control. The
+// instruction semantics exist once, in the switch of runFused (block.go):
+// Step runs each non-memory op there for one cycle, and a fused run for
+// many. Fetch, hazards, arbitration and the memory path stay per tier, so
+// the tier differentials check timing; the oracle in cpu_test.go, not the
+// differentials, checks what each op computes.
 package cpu
 
 import (
@@ -147,7 +152,8 @@ type Core struct {
 
 	// FetchLineMask models the core's line prefetch buffer: while the PC
 	// stays within the last fetched line (pc &^ mask unchanged), the cache
-	// is not consulted again. 0 disables the buffer.
+	// is not consulted again. Step's one-cycle runFused call relies on it:
+	// the line Step has just fetched is buffered, so the call never probes.
 	FetchLineMask uint32
 
 	code []Decoded // predecoded text, see Predecode
@@ -188,6 +194,10 @@ type Core struct {
 	// window run, applied only when the window commits.
 	saved execState
 	held  charge
+	// scratch receives the charge of Step's one-cycle runFused calls,
+	// which Step discards (it books its own); a core-owned sink spares
+	// zeroing one per step.
+	scratch charge
 
 	env     Env
 	pending memOp
@@ -339,6 +349,23 @@ func (c *Core) setReg(r isa.Reg, v uint32) {
 	}
 }
 
+// loadExt is the one definition of load extension, shared by the stepped
+// and fused memory paths: the loaded bytes of rdata zero- or sign-extended
+// by op. It is small enough to inline into both.
+func loadExt(op isa.Op, rdata uint32) uint32 {
+	switch op {
+	case isa.LBZ, isa.LBZP:
+		return rdata & 0xff
+	case isa.LBS, isa.LBSP:
+		return uint32(int32(int8(rdata)))
+	case isa.LHZ, isa.LHZP:
+		return rdata & 0xffff
+	case isa.LHS, isa.LHSP:
+		return uint32(int32(int16(rdata)))
+	}
+	return rdata
+}
+
 // Step advances the core by one cycle. It returns the earliest future
 // cycle at which the core can make progress on its own: stallUntil for a
 // stalled core, now+1 for a core that executed or must retry an access,
@@ -404,8 +431,7 @@ func (c *Core) Step(now uint64) uint64 {
 	// inlined ready-hit fast path; everything else (miss, in-flight
 	// refill, parity) goes through the full Fetch.
 	if ic := c.IC; ic != nil {
-		line := c.PC &^ c.FetchLineMask
-		if c.FetchLineMask == 0 || line != c.fetchedLine {
+		if line := c.PC &^ c.FetchLineMask; line != c.fetchedLine {
 			if !ic.Probe(c.PC, now) {
 				if done := ic.Fetch(c.PC, now); done > now {
 					c.stallUntil = done
@@ -474,262 +500,49 @@ func (c *Core) Step(now uint64) uint64 {
 		}
 		goto access
 	}
-	// Execute the non-memory instruction in line: the switch below is the
-	// single-caller body of the interpreter proper, merged into Step so
-	// the per-instruction path pays no call/prologue overhead. extra is
-	// the op's base cycle cost minus the issue cycle (predecoded).
-	{
-		extra := int(m.Cyc) - 1
-		c.Stats.Active++
-		c.Stats.Retired++
-		if o := c.Obs; o != nil {
-			o.Tick(obs.Issue)
-		}
-		if c.Trace != nil {
-			c.Trace(now, c.PC, in)
-		}
-
-		a := c.reg(in.Ra)
-		b := c.reg(in.Rb)
-		next := c.PC + 4
-
-		switch in.Op {
-		case isa.NOP:
-
-		case isa.J:
-			next = uint32(int64(c.PC) + 4 + int64(in.Imm)*4)
-			extra += c.timeJump
-		case isa.JAL:
-			c.setReg(isa.LR, c.PC+4)
-			next = uint32(int64(c.PC) + 4 + int64(in.Imm)*4)
-			extra += c.timeJump
-		case isa.JR:
-			next = a
-			extra += c.timeJump
-		case isa.JALR:
-			c.setReg(in.Rd, c.PC+4)
-			next = a
-			extra += c.timeJump
-		case isa.BF, isa.BNF:
-			taken := c.Flag == (in.Op == isa.BF)
-			if taken {
-				next = uint32(int64(c.PC) + 4 + int64(in.Imm)*4)
-				extra += c.timeBranch
+	// Execute the non-memory instruction. TRAP, WFE and MFSPR reach state
+	// outside the core and execute here; every other op runs on the fused
+	// executor for exactly this cycle (block.go), whose switch is the one
+	// copy of the instruction semantics. The fetch line is buffered and
+	// the load-use hazard consumed above, so the call executes the op and
+	// nothing else; its charge is discarded (Step books its own).
+	c.Stats.Active++
+	c.Stats.Retired++
+	if o := c.Obs; o != nil {
+		o.Tick(obs.Issue)
+	}
+	if c.Trace != nil {
+		c.Trace(now, c.PC, in)
+	}
+	switch in.Op {
+	case isa.TRAP:
+		c.Halted = true
+		c.TrapCode = in.Imm
+		return NextEventNever
+	case isa.WFE:
+		c.advancePC(c.PC + 4)
+		if c.env.WFE(c.ID) {
+			c.sleep = SleepEvent
+			if c.SleepHook != nil {
+				c.SleepHook(now, SleepEvent, true)
 			}
-		case isa.TRAP:
-			c.Halted = true
-			c.TrapCode = in.Imm
 			return NextEventNever
-		case isa.WFE:
-			c.advancePC(next)
-			if c.env.WFE(c.ID) {
-				c.sleep = SleepEvent
-				if c.SleepHook != nil {
-					c.SleepHook(now, SleepEvent, true)
-				}
-				return NextEventNever
-			}
-			return now + 1
-
-		case isa.SFEQ:
-			c.Flag = a == b
-		case isa.SFNE:
-			c.Flag = a != b
-		case isa.SFLTS:
-			c.Flag = int32(a) < int32(b)
-		case isa.SFLES:
-			c.Flag = int32(a) <= int32(b)
-		case isa.SFGTS:
-			c.Flag = int32(a) > int32(b)
-		case isa.SFGES:
-			c.Flag = int32(a) >= int32(b)
-		case isa.SFLTU:
-			c.Flag = a < b
-		case isa.SFLEU:
-			c.Flag = a <= b
-		case isa.SFGTU:
-			c.Flag = a > b
-		case isa.SFGEU:
-			c.Flag = a >= b
-		case isa.SFEQI:
-			c.Flag = a == uint32(in.Imm)
-		case isa.SFNEI:
-			c.Flag = a != uint32(in.Imm)
-		case isa.SFLTSI:
-			c.Flag = int32(a) < in.Imm
-		case isa.SFLESI:
-			c.Flag = int32(a) <= in.Imm
-		case isa.SFGTSI:
-			c.Flag = int32(a) > in.Imm
-		case isa.SFGESI:
-			c.Flag = int32(a) >= in.Imm
-		case isa.SFLTUI:
-			c.Flag = a < uint32(in.Imm)
-		case isa.SFGEUI:
-			c.Flag = a >= uint32(in.Imm)
-
-		case isa.ADD:
-			c.setReg(in.Rd, a+b)
-		case isa.SUB:
-			c.setReg(in.Rd, a-b)
-		case isa.AND:
-			c.setReg(in.Rd, a&b)
-		case isa.OR:
-			c.setReg(in.Rd, a|b)
-		case isa.XOR:
-			c.setReg(in.Rd, a^b)
-		case isa.SLL:
-			c.setReg(in.Rd, a<<(b&31))
-		case isa.SRL:
-			c.setReg(in.Rd, a>>(b&31))
-		case isa.SRA:
-			c.setReg(in.Rd, uint32(int32(a)>>(b&31)))
-		case isa.MUL:
-			c.setReg(in.Rd, uint32(int32(a)*int32(b)))
-		case isa.DIV:
-			c.setReg(in.Rd, divS(a, b))
-		case isa.DIVU:
-			c.setReg(in.Rd, divU(a, b))
-		case isa.MIN:
-			if int32(a) < int32(b) {
-				c.setReg(in.Rd, a)
-			} else {
-				c.setReg(in.Rd, b)
-			}
-		case isa.MAX:
-			if int32(a) > int32(b) {
-				c.setReg(in.Rd, a)
-			} else {
-				c.setReg(in.Rd, b)
-			}
-		case isa.MINU:
-			if a < b {
-				c.setReg(in.Rd, a)
-			} else {
-				c.setReg(in.Rd, b)
-			}
-		case isa.MAXU:
-			if a > b {
-				c.setReg(in.Rd, a)
-			} else {
-				c.setReg(in.Rd, b)
-			}
-		case isa.MAC:
-			c.setReg(in.Rd, uint32(int32(c.reg(in.Rd))+int32(a)*int32(b)))
-		case isa.MSU:
-			c.setReg(in.Rd, uint32(int32(c.reg(in.Rd))-int32(a)*int32(b)))
-		case isa.SEXTB:
-			c.setReg(in.Rd, uint32(int32(int8(a))))
-		case isa.SEXTH:
-			c.setReg(in.Rd, uint32(int32(int16(a))))
-
-		case isa.ADDI:
-			c.setReg(in.Rd, a+uint32(in.Imm))
-		case isa.ANDI:
-			c.setReg(in.Rd, a&uint32(in.Imm))
-		case isa.ORI:
-			c.setReg(in.Rd, a|uint32(in.Imm))
-		case isa.XORI:
-			c.setReg(in.Rd, a^uint32(in.Imm))
-		case isa.SLLI:
-			c.setReg(in.Rd, a<<(uint32(in.Imm)&31))
-		case isa.SRLI:
-			c.setReg(in.Rd, a>>(uint32(in.Imm)&31))
-		case isa.SRAI:
-			c.setReg(in.Rd, uint32(int32(a)>>(uint32(in.Imm)&31)))
-		case isa.MOVHI:
-			c.setReg(in.Rd, uint32(in.Imm)<<16)
-		case isa.ORIL:
-			c.setReg(in.Rd, c.reg(in.Rd)|uint32(in.Imm)&0xffff)
-
-		case isa.MACS:
-			c.Acc += int64(int32(a)) * int64(int32(b))
-		case isa.MACU:
-			c.Acc += int64(uint64(a) * uint64(b))
-		case isa.MACCLR:
-			c.Acc = 0
-		case isa.MACRDL:
-			c.setReg(in.Rd, uint32(c.Acc))
-		case isa.MACRDH:
-			c.setReg(in.Rd, uint32(uint64(c.Acc)>>32))
-
-		// The per-lane SIMD ops are direct switch arms with hand-unrolled
-		// lanes (the compiler neither devirtualizes a lane-combinator closure
-		// nor unrolls the lane loop, and constant shift counts are free).
-		// Per-lane wraparound comes from truncating each lane's sum back to
-		// its width, so the cross-lane carries of the word-wide adds cannot
-		// leak: out = trunc(a.lane + b.lane) per lane.
-		case isa.DOTP4B:
-			s := int32(c.reg(in.Rd))
-			s += int32(int8(a)) * int32(int8(b))
-			s += int32(int8(a>>8)) * int32(int8(b>>8))
-			s += int32(int8(a>>16)) * int32(int8(b>>16))
-			s += int32(int8(a>>24)) * int32(int8(b>>24))
-			c.setReg(in.Rd, uint32(s))
-		case isa.DOTP2H:
-			s := int32(c.reg(in.Rd))
-			s += int32(int16(a)) * int32(int16(b))
-			s += int32(int16(a>>16)) * int32(int16(b>>16))
-			c.setReg(in.Rd, uint32(s))
-		case isa.ADD4B:
-			out := uint32(uint8(a + b))
-			out |= uint32(uint8(a>>8+b>>8)) << 8
-			out |= uint32(uint8(a>>16+b>>16)) << 16
-			out |= uint32(uint8(a>>24+b>>24)) << 24
-			c.setReg(in.Rd, out)
-		case isa.SUB4B:
-			out := uint32(uint8(a - b))
-			out |= uint32(uint8(a>>8-b>>8)) << 8
-			out |= uint32(uint8(a>>16-b>>16)) << 16
-			out |= uint32(uint8(a>>24-b>>24)) << 24
-			c.setReg(in.Rd, out)
-		case isa.ADD2H:
-			out := uint32(uint16(a + b))
-			out |= uint32(uint16(a>>16+b>>16)) << 16
-			c.setReg(in.Rd, out)
-		case isa.SUB2H:
-			out := uint32(uint16(a - b))
-			out |= uint32(uint16(a>>16-b>>16)) << 16
-			c.setReg(in.Rd, out)
-		case isa.SRA2H:
-			sh := b & 15
-			out := uint32(uint16(int16(a) >> sh))
-			out |= uint32(uint16(int16(a>>16)>>sh)) << 16
-			c.setReg(in.Rd, out)
-
-		case isa.LPSETUP:
-			i := int(in.Rd)
-			c.lp[i] = hwLoop{
-				start: c.PC + 4,
-				end:   c.PC + 4 + uint32(in.Imm)*4,
-				count: a,
-			}
-			if a == 0 {
-				// Zero-trip loop: skip the body entirely.
-				next = c.PC + 4 + uint32(in.Imm)*4
-				c.lpEnd[i] = lpInactive
-			} else {
-				c.lpEnd[i] = c.lp[i].end
-			}
-
-		case isa.MFSPR:
-			c.setReg(in.Rd, c.env.SPR(c.ID, in.Imm))
-
-		default:
-			return c.failOpcode(in)
-		}
-
-		c.advancePC(next)
-		if extra > 0 {
-			// The instruction issued this cycle; extra cycles stall the next
-			// one. The trailing cycles of a multi-cycle op attribute to Issue
-			// (they are the op's own latency, not a structural stall).
-			c.stallUntil = now + uint64(extra) + 1
-			c.stallClass = obs.Issue
-			return c.stallUntil
 		}
 		return now + 1
+	case isa.MFSPR:
+		c.setReg(in.Rd, c.env.SPR(c.ID, in.Imm))
+		c.advancePC(c.PC + 4)
+		return now + 1
 	}
+	if t := c.runFused(now, now+1, nil, &c.scratch); t > now+1 {
+		// The trailing cycles of a multi-cycle op or a taken branch stall
+		// the next issue; runFused set stallClass (Issue).
+		c.stallUntil = t
+		return t
+	} else if t == now {
+		return c.failOpcode(in)
+	}
+	return now + 1
 
 access:
 	// Perform the data access. TCDM accesses take the direct fast path —
@@ -799,20 +612,7 @@ access:
 		}
 
 		if !store {
-			var v uint32
-			switch in.Op {
-			case isa.LBZ, isa.LBZP:
-				v = rdata & 0xff
-			case isa.LBS, isa.LBSP:
-				v = uint32(int32(int8(rdata)))
-			case isa.LHZ, isa.LHZP:
-				v = rdata & 0xffff
-			case isa.LHS, isa.LHSP:
-				v = uint32(int32(int16(rdata)))
-			default:
-				v = rdata
-			}
-			c.setReg(in.Rd, v)
+			c.setReg(in.Rd, loadExt(in.Op, rdata))
 			c.lastLoadReg = in.Rd
 			c.lastLoadArmed = true
 		}

@@ -1,10 +1,13 @@
 package cpu
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
+	"hetsim/internal/hw"
 	"hetsim/internal/isa"
+	"hetsim/internal/mem"
 )
 
 // flatEnv is a minimal environment: a flat memory with no arbitration, no
@@ -72,11 +75,16 @@ func newCore(env Env, tgt isa.Target, prog []isa.Inst) *Core {
 	return c
 }
 
-// --- Differential property test -----------------------------------------------
+// --- Semantics oracle -----------------------------------------------------------
 
-// refState mirrors the architectural state for ALU-only programs.
+// refState is the independent oracle of the instruction semantics: the
+// architectural state a data op can change, interpreted the
+// straightforward way (lane loops, plain Go arithmetic). Both execution
+// tiers run one switch (runFused in block.go), so the tier differentials
+// cannot catch a wrong result there; this oracle can.
 type refState struct {
 	regs [32]int32
+	acc  int64
 	flag bool
 }
 
@@ -86,10 +94,25 @@ func (s *refState) set(r isa.Reg, v int32) {
 	}
 }
 
-// step interprets one ALU/compare instruction the straightforward way.
-func (s *refState) step(in isa.Inst) {
+// lanes applies f to each w-bit lane of a and b and packs the results,
+// each truncated to its lane.
+func lanes(a, b uint32, w uint, f func(x, y uint32) uint32) uint32 {
+	mask := uint32(1)<<w - 1
+	var out uint32
+	for i := uint(0); i < 32; i += w {
+		out |= f(a>>i&mask, b>>i&mask) & mask << i
+	}
+	return out
+}
+
+// step interprets one data op. It reports false for an op it has no arm
+// for, which TestALUDifferential turns into a failure.
+func (s *refState) step(in isa.Inst) bool {
 	a, b := s.regs[in.Ra], s.regs[in.Rb]
+	ua, ub := uint32(a), uint32(b)
+	imm := in.Imm
 	switch in.Op {
+	case isa.NOP:
 	case isa.ADD:
 		s.set(in.Rd, a+b)
 	case isa.SUB:
@@ -101,125 +124,259 @@ func (s *refState) step(in isa.Inst) {
 	case isa.XOR:
 		s.set(in.Rd, a^b)
 	case isa.SLL:
-		s.set(in.Rd, a<<(uint32(b)&31))
+		s.set(in.Rd, a<<(ub&31))
 	case isa.SRL:
-		s.set(in.Rd, int32(uint32(a)>>(uint32(b)&31)))
+		s.set(in.Rd, int32(ua>>(ub&31)))
 	case isa.SRA:
-		s.set(in.Rd, a>>(uint32(b)&31))
+		s.set(in.Rd, a>>(ub&31))
 	case isa.MUL:
 		s.set(in.Rd, a*b)
+	case isa.DIV:
+		switch {
+		case b == 0 && a >= 0:
+			s.set(in.Rd, math.MaxInt32)
+		case b == 0:
+			s.set(in.Rd, math.MinInt32)
+		case a == math.MinInt32 && b == -1:
+			s.set(in.Rd, math.MinInt32)
+		default:
+			s.set(in.Rd, a/b)
+		}
+	case isa.DIVU:
+		if ub == 0 {
+			s.set(in.Rd, -1)
+		} else {
+			s.set(in.Rd, int32(ua/ub))
+		}
+	case isa.MIN:
+		s.set(in.Rd, min(a, b))
+	case isa.MAX:
+		s.set(in.Rd, max(a, b))
+	case isa.MINU:
+		s.set(in.Rd, int32(min(ua, ub)))
+	case isa.MAXU:
+		s.set(in.Rd, int32(max(ua, ub)))
 	case isa.MAC:
 		s.set(in.Rd, s.regs[in.Rd]+a*b)
 	case isa.MSU:
 		s.set(in.Rd, s.regs[in.Rd]-a*b)
-	case isa.MIN:
-		s.set(in.Rd, min32(a, b))
-	case isa.MAX:
-		s.set(in.Rd, max32(a, b))
 	case isa.SEXTB:
 		s.set(in.Rd, int32(int8(a)))
 	case isa.SEXTH:
 		s.set(in.Rd, int32(int16(a)))
 	case isa.ADDI:
-		s.set(in.Rd, a+in.Imm)
+		s.set(in.Rd, a+imm)
 	case isa.ANDI:
-		s.set(in.Rd, int32(uint32(a)&uint32(in.Imm)))
+		s.set(in.Rd, int32(ua&uint32(imm)))
 	case isa.ORI:
-		s.set(in.Rd, int32(uint32(a)|uint32(in.Imm)))
+		s.set(in.Rd, int32(ua|uint32(imm)))
 	case isa.XORI:
-		s.set(in.Rd, int32(uint32(a)^uint32(in.Imm)))
+		s.set(in.Rd, int32(ua^uint32(imm)))
 	case isa.SLLI:
-		s.set(in.Rd, a<<(uint32(in.Imm)&31))
+		s.set(in.Rd, a<<(uint32(imm)&31))
 	case isa.SRLI:
-		s.set(in.Rd, int32(uint32(a)>>(uint32(in.Imm)&31)))
+		s.set(in.Rd, int32(ua>>(uint32(imm)&31)))
 	case isa.SRAI:
-		s.set(in.Rd, a>>(uint32(in.Imm)&31))
+		s.set(in.Rd, a>>(uint32(imm)&31))
 	case isa.MOVHI:
-		s.set(in.Rd, in.Imm<<16)
+		s.set(in.Rd, imm<<16)
 	case isa.ORIL:
-		s.set(in.Rd, int32(uint32(s.regs[in.Rd])|uint32(in.Imm)&0xffff))
+		s.set(in.Rd, int32(uint32(s.regs[in.Rd])|uint32(imm)&0xffff))
+
 	case isa.SFEQ:
 		s.flag = a == b
+	case isa.SFNE:
+		s.flag = a != b
 	case isa.SFLTS:
 		s.flag = a < b
+	case isa.SFLES:
+		s.flag = a <= b
+	case isa.SFGTS:
+		s.flag = a > b
+	case isa.SFGES:
+		s.flag = a >= b
+	case isa.SFLTU:
+		s.flag = ua < ub
+	case isa.SFLEU:
+		s.flag = ua <= ub
+	case isa.SFGTU:
+		s.flag = ua > ub
 	case isa.SFGEU:
-		s.flag = uint32(a) >= uint32(b)
+		s.flag = ua >= ub
+	case isa.SFEQI:
+		s.flag = a == imm
+	case isa.SFNEI:
+		s.flag = a != imm
+	case isa.SFLTSI:
+		s.flag = a < imm
+	case isa.SFLESI:
+		s.flag = a <= imm
+	case isa.SFGTSI:
+		s.flag = a > imm
+	case isa.SFGESI:
+		s.flag = a >= imm
+	case isa.SFLTUI:
+		s.flag = ua < uint32(imm)
+	case isa.SFGEUI:
+		s.flag = ua >= uint32(imm)
+
+	case isa.MACS:
+		s.acc += int64(a) * int64(b)
+	case isa.MACU:
+		s.acc += int64(uint64(ua) * uint64(ub))
+	case isa.MACCLR:
+		s.acc = 0
+	case isa.MACRDL:
+		s.set(in.Rd, int32(s.acc))
+	case isa.MACRDH:
+		s.set(in.Rd, int32(s.acc>>32))
+
 	case isa.DOTP4B:
 		sum := s.regs[in.Rd]
 		for i := 0; i < 4; i++ {
-			sum += int32(int8(uint32(a)>>(8*i))) * int32(int8(uint32(b)>>(8*i)))
+			sum += int32(int8(ua>>(8*i))) * int32(int8(ub>>(8*i)))
 		}
 		s.set(in.Rd, sum)
 	case isa.DOTP2H:
 		sum := s.regs[in.Rd]
 		for i := 0; i < 2; i++ {
-			sum += int32(int16(uint32(a)>>(16*i))) * int32(int16(uint32(b)>>(16*i)))
+			sum += int32(int16(ua>>(16*i))) * int32(int16(ub>>(16*i)))
 		}
 		s.set(in.Rd, sum)
+	case isa.ADD4B:
+		s.set(in.Rd, int32(lanes(ua, ub, 8, func(x, y uint32) uint32 { return x + y })))
+	case isa.SUB4B:
+		s.set(in.Rd, int32(lanes(ua, ub, 8, func(x, y uint32) uint32 { return x - y })))
+	case isa.ADD2H:
+		s.set(in.Rd, int32(lanes(ua, ub, 16, func(x, y uint32) uint32 { return x + y })))
+	case isa.SUB2H:
+		s.set(in.Rd, int32(lanes(ua, ub, 16, func(x, y uint32) uint32 { return x - y })))
+	case isa.SRA2H:
+		s.set(in.Rd, int32(lanes(ua, 0, 16, func(x, _ uint32) uint32 { return uint32(int16(x) >> (ub & 15)) })))
+	default:
+		return false
 	}
+	return true
 }
 
-func min32(a, b int32) int32 {
-	if a < b {
-		return a
+// oracleOps lists the ops the oracle must cover on a target: every op the
+// target supports that is not a memory op, not control flow and does not
+// break a fused run (TRAP, WFE and MFSPR execute in Step itself).
+func oracleOps(tgt isa.Target) []isa.Op {
+	var ops []isa.Op
+	for op := isa.Op(0); int(op) < isa.NumOps; op++ {
+		m := Predecode([]isa.Inst{{Op: op}}, tgt)[0].Meta
+		if m.Flags&(MetaIllegal|MetaMem|MetaFuseBreak) != 0 {
+			continue
+		}
+		switch op.Format() {
+		case isa.FmtB, isa.FmtJR, isa.FmtLP:
+			continue
+		}
+		ops = append(ops, op)
 	}
-	return b
+	return ops
 }
 
-func max32(a, b int32) int32 {
-	if a > b {
-		return a
+// oracleValues are the edge values half of each seeded register takes
+// (the other half take random words), so divisions and sign-sensitive ops
+// meet their edge cases.
+var oracleValues = []int32{0, 1, -1, 2, -2, 7, math.MaxInt32, math.MinInt32, 0x7f, 0x80, 0x7fff, 0x8000}
+
+// randInst draws a random instance of op with in-range operands. An
+// R-format op reuses its first source a third of the time, and ADDI and
+// the immediate compares read r0 with an immediate of -1, 0 or 1 a third
+// of the time, so compares often see equal operands.
+func randInst(rng *rand.Rand, op isa.Op) isa.Inst {
+	in := isa.Inst{Op: op, Rd: isa.Reg(rng.Intn(32)), Ra: isa.Reg(rng.Intn(32)), Rb: isa.Reg(rng.Intn(32))}
+	switch op.Format() {
+	case isa.FmtR:
+		if rng.Intn(3) == 0 {
+			in.Rb = in.Ra
+		}
+	case isa.FmtI:
+		switch op {
+		case isa.ANDI, isa.ORI, isa.XORI:
+			in.Imm = int32(rng.Intn(1 << 14))
+		case isa.SLLI, isa.SRLI, isa.SRAI:
+			in.Imm = int32(rng.Intn(32))
+		default:
+			if rng.Intn(3) == 0 {
+				in.Ra, in.Imm = isa.R0, int32(rng.Intn(3))-1
+			} else {
+				in.Imm = int32(rng.Intn(1<<14)) - 1<<13
+			}
+		}
+		in.Rb = 0
+	case isa.FmtIH:
+		in.Imm = int32(rng.Intn(1 << 16))
+		in.Ra, in.Rb = 0, 0
+	case isa.FmtN:
+		in.Rd, in.Ra, in.Rb = 0, 0, 0
 	}
-	return b
+	return in
 }
 
-// TestALUDifferential runs random straight-line ALU programs on the core
-// and on the reference interpreter and compares every register.
+// TestALUDifferential runs random straight-line programs of every data op
+// a target supports on the core and on the oracle, and compares every
+// register, the flag and the MAC accumulator. Each program ends with a
+// compare, so the final flag checks one compare per trial. It runs on
+// PULPFull (SIMD, MinMax, MacRR) and CortexM4 (Mac64), stepped and solo,
+// and fails first if any op the core executes has no oracle arm.
 func TestALUDifferential(t *testing.T) {
-	aluOps := []isa.Op{
-		isa.ADD, isa.SUB, isa.AND, isa.OR, isa.XOR, isa.SLL, isa.SRL, isa.SRA,
-		isa.MUL, isa.MAC, isa.MSU, isa.MIN, isa.MAX, isa.SEXTB, isa.SEXTH,
-		isa.ADDI, isa.ANDI, isa.ORI, isa.XORI, isa.SLLI, isa.SRLI, isa.SRAI,
-		isa.MOVHI, isa.ORIL, isa.SFEQ, isa.SFLTS, isa.SFGEU, isa.DOTP4B, isa.DOTP2H,
-	}
-	rng := rand.New(rand.NewSource(99))
-	for trial := 0; trial < 200; trial++ {
-		n := 5 + rng.Intn(60)
-		prog := make([]isa.Inst, 0, n+1)
-		ref := &refState{}
-		for i := 0; i < n; i++ {
-			op := aluOps[rng.Intn(len(aluOps))]
-			in := isa.Inst{Op: op,
-				Rd: isa.Reg(rng.Intn(32)), Ra: isa.Reg(rng.Intn(32)), Rb: isa.Reg(rng.Intn(32))}
-			switch op.Format() {
-			case isa.FmtI:
-				switch op {
-				case isa.ANDI, isa.ORI, isa.XORI:
-					in.Imm = int32(rng.Intn(1 << 14))
-				case isa.SLLI, isa.SRLI, isa.SRAI:
-					in.Imm = int32(rng.Intn(32))
-				default:
-					in.Imm = int32(rng.Intn(1<<14)) - 1<<13
+	for _, tgt := range []isa.Target{isa.PULPFull, isa.CortexM4} {
+		ops := oracleOps(tgt)
+		var compares []isa.Op
+		for _, op := range ops {
+			if !(&refState{}).step(isa.Inst{Op: op}) {
+				t.Errorf("%s: %v has no oracle arm", tgt.Name, op)
+			}
+			if op.IsCompare() {
+				compares = append(compares, op)
+			}
+		}
+		if t.Failed() {
+			return
+		}
+		rng := rand.New(rand.NewSource(99))
+		for trial := 0; trial < 300; trial++ {
+			ref := &refState{}
+			for r := 1; r < 32; r++ {
+				if rng.Intn(2) == 0 {
+					ref.regs[r] = oracleValues[rng.Intn(len(oracleValues))]
+				} else {
+					ref.regs[r] = int32(rng.Uint32())
 				}
-				in.Rb = 0
-			case isa.FmtIH:
-				in.Imm = int32(rng.Intn(1 << 16))
-				in.Ra, in.Rb = 0, 0
 			}
-			prog = append(prog, in)
-			ref.step(in)
-		}
-		prog = append(prog, isa.Inst{Op: isa.TRAP})
+			init := ref.regs
+			n := 5 + rng.Intn(60)
+			prog := make([]isa.Inst, 0, n+2)
+			for i := 0; i < n; i++ {
+				prog = append(prog, randInst(rng, ops[rng.Intn(len(ops))]))
+			}
+			prog = append(prog, randInst(rng, compares[rng.Intn(len(compares))]))
+			for _, in := range prog {
+				ref.step(in)
+			}
+			prog = append(prog, isa.Inst{Op: isa.TRAP})
 
-		c := newCore(newFlatEnv(), isa.PULPFull, prog)
-		runCore(t, c, 10_000)
-		for r := 0; r < 32; r++ {
-			if int32(c.Regs[r]) != ref.regs[r] {
-				t.Fatalf("trial %d: r%d = %d, ref %d", trial, r, int32(c.Regs[r]), ref.regs[r])
+			for _, solo := range []bool{false, true} {
+				c := newCore(newFlatEnv(), tgt, prog)
+				c.Solo = solo
+				for r, v := range init {
+					c.Regs[r] = uint32(v)
+				}
+				runCore(t, c, 10_000)
+				for r := 0; r < 32; r++ {
+					if int32(c.Regs[r]) != ref.regs[r] {
+						t.Fatalf("%s trial %d solo=%v: r%d = %d, ref %d", tgt.Name, trial, solo, r, int32(c.Regs[r]), ref.regs[r])
+					}
+				}
+				if c.Flag != ref.flag || c.Acc != ref.acc {
+					t.Fatalf("%s trial %d solo=%v: flag %v acc %d, ref %v %d (last %v)",
+						tgt.Name, trial, solo, c.Flag, c.Acc, ref.flag, ref.acc, prog[len(prog)-2])
+				}
 			}
-		}
-		if c.Flag != ref.flag {
-			t.Fatalf("trial %d: flag mismatch", trial)
 		}
 	}
 }
@@ -432,38 +589,68 @@ func TestDivisionEdgeCases(t *testing.T) {
 }
 
 // TestMemDifferential extends the differential fuzz to loads and stores in
-// a pinned window: a byte-accurate reference memory checks every width and
-// sign-extension combination under random interleaving with ALU traffic.
+// a pinned window: a byte-accurate reference memory checks every width,
+// sign-extension and post-increment form under random interleaving with
+// ALU traffic, on the stepped memory path (through Env) and on the fused
+// one (solo, against a TCDM). r5 holds the window base and r4 the
+// post-increment pointer; a post-increment load into its own pointer
+// (Rd == Ra) increments the loaded value, which is then copied out and
+// the pointer re-anchored.
 func TestMemDifferential(t *testing.T) {
-	const base = 0x400
-	memOps := []isa.Op{isa.LBZ, isa.LBS, isa.LHZ, isa.LHS, isa.LW, isa.SB, isa.SH, isa.SW}
+	const base = hw.TCDMBase + 0x400
+	memOps := []isa.Op{isa.LBZ, isa.LBS, isa.LHZ, isa.LHS, isa.LW, isa.SB, isa.SH, isa.SW,
+		isa.LBZP, isa.LBSP, isa.LHZP, isa.LHSP, isa.LWP, isa.SBP, isa.SHP, isa.SWP}
 	aluOps := []isa.Op{isa.ADD, isa.SUB, isa.XOR, isa.MUL, isa.ADDI, isa.MOVHI, isa.SLLI}
 	rng := rand.New(rand.NewSource(2024))
 
 	for trial := 0; trial < 100; trial++ {
-		env := newFlatEnv()
 		refMem := map[uint32]byte{}
 		ref := &refState{}
-		// r5 is the pinned window base; never a destination below.
-		ref.regs[5] = base
-		var prog []isa.Inst
-		prog = append(prog, isa.Inst{Op: isa.ADDI, Rd: 5, Ra: 0, Imm: base})
+		prog := []isa.Inst{
+			{Op: isa.MOVHI, Rd: 5, Imm: int32(base >> 16)},
+			{Op: isa.ORIL, Rd: 5, Imm: int32(base & 0xffff)},
+			{Op: isa.ADDI, Rd: 4, Ra: 5, Imm: 128},
+		}
+		for _, in := range prog {
+			ref.step(in)
+		}
+		emit := func(in isa.Inst) {
+			prog = append(prog, in)
+			ref.step(in)
+		}
 
 		n := 10 + rng.Intn(80)
 		for i := 0; i < n; i++ {
 			if rng.Intn(2) == 0 {
 				op := memOps[rng.Intn(len(memOps))]
 				size := uint32(op.MemSize())
-				off := int32(uint32(rng.Intn(64)) * 4) // word-aligned, always legal
-				if size == 2 && rng.Intn(2) == 0 {
-					off += 2
-				}
-				if size == 1 {
-					off += int32(rng.Intn(4))
-				}
 				rr := isa.Reg(6 + rng.Intn(8))
-				in := isa.Inst{Op: op, Ra: 5, Imm: off}
-				addr := uint32(base) + uint32(off)
+				in := isa.Inst{Op: op, Ra: 5}
+				var addr uint32
+				if op.IsPostIncr() {
+					in.Ra = 4
+					addr = uint32(ref.regs[4])
+					if addr%size != 0 {
+						continue // keep every access aligned
+					}
+					in.Imm = int32(rng.Intn(7)-3) * int32(size)
+					if off := addr + uint32(in.Imm) - base; off > 252 {
+						in.Imm = -in.Imm
+					}
+					if rng.Intn(6) == 0 {
+						rr = 4 // Rd == Ra for a load, Rb == Ra for a store
+					}
+				} else {
+					off := int32(uint32(rng.Intn(64)) * 4) // word-aligned, always legal
+					if size == 2 && rng.Intn(2) == 0 {
+						off += 2
+					}
+					if size == 1 {
+						off += int32(rng.Intn(4))
+					}
+					in.Imm = off
+					addr = base + uint32(off)
+				}
 				if op.IsStore() {
 					in.Rb = rr
 					v := uint32(ref.regs[rr])
@@ -477,14 +664,21 @@ func TestMemDifferential(t *testing.T) {
 						v |= uint32(refMem[addr+b]) << (8 * b)
 					}
 					switch op {
-					case isa.LBS:
+					case isa.LBS, isa.LBSP:
 						v = uint32(int32(int8(v)))
-					case isa.LHS:
+					case isa.LHS, isa.LHSP:
 						v = uint32(int32(int16(v)))
 					}
 					ref.set(rr, int32(v))
 				}
+				if op.IsPostIncr() {
+					ref.regs[4] += in.Imm
+				}
 				prog = append(prog, in)
+				if op.IsLoad() && rr == 4 {
+					emit(isa.Inst{Op: isa.OR, Rd: isa.Reg(6 + rng.Intn(8)), Ra: 4})
+					emit(isa.Inst{Op: isa.ADDI, Rd: 4, Ra: 5, Imm: int32(rng.Intn(64)) * 4})
+				}
 				continue
 			}
 			op := aluOps[rng.Intn(len(aluOps))]
@@ -498,21 +692,29 @@ func TestMemDifferential(t *testing.T) {
 			case isa.SLLI:
 				in.Imm = int32(rng.Intn(32))
 			}
-			prog = append(prog, in)
-			ref.step(in)
+			emit(in)
 		}
 		prog = append(prog, isa.Inst{Op: isa.TRAP})
 
-		c := newCore(env, isa.PULPFull, prog)
-		runCore(t, c, 100_000)
-		for r := 5; r < 14; r++ {
-			if int32(c.Regs[r]) != ref.regs[r] {
-				t.Fatalf("trial %d: r%d = %d, ref %d", trial, r, int32(c.Regs[r]), ref.regs[r])
+		for _, solo := range []bool{false, true} {
+			env := newFlatEnv()
+			c := newCore(env, isa.PULPFull, prog)
+			load := func(addr uint32) byte { return env.mem[addr] }
+			if solo {
+				tm := mem.NewTCDM(4096, 4)
+				c.TCDM, c.Solo = tm, true
+				load = func(addr uint32) byte { return byte(tm.Read(addr, 1)) }
 			}
-		}
-		for addr, want := range refMem {
-			if got := env.mem[addr]; got != want {
-				t.Fatalf("trial %d: mem[%#x] = %#x, ref %#x", trial, addr, got, want)
+			runCore(t, c, 100_000)
+			for r := 4; r < 14; r++ {
+				if int32(c.Regs[r]) != ref.regs[r] {
+					t.Fatalf("trial %d solo=%v: r%d = %d, ref %d", trial, solo, r, int32(c.Regs[r]), ref.regs[r])
+				}
+			}
+			for addr, want := range refMem {
+				if got := load(addr); got != want {
+					t.Fatalf("trial %d solo=%v: mem[%#x] = %#x, ref %#x", trial, solo, addr, got, want)
+				}
 			}
 		}
 	}

@@ -93,7 +93,8 @@ func Predecode(text []isa.Inst, target isa.Target) []Decoded {
 }
 
 // readMask computes the source-register bitmask of an instruction. It
-// mirrors the operand conventions of the execute switch: R-format ops read
+// mirrors the operand conventions of the one execute switch (runFused in
+// block.go, which the oracle in cpu_test.go checks): R-format ops read
 // Ra and Rb (accumulating ops additionally read their destination),
 // I-format ops read Ra, stores read base and data, register jumps and
 // hardware-loop setups read Ra, and ORIL is read-modify-write on Rd.
