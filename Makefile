@@ -63,13 +63,19 @@ chaos-drill:
 # batch stream and the injected write faults rest on (RunNotify, and the
 # cache's write-fault injector) — all under the race detector, bounded
 # in wall clock. Also fuzzes the request decoder
-# briefly.
+# briefly. Every run soaks a fresh fault schedule: SOAK_SEED defaults to
+# a random seed, which the soaks log with the command that replays it
+# (make serve-drill SOAK_SEED=N). Plain `go test` soaks seeds 11 and 7.
+ifeq ($(origin SOAK_SEED),undefined)
+SOAK_SEED := $(shell od -An -N4 -tu4 /dev/urandom | tr -d ' ')
+endif
 serve-drill:
-	$(GO) test -race -count=1 -timeout 120s \
+	@echo "serve drill: soak seed $(SOAK_SEED)"
+	HETSIM_SOAK_SEED=$(SOAK_SEED) $(GO) test -race -count=1 -timeout 120s \
 		-run 'TestServeSoak|TestBatchSoak|TestBatchDrainCursor|TestBatchClientReconnect|TestBatchDedupOneSpecOntoBatch|TestRemoteEquivalence|TestLateResultAfterTimeoutIsDiscarded|TestRunNotify|TestCacheWriteFail' \
 		./internal/serve ./internal/sweep
 	$(GO) test -run FuzzParseBatchRequest -fuzz FuzzParseBatchRequest -fuzztime 5s ./internal/paper
-	@echo "serve drill passed"
+	@echo "serve drill passed (soak seed $(SOAK_SEED))"
 
 # Kill-9 crash drill (DESIGN.md §14): builds the real hetexp binary,
 # SIGKILLs it at CRASH_POINTS seeded points mid-sweep, resumes each

@@ -239,6 +239,7 @@ type statsOut struct {
 	Cache      *sweep.CacheStats   `json:"cache,omitempty"`
 	Journal    *sweep.JournalStats `json:"journal,omitempty"`
 	Reconnects uint64              `json:"reconnects,omitempty"`
+	Cycles     tiers               `json:"cycles"`
 }
 
 // writeStatsJSON dumps the run's counters to path (no-op when empty).
@@ -246,7 +247,7 @@ func writeStatsJSON(path string, eng *sweep.Engine, reconnects uint64) error {
 	if path == "" {
 		return nil
 	}
-	out := statsOut{Sweep: eng.Stats(), Reconnects: reconnects}
+	out := statsOut{Sweep: eng.Stats(), Reconnects: reconnects, Cycles: tierSplit(cluster.WindowStats())}
 	if c := eng.Cache(); c != nil {
 		cs := c.Stats()
 		out.Cache = &cs
@@ -298,15 +299,35 @@ func sweepStats(eng *sweep.Engine) {
 	// images across the whole process.
 	ic, _, mh, mm := kernels.CompileStats()
 	fmt.Fprintf(os.Stderr, "compile: %d images, memo %d hit / %d miss\n", ic, mh, mm)
-	// Optimistic-window coverage (DESIGN.md §13): how much of the
-	// multi-core simulation ran windowed, and why windows were cut short.
+	// Fused-run coverage (DESIGN.md §12–13): how much of the multi-core
+	// simulation ran windowed, why windows were cut short, and how every
+	// simulated cycle ran: solo, windowed, or stepped or idle.
 	ws := cluster.WindowStats()
-	pct := 0.0
-	if ws.MultiCycles > 0 {
-		pct = 100 * float64(ws.Cycles) / float64(ws.MultiCycles)
+	t := tierSplit(ws)
+	fmt.Fprintf(os.Stderr, "windows: %d committed, %d of %d multi-core cycles (%.1f%%), cut: bank %d, word %d, event %d; "+
+		"of %d simulated cycles %.1f%% solo, %.1f%% windowed, %.1f%% stepped or idle\n",
+		ws.Committed, ws.Cycles, ws.MultiCycles, pct(ws.Cycles, ws.MultiCycles), ws.CutBank, ws.CutWord, ws.CutEvent,
+		ws.SimCycles, pct(t.Solo, ws.SimCycles), pct(t.Windowed, ws.SimCycles), pct(t.Stepped, ws.SimCycles))
+}
+
+// tiers is the -stats-json split of the process's simulated cycles by how
+// they ran, from the cluster's scheduler counters.
+type tiers struct {
+	Solo     uint64 `json:"solo"`
+	Windowed uint64 `json:"windowed"`
+	Stepped  uint64 `json:"stepped_or_idle"`
+}
+
+func tierSplit(ws cluster.WindowCounters) tiers {
+	return tiers{Solo: ws.SoloCycles, Windowed: ws.Cycles, Stepped: ws.Stepped()}
+}
+
+// pct is 100·n/d, 0 when d is 0.
+func pct(n, d uint64) float64 {
+	if d == 0 {
+		return 0
 	}
-	fmt.Fprintf(os.Stderr, "windows: %d committed, %d of %d multi-core cycles (%.1f%%), cut: bank %d, word %d, event %d\n",
-		ws.Committed, ws.Cycles, ws.MultiCycles, pct, ws.CutBank, ws.CutWord, ws.CutEvent)
+	return 100 * float64(n) / float64(d)
 }
 
 // chaosOpts carries the -chaos-* flags into runChaos.

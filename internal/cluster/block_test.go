@@ -245,7 +245,7 @@ func TestRandomizedBlockDifferential(t *testing.T) {
 // TestRandomizedBranchyDifferential fuzzes fused execution on
 // branch/loop-dominated programs (hot backward branches, taken-branch
 // chains, nested hardware loops, barrier-separated per-core phases that
-// open solo windows) in three execution modes — fused (the default),
+// leave one core running solo) in three execution modes — fused (the default),
 // stepped, and the naive reference — and every observable including
 // 9-class attribution must be bit-identical.
 func TestRandomizedBranchyDifferential(t *testing.T) {

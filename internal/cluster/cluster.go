@@ -1,9 +1,12 @@
 // Package cluster wires the simulated PULP cluster together: 1–4 cores
 // (internal/cpu), the multi-banked TCDM and shared I-cache (internal/mem),
 // the lightweight DMA (internal/dma) and the hardware synchronizer
-// (internal/hwsync), stepped in lock-step one cycle at a time. It also
-// stands in for the MCU when configured with a single M-profile core, a
-// flat memory and a perfect fetch path.
+// (internal/hwsync). The run loop steps them in lock-step one cycle at a
+// time, except where its one scheduler (window.go) runs them fused: a
+// lone awake core solo, two or more in optimistic windows, each
+// bit-identical to stepping. It also stands in for the MCU when
+// configured with a single M-profile core, a flat memory and a perfect
+// fetch path.
 //
 // Per-component activity counters collected here are the chi ratios of the
 // paper's power model (Section IV-A).
@@ -51,10 +54,11 @@ type Config struct {
 	ReferenceRun bool
 
 	// NoBlocks disables fused execution (DESIGN.md §12–13) while keeping
-	// the event-driven run loop: every instruction takes the stepped
-	// path. The block differential tests use it as the middle rung
-	// between fused execution and ReferenceRun; results are bit-identical
-	// across all three.
+	// the event-driven run loop: the scheduler grants no solo run and no
+	// window, so every instruction takes the stepped path. The block
+	// differential tests use it as the middle rung between fused
+	// execution and ReferenceRun; results are bit-identical across all
+	// three.
 	NoBlocks bool
 
 	// Observe attaches per-core cycle attribution (internal/obs) to the
@@ -122,10 +126,10 @@ type Cluster struct {
 	stepStatus uint8
 	nextEvent  uint64
 
-	// fused records that fused execution is on (LoadCompiled): solo
-	// windows (the Solo flag below) and optimistic windows (window.go).
-	// It is only sound with the event-driven loop and no fault injector
-	// or tracer.
+	// fused records that fused execution is on (LoadCompiled): the run
+	// loop's scheduler (window.go) grants solo runs and optimistic
+	// windows. It is only sound with the event-driven loop and no fault
+	// injector or tracer.
 	fused bool
 	win   winState
 
@@ -135,16 +139,6 @@ type Cluster struct {
 	// counters at the end of every Run).
 	awake       int
 	multiCycles uint64
-
-	// soloCore is the core currently flagged cpu.Core.Solo: the only
-	// possible actor until soloEnd (every sibling halted, asleep or
-	// mid-stall, DMA idle), allowed to fuse basic-block runs across
-	// memory accesses and branches up to the window end. Recomputed from
-	// post-rotation state at the end of every Step; soloEnd is
-	// cpu.NextEventNever for the unbounded case (no sibling can ever act
-	// without an external wake).
-	soloCore *cpu.Core
-	soloEnd  uint64
 
 	eoc      bool
 	eocValue uint32
@@ -217,6 +211,9 @@ func New(cfg Config) *Cluster {
 		c.TCDM = cl.TCDM
 		cl.Cores = append(cl.Cores, c)
 	}
+	// The scheduler's team slice is preallocated: a first grant that
+	// allocated would show in the allocation gates.
+	cl.win.team = make([]*cpu.Core, 0, cfg.Cores)
 	cl.order = make([][]*cpu.Core, cfg.Cores)
 	for r := 0; r < cfg.Cores; r++ {
 		rot := make([]*cpu.Core, 0, cfg.Cores)
@@ -313,11 +310,8 @@ func (cl *Cluster) Start(entry uint32) {
 	cl.err = nil
 	cl.Evt.Reset()
 	cl.DMA.Reset()
-	cl.soloCore = nil
-	cl.soloEnd = cpu.NextEventNever
 	for i, c := range cl.Cores {
-		c.Solo = false
-		c.Start(entry) // also resets the core's solo-window horizon
+		c.Start(entry)
 		// Stats survive Start (they accumulate across retry attempts), so
 		// the sleep baseline must be re-snapshotted, not zeroed.
 		cl.sleepMark[i] = sleepMark{lastWake: cl.now, start: cl.now, sleep0: c.Stats.Sleep}
@@ -368,48 +362,6 @@ func (cl *Cluster) Step() {
 			next = now + 1
 		}
 	}
-	// Solo detection for fused basic-block runs (DESIGN.md §12–13): find
-	// the unique earliest actor among the cores from their post-rotation
-	// state. NextUp reads each core's *current* halt/sleep/stall state,
-	// so a core woken later in the same cycle reports its true
-	// wake-up-stall end rather than its stale step hint. With the DMA
-	// idle, the earliest sibling cycle bounds a window in which the
-	// candidate is the only possible agent: halted and sleeping cores
-	// cannot act on their own, stalled cores do nothing until their
-	// stall ends, and the solo core itself can only wake a sibling or
-	// start the DMA via an env access, which always ends a fused run
-	// first. Unbounded windows (every sibling needs an external wake)
-	// always engage, while finite ones only engage when wide enough to
-	// beat an optimistic window over the same cycles.
-	var solo *cpu.Core
-	soloEnd := uint64(cpu.NextEventNever)
-	if cl.fused && !dmaBusy {
-		var best *cpu.Core
-		min1, min2 := uint64(cpu.NextEventNever), uint64(cpu.NextEventNever)
-		for _, c := range cl.Cores {
-			nu := c.NextUp(now + 1)
-			if nu < min1 {
-				min1, min2, best = nu, min1, c
-			} else if nu < min2 {
-				min2 = nu
-			}
-		}
-		if best != nil && min1 < min2 &&
-			(min2 == cpu.NextEventNever || min2-min1 >= soloWindowMin) {
-			solo, soloEnd = best, min2
-		}
-	}
-	if solo != cl.soloCore || soloEnd != cl.soloEnd {
-		if cl.soloCore != nil && cl.soloCore != solo {
-			cl.soloCore.Solo = false
-			cl.soloCore.SetSoloWindow(cpu.NextEventNever)
-		}
-		if solo != nil {
-			solo.Solo = true
-			solo.SetSoloWindow(soloEnd)
-		}
-		cl.soloCore, cl.soloEnd = solo, soloEnd
-	}
 	cl.awake = n - halted - sleeping
 	if cl.awake >= 2 {
 		cl.multiCycles++
@@ -443,13 +395,6 @@ func (cl *Cluster) Step() {
 	cl.now = now + 1
 }
 
-// soloWindowMin is the minimum width of a *finite* solo window worth
-// engaging: narrower windows would churn the solo flag every cycle for a
-// handful of fused issues that an optimistic window covers just as well.
-// Purely a scheduling heuristic — simulated results are bit-identical at
-// any value.
-const soloWindowMin = 8
-
 // stepStatus bits, in no particular order (finish imposes priority).
 const (
 	stepClusterErr uint8 = 1 << iota // cl.err set (DMA or interconnect)
@@ -481,15 +426,16 @@ type RunResult struct {
 // windows in which no core can act — all asleep at a barrier, or all
 // stalled on multi-cycle ops, wake-up latency or refills — are
 // fast-forwarded in one jump with the per-core Sleep/Stall counters
-// credited in bulk. Cycle counts, stats and termination results are
-// bit-identical to the naive loop (Config.ReferenceRun); the differential
-// cycle-accuracy test enforces this over the whole kernel suite.
+// credited in bulk; whenever the DMA is idle, the scheduler (window.go)
+// runs the awake cores fused. Cycle counts, stats and termination results
+// are bit-identical to the naive loop (Config.ReferenceRun); the
+// differential cycle-accuracy test enforces this over the whole suite.
 func (cl *Cluster) Run(maxCycles uint64) (RunResult, error) {
 	res, err := cl.runLoop(maxCycles)
 	// Fused runs need no unwinding here: they charge only the cycles below
 	// their issue limit, and a trailing stall past it is charged cycle by
 	// cycle as it elapses, so it simply stops with the run loop.
-	cl.flushWindowCounters()
+	cl.flushWindowCounters(res.Cycles)
 	// Close open sleep intervals and run spans on every exit path, so
 	// trace-derived sleep cycles always reconcile with CollectStats even
 	// when the run ends inside a fast-forwarded idle window.
@@ -510,13 +456,10 @@ func (cl *Cluster) runLoop(maxCycles uint64) (RunResult, error) {
 	if horizon < start {
 		horizon = cpu.NextEventNever
 	}
-	for _, c := range cl.Cores {
-		c.SetRunHorizon(horizon)
-	}
 	n := len(cl.Cores)
 	for cl.now-start < maxCycles {
-		if cl.fused && cl.soloCore == nil && cl.now >= cl.win.next && !cl.DMA.Busy() {
-			cl.runWindow(horizon)
+		if cl.fused && !cl.DMA.Busy() {
+			cl.grant(horizon)
 			if cl.now == horizon {
 				break
 			}

@@ -6,15 +6,24 @@ import (
 	"hetsim/internal/cpu"
 )
 
-// Optimistic bank-disjoint windows (DESIGN.md §13): while at least two
-// cores are awake and the DMA is idle, the run loop runs every awake core
-// alone over the next W cycles on the fused executor, logging each TCDM
-// access in a cpu.Window, and commits the longest prefix no core could
-// have observed another in — every doubly claimed bank won by the core
-// served first, no word stored by one core and accessed by another, no
-// shared-state event. Arbitration keeps no state across cycles, so that
-// prefix is exactly what lockstep stepping produces; the first cycle past
-// it is stepped.
+// The run loop's one scheduler (DESIGN.md §12–13). Before each stepped
+// cycle with the DMA idle, it collects the awake cores from their current
+// state and grants them a fused run:
+//
+//   - One awake core runs solo up to the run horizon. Its siblings are
+//     halted or asleep, and only an env access of its own, which ends a
+//     fused run first, or the idle DMA could wake one.
+//   - Two or more run an optimistic bank-disjoint window: every awake core
+//     runs alone over the next W cycles on the fused executor, logging
+//     each TCDM access in a cpu.Window, and the cluster keeps the longest
+//     prefix no core could have observed another in — every doubly
+//     claimed bank won by the core served first, no word stored by one
+//     core and accessed by another, no shared-state event. Arbitration
+//     keeps no state across cycles, so that prefix is exactly what
+//     lockstep stepping produces.
+//
+// Either way the cluster commits the span alike and steps the first cycle
+// past it.
 
 // Window sizes, in cycles. W doubles after a window commits in full and
 // halves after one is cut short; a window that commits less than
@@ -26,24 +35,26 @@ const (
 	backoffMax = 64
 )
 
-// winState is a cluster's window scheduler and its preallocated log.
+// winState is a cluster's fused-run scheduler and its preallocated log.
 type winState struct {
 	log  *cpu.Window // allocated at the first window
 	size uint64      // current W
-	next uint64      // no window starts before this cycle
+	next uint64      // no window starts before this cycle; solo runs ignore it
 	back uint64      // current back-off after short windows
-	team []*cpu.Core // the awake cores of the current window
-	ends []uint64    // where each team member's run reached
+	team []*cpu.Core // the awake cores of the current grant
 
-	// Per-cluster window counters, flushed to the process-wide ones at the
-	// end of every Run.
-	committed, cycles uint64
-	cuts              [cpu.CutEvent + 1]uint64
+	// Per-cluster counters, bumped once per grant and flushed to the
+	// process-wide ones at the end of every Run.
+	committed, cycles, solo uint64
+	cuts                    [cpu.CutEvent + 1]uint64
 }
 
-// WindowCounters are the process-wide optimistic-window counters: windows
-// committed, windows cut short by cause, cycles committed windowed, and
-// the cycles with at least two awake cores that windows compete for.
+// WindowCounters are the process-wide counters of the fused-run
+// scheduler: windows committed, windows cut short by cause, cycles
+// committed windowed, the cycles with at least two awake cores that
+// windows compete for, cycles run solo, and every cycle simulated. The
+// simulated cycles split three ways: solo, windowed, and the rest
+// (Stepped), stepped or fast-forwarded idle.
 type WindowCounters struct {
 	Committed   uint64
 	CutBank     uint64
@@ -51,24 +62,30 @@ type WindowCounters struct {
 	CutEvent    uint64
 	Cycles      uint64
 	MultiCycles uint64
+	SoloCycles  uint64
+	SimCycles   uint64
 }
+
+// Stepped is the simulated cycles that ran neither solo nor windowed.
+func (w WindowCounters) Stepped() uint64 { return w.SimCycles - w.SoloCycles - w.Cycles }
 
 var windowCounters struct {
-	committed, cutBank, cutWord, cutEvent, cycles, multi atomic.Uint64
+	committed, cutBank, cutWord, cutEvent, cycles, multi, solo, sim atomic.Uint64
 }
 
-// WindowStats reads the process-wide window counters.
+// WindowStats reads the process-wide scheduler counters.
 func WindowStats() WindowCounters {
 	w := &windowCounters
 	return WindowCounters{
 		Committed: w.committed.Load(), CutBank: w.cutBank.Load(), CutWord: w.cutWord.Load(),
 		CutEvent: w.cutEvent.Load(), Cycles: w.cycles.Load(), MultiCycles: w.multi.Load(),
+		SoloCycles: w.solo.Load(), SimCycles: w.sim.Load(),
 	}
 }
 
-// flushWindowCounters adds this cluster's window counters to the
-// process-wide ones and clears them.
-func (cl *Cluster) flushWindowCounters() {
+// flushWindowCounters adds this cluster's scheduler counters and the
+// run's sim simulated cycles to the process-wide counters and clears them.
+func (cl *Cluster) flushWindowCounters(sim uint64) {
 	ws := &cl.win
 	w := &windowCounters
 	w.committed.Add(ws.committed)
@@ -77,19 +94,16 @@ func (cl *Cluster) flushWindowCounters() {
 	w.cutEvent.Add(ws.cuts[cpu.CutEvent])
 	w.cycles.Add(ws.cycles)
 	w.multi.Add(cl.multiCycles)
-	ws.committed, ws.cycles, ws.cuts, cl.multiCycles = 0, 0, [cpu.CutEvent + 1]uint64{}, 0
+	w.solo.Add(ws.solo)
+	w.sim.Add(sim)
+	ws.committed, ws.cycles, ws.solo, ws.cuts, cl.multiCycles = 0, 0, 0, [cpu.CutEvent + 1]uint64{}, 0
 }
 
-// runWindow tries one optimistic window at the current cycle, never past
-// horizon. A pass runs every awake core to the window's bound; a core
-// refused by the log or reaching shared state cuts the bound to its
-// cycle. The pass commits when every core's run reached the final bound
-// exactly. Otherwise some core ran past it: everything rolls back and the
-// team runs again to the lower bound, which only drops, until a pass
-// holds or nothing is left to commit.
-func (cl *Cluster) runWindow(horizon uint64) {
+// grant runs the awake cores fused from the current cycle, never past
+// horizon: a lone one solo, two or more as an optimistic window once the
+// window back-off has passed.
+func (cl *Cluster) grant(horizon uint64) {
 	ws := &cl.win
-	now := cl.now
 	team := ws.team[:0]
 	for _, c := range cl.Cores {
 		if !c.Halted && !c.Sleeping() {
@@ -97,9 +111,42 @@ func (cl *Cluster) runWindow(horizon uint64) {
 		}
 	}
 	ws.team = team
-	if len(team) < 2 {
-		return
+	switch {
+	case len(team) == 1:
+		if span := team[0].RunSolo(cl.now, horizon) - cl.now; span > 0 {
+			ws.solo += span
+			cl.commit(span)
+		}
+	case len(team) >= 2 && cl.now >= ws.next:
+		cl.runWindow(team, horizon)
 	}
+}
+
+// commit books span fused cycles from the current one: the awake cores'
+// held charges, the idle cores' Sleep or Stall credit, and the rotation.
+func (cl *Cluster) commit(span uint64) {
+	now := cl.now
+	for _, c := range cl.Cores {
+		if c.Halted || c.Sleeping() {
+			c.CreditIdle(now, span)
+		} else {
+			c.Commit()
+		}
+	}
+	cl.rrOffset = int((uint64(cl.rrOffset) + span) % uint64(len(cl.Cores)))
+	cl.now += span
+}
+
+// runWindow tries one optimistic window over the team at the current
+// cycle, never past horizon. A pass runs every team member to the
+// window's bound; a core refused by the log or reaching shared state cuts
+// the bound to its cycle. The pass commits when every core's run reached
+// the final bound exactly. Otherwise some core ran past it: everything
+// rolls back and the team runs again to the lower bound, which only
+// drops, until a pass holds or nothing is left to commit.
+func (cl *Cluster) runWindow(team []*cpu.Core, horizon uint64) {
+	ws := &cl.win
+	now := cl.now
 	if ws.log == nil {
 		if len(cl.TCDM.Buf)%4 != 0 {
 			// The log tracks whole words; a TCDM with a ragged last
@@ -109,12 +156,8 @@ func (cl *Cluster) runWindow(horizon uint64) {
 		}
 		ws.log = cpu.NewWindow(cl.TCDM)
 		ws.size = windowMin
-		ws.ends = make([]uint64, len(cl.Cores))
 	}
-	lim := min(now+ws.size, horizon)
-	if lim <= now {
-		return
-	}
+	lim := min(now+ws.size, horizon) // the run loop keeps now below horizon
 	w := ws.log
 	accesses, conflicts := cl.TCDM.Accesses, cl.TCDM.Conflicts
 	var hits uint64
@@ -127,18 +170,17 @@ func (cl *Cluster) runWindow(horizon uint64) {
 	cause := cpu.CutNone
 	for {
 		w.Begin(now, lim, cl.rrOffset, len(cl.Cores))
-		for i, c := range team {
-			ws.ends[i] = c.RunWindow(w)
+		// No run ends below the final bound: one that stopped short of
+		// the bound it was given cut the bound there.
+		var top uint64
+		for _, c := range team {
+			top = max(top, c.RunWindow(w))
 		}
 		if cause == cpu.CutNone {
 			cause = w.Cause()
 		}
 		p := w.Lim()
-		held := p > now
-		for _, e := range ws.ends[:len(team)] {
-			held = held && e == p
-		}
-		if held {
+		if p > now && top == p {
 			break
 		}
 		w.Undo()
@@ -158,16 +200,7 @@ func (cl *Cluster) runWindow(horizon uint64) {
 	}
 
 	span := w.Lim() - now
-	for _, c := range cl.Cores {
-		if c.Halted || c.Sleeping() {
-			c.CreditIdle(now, span)
-		} else {
-			c.Commit()
-		}
-	}
-	n := uint64(len(cl.Cores))
-	cl.rrOffset = int((uint64(cl.rrOffset) + span) % n)
-	cl.now += span
+	cl.commit(span)
 	cl.multiCycles += span
 	ws.committed++
 	ws.cycles += span

@@ -5,37 +5,61 @@ import (
 
 	"hetsim/internal/cluster"
 	"hetsim/internal/devrt"
+	"hetsim/internal/isa"
 	"hetsim/internal/kernels"
 	"hetsim/internal/loader"
 )
 
-// TestWindowCoverage guards the optimistic-window tier against a silent
-// fallback that would leave it dead code while every differential stays
-// green: the paper-size hog at four threads — the slowest job of the
-// campaign — must commit windows over at least 90% of the cycles in which
-// two or more of its cores are awake.
-func TestWindowCoverage(t *testing.T) {
+// TestTierCoverage guards both fused modes of the scheduler against a
+// silent fallback to stepping, which every differential would pass
+// bit-identically, just slowly:
+//
+//   - windowed: the paper-size hog at four threads — the slowest job of
+//     the campaign — must commit windows over at least 90% of the cycles
+//     in which two or more of its cores are awake;
+//   - solo: the paper-size matmul on the M4 host, one core throughout,
+//     must run at least 99% of its simulated cycles solo.
+func TestTierCoverage(t *testing.T) {
 	if testing.Short() {
-		t.Skip("paper-size kernel")
+		t.Skip("paper-size kernels")
 	}
-	k := kernels.HOG(128, 128)
-	cfg := cluster.PULPConfig()
-	prog, err := k.Build(cfg.Target, devrt.Accel)
-	if err != nil {
-		t.Fatal(err)
+	run := func(t *testing.T, cfg cluster.Config, mode devrt.Mode, k *kernels.Instance, threads uint32) cluster.WindowCounters {
+		t.Helper()
+		prog, err := k.Build(cfg.Target, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		job := loader.Job{Prog: prog, In: k.Input(1), OutLen: k.OutLen(), Iters: 1, Threads: threads, Args: k.Args()}
+		before := cluster.WindowStats()
+		if _, err := cluster.RunJob(cfg, mode, job, 2_000_000_000); err != nil {
+			t.Fatal(err)
+		}
+		after := cluster.WindowStats()
+		return cluster.WindowCounters{
+			Committed:   after.Committed - before.Committed,
+			CutBank:     after.CutBank - before.CutBank,
+			CutWord:     after.CutWord - before.CutWord,
+			CutEvent:    after.CutEvent - before.CutEvent,
+			Cycles:      after.Cycles - before.Cycles,
+			MultiCycles: after.MultiCycles - before.MultiCycles,
+			SoloCycles:  after.SoloCycles - before.SoloCycles,
+			SimCycles:   after.SimCycles - before.SimCycles,
+		}
 	}
-	job := loader.Job{Prog: prog, In: k.Input(1), OutLen: k.OutLen(), Iters: 1, Threads: 4, Args: k.Args()}
-	before := cluster.WindowStats()
-	if _, err := cluster.RunJob(cfg, devrt.Accel, job, 2_000_000_000); err != nil {
-		t.Fatal(err)
-	}
-	after := cluster.WindowStats()
-	cycles := after.Cycles - before.Cycles
-	multi := after.MultiCycles - before.MultiCycles
-	t.Logf("hog pulp4: %d windows, %d of %d multi-core cycles windowed; cut by bank %d, word %d, event %d",
-		after.Committed-before.Committed, cycles, multi,
-		after.CutBank-before.CutBank, after.CutWord-before.CutWord, after.CutEvent-before.CutEvent)
-	if multi == 0 || float64(cycles) < 0.9*float64(multi) {
-		t.Errorf("windows cover %d of %d multi-core cycles, want >= 90%%", cycles, multi)
-	}
+
+	t.Run("windowed-hog-pulp4", func(t *testing.T) {
+		ws := run(t, cluster.PULPConfig(), devrt.Accel, kernels.HOG(128, 128), 4)
+		t.Logf("%d windows, %d of %d multi-core cycles windowed; cut by bank %d, word %d, event %d",
+			ws.Committed, ws.Cycles, ws.MultiCycles, ws.CutBank, ws.CutWord, ws.CutEvent)
+		if ws.MultiCycles == 0 || float64(ws.Cycles) < 0.9*float64(ws.MultiCycles) {
+			t.Errorf("windows cover %d of %d multi-core cycles, want >= 90%%", ws.Cycles, ws.MultiCycles)
+		}
+	})
+	t.Run("solo-matmul-m4", func(t *testing.T) {
+		ws := run(t, cluster.MCUConfig(isa.CortexM4), devrt.Host, kernels.MatMulChar(64), 1)
+		t.Logf("%d of %d simulated cycles solo, %d stepped", ws.SoloCycles, ws.SimCycles, ws.Stepped())
+		if ws.SimCycles == 0 || float64(ws.SoloCycles) < 0.99*float64(ws.SimCycles) {
+			t.Errorf("solo runs cover %d of %d simulated cycles, want >= 99%%", ws.SoloCycles, ws.SimCycles)
+		}
+	})
 }

@@ -1,15 +1,16 @@
 // Fused execution (DESIGN.md §12). A core that nothing else can disturb
 // runs a whole trace — across memory accesses, taken branches and
 // hardware-loop wraparounds — in one runFused call instead of paying the
-// Step gate/fetch/decode prologue once per instruction. The cluster gives
-// a core that licence in two ways: a solo window (every sibling halted,
-// asleep or mid-stall, DMA idle; runSolo) and an optimistic window, in
-// which every awake core runs alone in turn and the cluster commits only
-// what no other core could have observed (window.go). Cycle counts, stats
-// and the 9-class obs attribution stay bit-identical to stepped
-// execution: everything that interacts with shared cluster state (I$
-// refills in windows, sleep/wake, DMA and event-unit registers, SPR reads,
-// L2, faults) breaks the run back to the stepped path at its exact cycle.
+// Step gate/fetch/decode prologue once per instruction. The cluster's one
+// scheduler grants that licence in two modes: a solo run, when the core is
+// the only awake one and the DMA is idle (RunSolo), and an optimistic
+// window, in which every awake core runs alone in turn and the cluster
+// commits only what no other core could have observed (RunWindow,
+// window.go). Cycle counts, stats and the 9-class obs attribution stay
+// bit-identical to stepped execution: everything that interacts with
+// shared cluster state (I$ refills in windows, sleep/wake, DMA and
+// event-unit registers, SPR reads, L2, faults) breaks the run back to the
+// stepped path at its exact cycle.
 // runFused's switch is the one copy of the non-memory instruction
 // semantics: Step calls it for a single cycle to execute each such op.
 package cpu
@@ -46,16 +47,6 @@ func Compile(text []isa.Inst, target isa.Target) *Compiled {
 	return comp
 }
 
-// SetRunHorizon bounds fused execution: no instruction issues at or past
-// cycle h (the cluster sets it to start+maxCycles each Run, so a fused run
-// can never execute work the run-loop budget would have cut off).
-func (c *Core) SetRunHorizon(h uint64) { c.horizon = h }
-
-// SetSoloWindow bounds solo fused execution inside a solo window: no
-// instruction issues at or past cycle h, where the cluster determined the
-// earliest sibling actor resumes. NextEventNever clears the bound.
-func (c *Core) SetSoloWindow(h uint64) { c.winHorizon = h }
-
 // charge is a batch of cycle charges: issued instructions (Active,
 // Retired, Issue class) plus stall cycles per attribution class.
 type charge struct {
@@ -82,32 +73,44 @@ func (c *Core) apply(ch *charge) {
 	}
 }
 
-// runSolo runs the fused executor from cycle now while the core is the
-// cluster's sole actor until winHorizon, and books the run at once: every
-// cycle it simulated below its issue limit is charged here, and a trailing
-// stall crossing the limit stays a plain stall that Step and CreditIdle
-// charge as the cycles elapse (acctUntil). ok=false means nothing
-// observable happened and the caller must take the stepped path.
-func (c *Core) runSolo(now uint64) (uint64, bool) {
-	if c.Trace != nil {
-		// Tracing needs one event per instruction at its exact cycle; the
-		// stepped path provides that (the cluster disables fusion when a
-		// tracer is attached, so this only guards direct Core users).
-		return 0, false
+// RunSolo runs the core alone from cycle t, with no instruction issuing
+// at or past lim: the cluster's only awake core while the DMA is idle. It
+// returns the cycle the run reached — lim, or an earlier cycle at which
+// the next instruction needs the stepped path. The charges are held until
+// Commit, as a window run's are.
+func (c *Core) RunSolo(t, lim uint64) uint64 { return c.run(t, lim, nil) }
+
+// run is the one body of RunSolo and RunWindow: a stall the core is in at
+// t elapses first, a parked TCDM access retries as the run's first access,
+// then the core runs fused up to lim, its charges held in c.held. It
+// returns lim or the earlier cycle at which the run stopped; a parked
+// access outside the TCDM (a spinning mutex) stops it at once.
+func (c *Core) run(t, lim uint64, w *Window) uint64 {
+	c.held = charge{}
+	if c.stallUntil > t {
+		if from := max(t, c.acctUntil); lim > from {
+			c.held.stall[c.stallClass] += min(c.stallUntil, lim) - from
+		}
+		if c.stallUntil >= lim {
+			c.acctUntil = max(c.acctUntil, lim)
+			return lim
+		}
+		t = c.stallUntil
 	}
-	lim := min(c.horizon, c.winHorizon)
-	var ch charge
-	t := c.runFused(now, lim, nil, &ch)
-	if t == now {
-		return 0, false
+	if c.hasPending {
+		if p := &c.pending; !c.TCDM.Contains(p.addr, uint32(p.m.Size)) {
+			return t
+		}
+		// The retry re-issues the parked op from the PC: its registers,
+		// fetch and hazard state are what they were when it parked.
+		c.hasPending = false
 	}
-	c.apply(&ch)
-	c.acctUntil = min(t, lim)
-	if t > now+1 {
-		c.stallUntil = t
-		return t, true
+	end := c.runFused(t, lim, w, &c.held)
+	if end > t {
+		c.stallUntil = end
+		c.acctUntil = min(end, lim)
 	}
-	return now + 1, true
+	return min(end, lim)
 }
 
 // runFused executes from the core's state at cycle t — not stalled, no
@@ -127,8 +130,8 @@ func (c *Core) runSolo(now uint64) (uint64, bool) {
 // takes each at its exact cycle.
 //
 // w selects the mode. Solo (w == nil): bank arbitration cannot deny the
-// only requester, so accesses complete anywhere in the run, and I$ misses
-// are charged here, the chase resuming at the refill-complete cycle
+// only awake requester, so accesses complete anywhere in the run, and I$
+// misses are charged here, the chase resuming at the refill-complete cycle
 // exactly as the stepped stall gate would (only a refill that lands past
 // lim hands back mid-refill, with fetchedLine unset, so the stepped retry
 // re-fetches and scores the same hit). Window (w != nil): the run is one

@@ -4,12 +4,15 @@
 // loops and post-increment addressing), the plain-RISC configuration used
 // to count Table I's RISC operations, and the Cortex-M3/M4 hosts.
 //
-// The core is cycle-stepped: the surrounding cluster calls Step once per
-// cycle, and memory accesses go through an environment interface that
-// performs TCDM bank arbitration, I/O dispatch and sleep control. The
+// The core runs in two modes. Step advances it by exactly one cycle, its
+// memory accesses going through an environment interface that performs
+// TCDM bank arbitration, I/O dispatch and sleep control; the cluster calls
+// it for every cycle it does not run fused. RunSolo and RunWindow run it
+// over many cycles on the fused executor, when the cluster's scheduler
+// finds it the only awake core or a member of an optimistic window. The
 // instruction semantics exist once, in the switch of runFused (block.go):
 // Step runs each non-memory op there for one cycle, and a fused run for
-// many. Fetch, hazards, arbitration and the memory path stay per tier, so
+// many. Fetch, hazards, arbitration and the memory path stay per mode, so
 // the tier differentials check timing; the oracle in cpu_test.go, not the
 // differentials, checks what each op computes.
 package cpu
@@ -138,16 +141,6 @@ type Core struct {
 	sleep  SleepKind
 	Halted bool
 
-	// Solo, maintained by the cluster at the end of every cycle while
-	// fused execution is on, reports that this core is the only possible
-	// actor until winHorizon (all sibling cores halted, asleep or
-	// mid-stall, DMA idle) — the condition under which a fused run
-	// (block.go) may cross memory accesses, taken branches and loop
-	// wraparounds freely. The condition is stable until the
-	// window ends or this core itself performs an env access (waking a
-	// sibling or starting the DMA), which always ends a fused run first.
-	Solo bool
-
 	execState
 
 	// FetchLineMask models the core's line prefetch buffer: while the PC
@@ -157,14 +150,6 @@ type Core struct {
 	FetchLineMask uint32
 
 	code []Decoded // predecoded text, see Predecode
-
-	// horizon bounds fused execution (SetRunHorizon): no fused instruction
-	// issues at or past this cycle. It is the run-loop budget bound.
-	horizon uint64
-	// winHorizon bounds solo fused execution inside a solo *window*
-	// (SetSoloWindow): no instruction issues at or past this cycle because
-	// a sibling core resumes there.
-	winHorizon uint64
 
 	// IC, when set by the cluster, is the shared instruction cache timing
 	// the fetch path consults (a direct pointer rather than a func value:
@@ -228,8 +213,6 @@ func New(id int, target isa.Target, env Env) *Core {
 		loadUse:    uint64(target.Time.LoadUse),
 		timeJump:   target.Time.Jump,
 		timeBranch: target.Time.BranchTaken,
-		horizon:    NextEventNever,
-		winHorizon: NextEventNever,
 	}
 }
 
@@ -262,7 +245,6 @@ func (c *Core) Start(entry uint32) {
 	c.fetchedLine = ^uint32(0)
 	c.lastLoadArmed = false
 	c.acctUntil = 0
-	c.winHorizon = NextEventNever
 	c.Halted = false
 	c.TrapCode = 0
 	c.Err = nil
@@ -366,7 +348,8 @@ func loadExt(op isa.Op, rdata uint32) uint32 {
 	return rdata
 }
 
-// Step advances the core by one cycle. It returns the earliest future
+// Step advances the core by one cycle and never fuses: the one fused call
+// it makes executes a single non-memory op. It returns the earliest future
 // cycle at which the core can make progress on its own: stallUntil for a
 // stalled core, now+1 for a core that executed or must retry an access,
 // and NextEventNever for a halted or sleeping core (which needs an
@@ -416,16 +399,6 @@ func (c *Core) Step(now uint64) uint64 {
 		in, m, addr, wdata = c.pending.in, c.pending.m, c.pending.addr, c.pending.wdata
 		goto access
 	}
-	// Solo fused dispatch (block.go): while this core is the cluster's
-	// only possible actor, one call runs the whole trace from here —
-	// fetch, hazards and all. ok=false means the instruction at the PC
-	// needs the stepped path below; nothing observable was executed.
-	if c.Solo {
-		if hint, ok := c.runSolo(now); ok {
-			return hint
-		}
-	}
-
 	// Fetch: the line prefetch buffer short-circuits the shared cache
 	// while execution stays within the current line. Probe is the
 	// inlined ready-hit fast path; everything else (miss, in-flight
@@ -672,24 +645,6 @@ func (c *Core) CreditIdle(now, cycles uint64) {
 			o.Credit(c.stallClass, cycles)
 		}
 	}
-}
-
-// NextUp returns the earliest future cycle, at or after `from`, at which
-// this core can act on its own: NextEventNever for a halted or sleeping
-// core (it needs an external wake), the end of the current stall window
-// for a stalled one, `from` otherwise. Unlike the Step return hint it
-// reads the core's *current* state, so a core woken later in the same
-// cycle reports its true wake-up-stall end rather than a stale never —
-// the cluster's solo-window scan relies on that to bound how long a lone
-// runnable core may fuse ahead.
-func (c *Core) NextUp(from uint64) uint64 {
-	if c.Halted || c.sleep != Awake {
-		return NextEventNever
-	}
-	if c.stallUntil > from {
-		return c.stallUntil
-	}
-	return from
 }
 
 // lpInactive is the lpEnd sentinel of an inactive hardware loop: PCs are

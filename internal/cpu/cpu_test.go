@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -66,6 +67,41 @@ func runCore(t *testing.T, c *Core, maxCycles uint64) uint64 {
 	}
 	t.Fatalf("core did not halt in %d cycles (pc=%#x)", maxCycles, c.PC)
 	return cyc
+}
+
+// runSolo drives the core the way the cluster's scheduler drives its only
+// awake core: a solo run to the limit with its charges committed, then one
+// stepped cycle for whatever stopped the run, repeated until the core
+// halts. It returns the cycles taken and the number of Step calls.
+func runSolo(t *testing.T, c *Core, maxCycles uint64) (cyc uint64, steps uint64) {
+	t.Helper()
+	for cyc < maxCycles {
+		if c.Halted {
+			if c.Err != nil {
+				t.Fatal(c.Err)
+			}
+			return cyc, steps
+		}
+		cyc = c.RunSolo(cyc, maxCycles)
+		c.Commit()
+		if cyc == maxCycles {
+			break
+		}
+		c.Step(cyc)
+		cyc++
+		steps++
+	}
+	t.Fatalf("core did not halt in %d cycles (pc=%#x)", maxCycles, c.PC)
+	return cyc, steps
+}
+
+// checkFused fails unless a solo leg ran most of its instructions fused:
+// a leg that fell back to stepping would call Step once per instruction.
+func checkFused(t *testing.T, c *Core, steps uint64, leg string) {
+	t.Helper()
+	if steps >= c.Stats.Retired {
+		t.Fatalf("%s: %d Step calls for %d retired instructions; the solo leg did not fuse", leg, steps, c.Stats.Retired)
+	}
 }
 
 func newCore(env Env, tgt isa.Target, prog []isa.Inst) *Core {
@@ -321,7 +357,8 @@ func randInst(rng *rand.Rand, op isa.Op) isa.Inst {
 // a target supports on the core and on the oracle, and compares every
 // register, the flag and the MAC accumulator. Each program ends with a
 // compare, so the final flag checks one compare per trial. It runs on
-// PULPFull (SIMD, MinMax, MacRR) and CortexM4 (Mac64), stepped and solo,
+// PULPFull (SIMD, MinMax, MacRR) and CortexM4 (Mac64), stepped and solo —
+// the solo leg driven through RunSolo as the cluster drives a lone core —
 // and fails first if any op the core executes has no oracle arm.
 func TestALUDifferential(t *testing.T) {
 	for _, tgt := range []isa.Target{isa.PULPFull, isa.CortexM4} {
@@ -362,11 +399,15 @@ func TestALUDifferential(t *testing.T) {
 
 			for _, solo := range []bool{false, true} {
 				c := newCore(newFlatEnv(), tgt, prog)
-				c.Solo = solo
 				for r, v := range init {
 					c.Regs[r] = uint32(v)
 				}
-				runCore(t, c, 10_000)
+				if solo {
+					_, steps := runSolo(t, c, 10_000)
+					checkFused(t, c, steps, fmt.Sprintf("%s trial %d", tgt.Name, trial))
+				} else {
+					runCore(t, c, 10_000)
+				}
 				for r := 0; r < 32; r++ {
 					if int32(c.Regs[r]) != ref.regs[r] {
 						t.Fatalf("%s trial %d solo=%v: r%d = %d, ref %d", tgt.Name, trial, solo, r, int32(c.Regs[r]), ref.regs[r])
@@ -592,7 +633,7 @@ func TestDivisionEdgeCases(t *testing.T) {
 // a pinned window: a byte-accurate reference memory checks every width,
 // sign-extension and post-increment form under random interleaving with
 // ALU traffic, on the stepped memory path (through Env) and on the fused
-// one (solo, against a TCDM). r5 holds the window base and r4 the
+// one (RunSolo against a TCDM). r5 holds the window base and r4 the
 // post-increment pointer; a post-increment load into its own pointer
 // (Rd == Ra) increments the loaded value, which is then copied out and
 // the pointer re-anchored.
@@ -702,10 +743,13 @@ func TestMemDifferential(t *testing.T) {
 			load := func(addr uint32) byte { return env.mem[addr] }
 			if solo {
 				tm := mem.NewTCDM(4096, 4)
-				c.TCDM, c.Solo = tm, true
+				c.TCDM = tm
 				load = func(addr uint32) byte { return byte(tm.Read(addr, 1)) }
+				_, steps := runSolo(t, c, 100_000)
+				checkFused(t, c, steps, fmt.Sprintf("trial %d", trial))
+			} else {
+				runCore(t, c, 100_000)
 			}
-			runCore(t, c, 100_000)
 			for r := 4; r < 14; r++ {
 				if int32(c.Regs[r]) != ref.regs[r] {
 					t.Fatalf("trial %d solo=%v: r%d = %d, ref %d", trial, solo, r, int32(c.Regs[r]), ref.regs[r])

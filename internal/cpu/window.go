@@ -224,39 +224,13 @@ func (c *Core) Commit() { c.apply(&c.held) }
 // bound — one participant of the pass. It returns the cycle the run
 // reached cleanly: the bound itself, or an earlier cycle at which the core
 // is about to touch shared state or was refused by the log (the pass is
-// cut there). A stall the core is in at the start elapses first; a parked
+// cut there). The prologue is RunSolo's: a stall elapses first, a parked
 // TCDM access retries as the run's first access. The charges are held
 // until Commit.
 func (c *Core) RunWindow(w *Window) uint64 {
-	c.held = charge{}
-	t, lim := w.start, w.lim
-	if c.stallUntil > t {
-		if from := max(t, c.acctUntil); lim > from {
-			c.held.stall[c.stallClass] += min(c.stallUntil, lim) - from
-		}
-		if c.stallUntil >= lim {
-			c.acctUntil = max(c.acctUntil, lim)
-			return lim
-		}
-		t = c.stallUntil
-	}
-	if c.hasPending {
-		if p := &c.pending; !c.TCDM.Contains(p.addr, uint32(p.m.Size)) {
-			w.cut(t, CutEvent) // a spinning env access (mutex) steps
-			return t
-		}
-		// The retry re-issues the parked op from the PC: its registers,
-		// fetch and hazard state are what they were when it parked.
-		c.hasPending = false
-	}
-	end := c.runFused(t, lim, w, &c.held)
-	if end > t {
-		c.stallUntil = end
-		c.acctUntil = min(end, lim)
-	}
-	if end < lim {
+	end := c.run(w.start, w.lim, w)
+	if end < w.lim {
 		w.cut(end, CutEvent)
-		return end
 	}
-	return lim
+	return end
 }

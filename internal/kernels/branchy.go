@@ -14,7 +14,7 @@ import (
 // hardware (HWLoop: PULP only; Barriers: needs the cluster event unit).
 type BranchyOpts struct {
 	HWLoop   bool // nested LPSETUP hardware loops
-	Barriers bool // barrier-separated per-core phases (solo windows)
+	Barriers bool // barrier-separated per-core phases (solo runs)
 	// Scale multiplies every loop trip count (0 and 1 mean unscaled).
 	// The differentials use the short mix — correctness does not need
 	// trip volume — while the throughput benches scale trips up so the
@@ -153,10 +153,10 @@ func BranchyProgram(seed int64, o BranchyOpts) *asm.Program {
 			for i := 0; i < tail; i++ {
 				alu()
 			}
-		case pick < 9 && o.Barriers: // barrier-separated solo-window phase
+		case pick < 9 && o.Barriers: // barrier-separated solo-run phase
 			// Per-core skewed trip counts: low-ID cores finish first,
 			// arrive, and sleep; the last core runs its loop tail as the
-			// only active agent — a solo window bounded by the barrier.
+			// only awake core — a solo run that ends at the barrier.
 			countedLoop(trips(8+r.Int31n(12)), trips(6+r.Int31n(10)), func() {
 				for i := 0; i < 1+r.Intn(3); i++ {
 					alu()

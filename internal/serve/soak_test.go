@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
+	"os"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -12,6 +14,23 @@ import (
 	"hetsim/internal/paper"
 	"hetsim/internal/sweep"
 )
+
+// soakSeed is the fault-hook seed of a soak: def under plain `go test`,
+// HETSIM_SOAK_SEED when set (`make serve-drill` draws a fresh one per
+// run). The test logs the seed with the command that replays it.
+func soakSeed(t *testing.T, def uint64) uint64 {
+	t.Helper()
+	seed := def
+	if s := os.Getenv("HETSIM_SOAK_SEED"); s != "" {
+		n, err := strconv.ParseUint(s, 10, 64)
+		if err != nil {
+			t.Fatalf("bad HETSIM_SOAK_SEED %q", s)
+		}
+		seed = n
+	}
+	t.Logf("soak seed %d; replay with: make serve-drill SOAK_SEED=%d", seed, seed)
+	return seed
+}
 
 // TestServeSoak is the per-point chaos drill of the serving layer (`make
 // serve-drill`): a herd of clients, each submitting one point at a time
@@ -27,6 +46,7 @@ import (
 //   - no stuck waiters (the test itself would time out),
 //   - a clean drain afterwards, with readiness down.
 func TestServeSoak(t *testing.T) {
+	seed := soakSeed(t, 11)
 	cache, err := sweep.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -50,7 +70,7 @@ func TestServeSoak(t *testing.T) {
 		Build: build, Cache: cache, Workers: 4, Queue: 256,
 		Retry: RetryPolicy{Max: 3, Base: time.Millisecond, Cap: 10 * time.Millisecond},
 		Faults: &Faults{
-			Seed:      11,
+			Seed:      seed,
 			SlowEvery: 5, SlowDelay: 2 * time.Millisecond,
 			CancelRate:  0.2, // a fifth of all requests lose their wait mid-flight
 			CancelAfter: time.Millisecond,
@@ -152,6 +172,7 @@ func TestServeSoak(t *testing.T) {
 //   - no stuck waiters (the test itself would time out),
 //   - a clean drain afterwards, with readiness down.
 func TestBatchSoak(t *testing.T) {
+	seed := soakSeed(t, 7)
 	cache, err := sweep.Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -175,7 +196,7 @@ func TestBatchSoak(t *testing.T) {
 		Build: build, Cache: cache, Workers: 4, Queue: 256,
 		Retry: RetryPolicy{Max: 4, Base: time.Millisecond, Cap: 10 * time.Millisecond},
 		Faults: &Faults{
-			Seed:      7,
+			Seed:      seed,
 			SlowEvery: 5, SlowDelay: 2 * time.Millisecond,
 			CancelRate:  0.2, // cuts single points AND whole campaign streams
 			CancelAfter: time.Millisecond,
