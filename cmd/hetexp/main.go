@@ -240,6 +240,24 @@ type statsOut struct {
 	Journal    *sweep.JournalStats `json:"journal,omitempty"`
 	Reconnects uint64              `json:"reconnects,omitempty"`
 	Cycles     tiers               `json:"cycles"`
+	Compile    compileCounts       `json:"compile"`
+}
+
+// compileCounts is the -stats-json form of the compile: stderr line: the
+// process's program compiles and compile-memo outcomes, and the kernel
+// inputs it generated and program images it serialized.
+type compileCounts struct {
+	Images     uint64 `json:"images"`
+	MemoHits   uint64 `json:"memo_hits"`
+	MemoMisses uint64 `json:"memo_misses"`
+	Inputs     uint64 `json:"inputs"`
+	Encodes    uint64 `json:"encodes"`
+}
+
+func compileStats() compileCounts {
+	ic, _, mh, mm := kernels.CompileStats()
+	in, enc := kernels.ArtifactStats()
+	return compileCounts{Images: ic, MemoHits: mh, MemoMisses: mm, Inputs: in, Encodes: enc}
 }
 
 // writeStatsJSON dumps the run's counters to path (no-op when empty).
@@ -247,7 +265,7 @@ func writeStatsJSON(path string, eng *sweep.Engine, reconnects uint64) error {
 	if path == "" {
 		return nil
 	}
-	out := statsOut{Sweep: eng.Stats(), Reconnects: reconnects, Cycles: tierSplit(cluster.WindowStats())}
+	out := statsOut{Sweep: eng.Stats(), Reconnects: reconnects, Cycles: tierSplit(cluster.WindowStats()), Compile: compileStats()}
 	if c := eng.Cache(); c != nil {
 		cs := c.Stats()
 		out.Cache = &cs
@@ -295,10 +313,13 @@ func sweepStats(eng *sweep.Engine) {
 		}
 	}
 	// Compile-tier counters (DESIGN.md §12): program images predecoded,
-	// and the kernels.Compiled memo's split into reused vs freshly built
-	// images across the whole process.
-	ic, _, mh, mm := kernels.CompileStats()
-	fmt.Fprintf(os.Stderr, "compile: %d images, memo %d hit / %d miss\n", ic, mh, mm)
+	// the kernels.Compiled memo's split into reused vs freshly built
+	// images, and the kernel inputs generated and program images
+	// serialized, across the whole process (DESIGN.md §8: a warm campaign
+	// generates and serializes only what composition offloads).
+	cs := compileStats()
+	fmt.Fprintf(os.Stderr, "compile: %d images, memo %d hit / %d miss, %d inputs generated, %d images encoded\n",
+		cs.Images, cs.MemoHits, cs.MemoMisses, cs.Inputs, cs.Encodes)
 	// Fused-run coverage (DESIGN.md §12–13): how much of the multi-core
 	// simulation ran windowed, why windows were cut short, and how every
 	// simulated cycle ran: solo, windowed, or stepped or idle.

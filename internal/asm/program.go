@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"hetsim/internal/isa"
 )
@@ -76,8 +77,14 @@ const (
 	imageHeaderLen = 36
 )
 
+// Encodes counts Image calls process-wide; kernels.ArtifactStats reports
+// it, and the warm-campaign test pins that each offloaded program is
+// serialized once.
+var Encodes atomic.Uint64
+
 // Image serializes the program to the byte stream offloaded over SPI.
 func (p *Program) Image() ([]byte, error) {
+	Encodes.Add(1)
 	text, err := isa.EncodeProgram(p.Text)
 	if err != nil {
 		return nil, fmt.Errorf("asm: encoding %q: %w", p.Name, err)

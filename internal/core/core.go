@@ -353,7 +353,8 @@ func (s *System) Compose(job loader.Job, opts Options, c Compute) (*Report, erro
 }
 
 // newRun validates the options, fills in their defaults and serializes
-// the image: the state every offload, simulated or composed, starts from.
+// the image unless the job carries it: the state every offload, simulated
+// or composed, starts from.
 func (s *System) newRun(job loader.Job, opts Options) (*offloadRun, error) {
 	if opts.Iterations <= 0 {
 		opts.Iterations = 1
@@ -387,9 +388,11 @@ func (s *System) newRun(job loader.Job, opts Options) (*offloadRun, error) {
 		return nil, err
 	}
 
-	image, err := job.Prog.Image()
-	if err != nil {
-		return nil, err
+	image := job.Image
+	if image == nil {
+		if image, err = job.Prog.Image(); err != nil {
+			return nil, err
+		}
 	}
 	return &offloadRun{sys: s, job: job, opts: opts, lay: lay, image: image}, nil
 }

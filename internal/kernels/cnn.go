@@ -72,6 +72,7 @@ func CNNSized(approx bool, w, m1, m2 int) *Instance {
 		Desc:       desc,
 		ParamDesc:  fmt.Sprintf("%dx%d, %d+%d maps", w, w, m1, m2),
 		MaxThreads: 4,
+		inLen:      uint32(2 * p.w * p.w),
 		outLen:     uint32(4 * p.nOut),
 		args:       [4]uint32{uint32(w), uint32(m1), uint32(m2)},
 		build: func(t isa.Target, mode devrt.Mode) (*asm.Program, error) {

@@ -46,6 +46,7 @@ func DWT(n, levels int) *Instance {
 		Desc:       fmt.Sprintf("%d-level Haar wavelet transform (extension kernel)", levels),
 		ParamDesc:  fmt.Sprintf("N=%d L=%d", n, levels),
 		MaxThreads: 4,
+		inLen:      uint32(2 * p.n),
 		outLen:     uint32(2 * p.n),
 		args:       [4]uint32{uint32(n), uint32(levels)},
 		build: func(tgt isa.Target, mode devrt.Mode) (*asm.Program, error) {

@@ -38,6 +38,7 @@ func FIR(n, t int) *Instance {
 		Desc:       fmt.Sprintf("%d-tap Q15 FIR filter (extension kernel)", t),
 		ParamDesc:  fmt.Sprintf("N=%d T=%d", n, t),
 		MaxThreads: 4,
+		inLen:      uint32(2 * (p.n + p.taps)),
 		outLen:     uint32(2 * p.n),
 		args:       [4]uint32{uint32(n), uint32(t)},
 		build: func(tgt isa.Target, mode devrt.Mode) (*asm.Program, error) {

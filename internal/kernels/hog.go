@@ -66,6 +66,7 @@ func HOG(w, h int) *Instance {
 		Desc:       "Histogram of Oriented Gradients feature descriptor",
 		ParamDesc:  fmt.Sprintf("%dx%d, %dx%d cells", w, h, p.cw, p.ch),
 		MaxThreads: 4,
+		inLen:      uint32(p.w * p.h),
 		outLen:     uint32(4 * p.bw * p.bh * 4 * hogBins),
 		args:       [4]uint32{uint32(w), uint32(h)},
 		build: func(t isa.Target, mode devrt.Mode) (*asm.Program, error) {

@@ -38,6 +38,7 @@ type Instance struct {
 	build    func(t isa.Target, mode devrt.Mode) (*asm.Program, error)
 	genInput func(seed uint64) []byte
 	golden   func(in []byte) []byte
+	inLen    uint32
 	outLen   uint32
 	args     [4]uint32
 }
@@ -81,7 +82,14 @@ func (k *Instance) Build(t isa.Target, mode devrt.Mode) (*asm.Program, error) {
 }
 
 // Input generates the deterministic input buffer for the given seed.
-func (k *Instance) Input(seed uint64) []byte { return k.genInput(seed) }
+func (k *Instance) Input(seed uint64) []byte {
+	inputs.Add(1)
+	return k.genInput(seed)
+}
+
+// InLen is the input buffer size in bytes: len(Input(seed)) for every
+// seed, known without generating one.
+func (k *Instance) InLen() uint32 { return k.inLen }
 
 // Golden computes the expected output for an input buffer, using exactly
 // the device's integer arithmetic.

@@ -146,3 +146,19 @@ func TestExtraSuite(t *testing.T) {
 }
 
 func TestDWTGolden(t *testing.T) { testKernelAllTargets(t, DWT(128, 3)) }
+
+// TestInLenMatchesInput pins InLen to the generator: a fold reads a
+// kernel's input size from InLen without generating the input, so each
+// constructor's size formula must agree with its generator's, at every
+// size both suites (paper.Registry) and the extra kernels use.
+func TestInLenMatchesInput(t *testing.T) {
+	for _, suite := range [][]*Instance{PaperSuite(), SmallSuite(), ExtraSuite()} {
+		for _, k := range suite {
+			for _, seed := range []uint64{1, 2, 0x5eed} {
+				if got, want := k.InLen(), len(k.Input(seed)); int(got) != want {
+					t.Errorf("%s (%s) seed %d: InLen %d, len(Input) %d", k.Name, k.ParamDesc, seed, got, want)
+				}
+			}
+		}
+	}
+}

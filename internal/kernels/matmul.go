@@ -70,6 +70,7 @@ func newMatMul(p mmParams, name, desc string) *Instance {
 		Desc:       desc,
 		ParamDesc:  fmt.Sprintf("%dx%d", p.n, p.n),
 		MaxThreads: 4,
+		inLen:      uint32(2 * p.n * p.n * esz),
 		outLen:     uint32(p.n * p.n * esz),
 		args:       [4]uint32{uint32(p.n), uint32(p.shift)},
 		build: func(t isa.Target, mode devrt.Mode) (*asm.Program, error) {

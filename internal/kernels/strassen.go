@@ -68,6 +68,7 @@ func Strassen(n int) *Instance {
 		Desc:       "Strassen algorithm for fast matrix multiplication",
 		ParamDesc:  fmt.Sprintf("%dx%d", n, n),
 		MaxThreads: 4,
+		inLen:      uint32(2 * p.n * p.n),
 		outLen:     uint32(p.n * p.n),
 		args:       [4]uint32{uint32(p.n), uint32(p.shift)},
 		build: func(t isa.Target, mode devrt.Mode) (*asm.Program, error) {

@@ -85,6 +85,7 @@ func SVM(kind SVMKind, d, nsv, nt int) *Instance {
 		Desc:       fmt.Sprintf("Support Vector Machine classifier (%s kernel)", kind),
 		ParamDesc:  fmt.Sprintf("D=%d NSV=%d NT=%d", d, nsv, nt),
 		MaxThreads: 4,
+		inLen:      uint32(2 * p.nt * p.d),
 		outLen:     uint32(4 * p.nt),
 		args:       [4]uint32{uint32(d), uint32(nsv), uint32(nt)},
 		build: func(t isa.Target, mode devrt.Mode) (*asm.Program, error) {

@@ -30,6 +30,10 @@ type Job struct {
 	// it per process, keyed on the program and the full target spec). Nil
 	// makes the cluster compile privately at load.
 	Compiled *cpu.Compiled
+	// Image, when non-nil, is Prog's serialized image, read-only
+	// (kernels.Image memoizes it per process). Nil makes an offload
+	// serialize Prog itself.
+	Image []byte
 }
 
 // Layout is the resolved set of addresses of one job.

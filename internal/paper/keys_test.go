@@ -149,8 +149,10 @@ func TestSpecKeysDoNotAlias(t *testing.T) {
 }
 
 // TestWarmCampaignBuildsNothing checks that a campaign on a filled cache
-// touches only the cache: no job runs, no program reaches the compile
-// memo, and the output is byte-identical to the cold run's.
+// touches only the cache and what composition needs: no job runs, no
+// program reaches the compile memo, inputs are generated only for the
+// composed kernels, each offloaded image is serialized once, and the
+// output is byte-identical to the cold run's.
 func TestWarmCampaignBuildsNothing(t *testing.T) {
 	dir := t.TempDir()
 	render := func() ([]byte, sweep.Stats) {
@@ -165,12 +167,29 @@ func TestWarmCampaignBuildsNothing(t *testing.T) {
 		}
 		return buf.Bytes(), eng.Stats()
 	}
+	_, enc0 := kernels.ArtifactStats()
 	cold, _ := render()
 	_, _, hits0, misses0 := kernels.CompileStats()
+	in1, enc1 := kernels.ArtifactStats()
 	warm, st := render()
 	_, _, hits1, misses1 := kernels.CompileStats()
+	in2, enc2 := kernels.ArtifactStats()
 	if memo := hits1 + misses1 - hits0 - misses0; memo != 0 {
 		t.Errorf("warm campaign asked the compile memo %d times, want 0", memo)
+	}
+	// Composition offloads two programs: matmul's (the link ablation and
+	// Fig. 5b) and hog's (the sensor ablation).
+	const composed = 2
+	if n := in2 - in1; n > composed {
+		t.Errorf("warm campaign generated %d inputs, want at most %d (the composed kernels')", n, composed)
+	}
+	if n := enc2 - enc1; n > composed {
+		t.Errorf("warm campaign encoded %d images, want at most %d (one per offloaded program)", n, composed)
+	}
+	// Cold, each pulp-4t program is serialized once, for its measured
+	// binary size and for every composition of its offload.
+	if n, most := enc2-enc0, uint64(len(kernels.SmallSuite())); n > most {
+		t.Errorf("cold and warm campaign encoded %d images, want at most %d (one per pulp-4t program)", n, most)
 	}
 	if st.Executed != 0 || st.CacheHits != st.Jobs {
 		t.Errorf("warm campaign stats %+v, want every job a cache hit", st)

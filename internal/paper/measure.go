@@ -17,6 +17,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"slices"
+	"sync"
 
 	"hetsim/internal/core"
 	"hetsim/internal/devrt"
@@ -63,6 +64,10 @@ type kernelMeasurement struct {
 type Measurements struct {
 	Suite []*kernels.Instance
 	ByK   map[string]*kernelMeasurement
+
+	// jobs holds each composed kernel's offload job (offloadJob), made on
+	// first use and shared by every composition of this measurement set.
+	jobs sync.Map // kernel name -> func() (loader.Job, error)
 }
 
 // measureRun is one (configuration, target, mode, team size) row of the
@@ -154,7 +159,7 @@ func foldMeasure(pts []Point, raws []json.RawMessage) (*Measurements, error) {
 			km = &kernelMeasurement{
 				K:        p.k,
 				Cycles:   make(map[configKey]uint64),
-				InBytes:  len(p.in()),
+				InBytes:  int(p.k.InLen()),
 				OutBytes: int(p.k.OutLen()),
 			}
 			m.ByK[p.k.Name] = km
@@ -186,24 +191,39 @@ type offloadCompute struct {
 // cycle artifact Fig. 5b and the link and sensor ablations compose from.
 // The pulp-4t measure job runs the same program, input, cluster shape and
 // team of 4 as a direct offload's compute step (the artifact validity
-// test pins this), so its result stands in for the simulation.
+// test pins this), so its result stands in for the simulation. The job,
+// its input and its image are made once per measurement set.
 func (m *Measurements) offload(k *kernels.Instance) (offloadCompute, error) {
 	km, ok := m.ByK[k.Name]
 	if !ok {
 		return offloadCompute{}, fmt.Errorf("paper: kernel %q not measured", k.Name)
 	}
-	in := k.Input(measureSeed)
-	if k != km.K && kernelKey(k, in) != kernelKey(km.K, km.K.Input(measureSeed)) {
-		return offloadCompute{}, fmt.Errorf("paper: kernel %q differs from the measured instance", k.Name)
-	}
-	prog, err := k.Build(isa.PULPFull, devrt.Accel)
+	f, _ := m.jobs.LoadOrStore(k.Name, sync.OnceValues(func() (loader.Job, error) { return offloadJob(km.K) }))
+	job, err := f.(func() (loader.Job, error))()
 	if err != nil {
 		return offloadCompute{}, err
 	}
+	if k != km.K && kernelKey(k, k.Input(measureSeed)) != kernelKey(km.K, job.In) {
+		return offloadCompute{}, fmt.Errorf("paper: kernel %q differs from the measured instance", k.Name)
+	}
 	return offloadCompute{
-		job:     loader.Job{Prog: prog, In: in, OutLen: k.OutLen(), Iters: 1, Threads: 4, Args: k.Args()},
+		job:     job,
 		compute: core.Compute{Cycles: km.Cycles[cfgPULP4], Activity: km.Activity},
 	}, nil
+}
+
+// offloadJob is the job a direct offload of k moves over the link: its
+// pulp-4t program with the memoized image, and its input at measureSeed.
+func offloadJob(k *kernels.Instance) (loader.Job, error) {
+	prog, err := k.Build(isa.PULPFull, devrt.Accel)
+	if err != nil {
+		return loader.Job{}, err
+	}
+	img, err := kernels.Image(prog)
+	if err != nil {
+		return loader.Job{}, err
+	}
+	return loader.Job{Prog: prog, Image: img, In: k.Input(measureSeed), OutLen: k.OutLen(), Iters: 1, Threads: 4, Args: k.Args()}, nil
 }
 
 // OpsPerCycle returns RISC operations per cycle for a configuration (the

@@ -197,7 +197,7 @@ func (s *JobSpec) payload(res *cluster.JobResult, prog *asm.Program) (any, error
 		r.Retired = res.Stats.Retired()
 	case cfgPULP4:
 		r.Activity = power.ActivityOf(res.Stats)
-		img, err := prog.Image()
+		img, err := kernels.Image(prog)
 		if err != nil {
 			return nil, err
 		}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync/atomic"
 )
 
@@ -76,7 +77,7 @@ type entry struct {
 // path maps a job key to its cache file, fanned out over 256 two-hex-digit
 // subdirectories so huge sweeps don't pile every entry into one directory.
 func (c *Cache) path(key string) string {
-	sum := sha256.Sum256([]byte(fmt.Sprintf("v%d|%s", Version, key)))
+	sum := sha256.Sum256([]byte("v" + strconv.Itoa(Version) + "|" + key))
 	h := hex.EncodeToString(sum[:])
 	return filepath.Join(c.dir, h[:2], h[2:]+".json")
 }
@@ -87,7 +88,10 @@ func (c *Cache) path(key string) string {
 // on a non-atomic filesystem, a torn copy) must only cost a
 // re-simulation. Unusable-but-present entries are additionally counted in
 // CacheStats.Corrupt so an ailing cache directory is visible in the sweep
-// stats instead of silently re-simulating forever.
+// stats instead of silently re-simulating forever. A *json.RawMessage
+// out (campaign points and the server) takes the value that the entry's
+// one decode already validated; a typed out (chaos trials, whose engine
+// jobs are sweep.Job[chaos.Trial]) is decoded from that value.
 func (c *Cache) Get(key string, out any) bool {
 	b, err := os.ReadFile(c.path(key))
 	if err != nil {
@@ -95,12 +99,13 @@ func (c *Cache) Get(key string, out any) bool {
 		return false
 	}
 	var e entry
-	if json.Unmarshal(b, &e) != nil || e.Version != Version || e.Key != key {
-		c.misses.Add(1)
-		c.corrupt.Add(1)
-		return false
+	ok := json.Unmarshal(b, &e) == nil && e.Version == Version && e.Key == key
+	if raw, isRaw := out.(*json.RawMessage); ok && isRaw && len(e.Value) > 0 {
+		*raw = e.Value
+	} else if ok {
+		ok = json.Unmarshal(e.Value, out) == nil
 	}
-	if json.Unmarshal(e.Value, out) != nil {
+	if !ok {
 		c.misses.Add(1)
 		c.corrupt.Add(1)
 		return false

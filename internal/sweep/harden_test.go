@@ -2,8 +2,13 @@ package sweep
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -129,7 +134,10 @@ func TestPreCancelledContextRunsNothing(t *testing.T) {
 // TestTruncatedCacheFileIsCountedMiss is the regression for interrupted
 // writers on non-atomic filesystems: a zero-length or truncated entry
 // must cost exactly one re-simulation — a counted miss, never an error or
-// a wrong result.
+// a wrong result. An entry of another format version or another key is
+// the same kind of miss. Every case is read both into a typed value, as
+// chaos trials are, and into a *json.RawMessage, as campaign points and
+// the server are (it takes the value from the entry's one decode).
 func TestTruncatedCacheFileIsCountedMiss(t *testing.T) {
 	c, err := Open(t.TempDir())
 	if err != nil {
@@ -137,29 +145,52 @@ func TestTruncatedCacheFileIsCountedMiss(t *testing.T) {
 	}
 	c.Put("k", payload{Cycles: 9})
 	path := c.path("k")
-	for name, b := range map[string][]byte{
-		"zero-length": {},
-		"truncated":   []byte(`{"version":2,"key":"k","val`),
+	dests := []struct {
+		name string
+		new  func() any
+		hit  func(out any) bool // out holds the value Put stored
+	}{
+		{"typed", func() any { return new(payload) }, func(out any) bool { return out.(*payload).Cycles == 9 }},
+		{"raw", func() any { return new(json.RawMessage) }, func(out any) bool {
+			var p payload
+			return json.Unmarshal(*out.(*json.RawMessage), &p) == nil && p.Cycles == 9
+		}},
+	}
+	for _, tc := range []struct {
+		name string
+		b    string
+	}{
+		{"zero-length", ""},
+		{"truncated", `{"version":2,"key":"k","val`},
+		{"version mismatch", fmt.Sprintf(`{"version":%d,"key":"k","value":{"Cycles":9}}`, Version+1)},
+		{"key mismatch", fmt.Sprintf(`{"version":%d,"key":"other","value":{"Cycles":9}}`, Version)},
+		{"no value", fmt.Sprintf(`{"version":%d,"key":"k"}`, Version)},
 	} {
-		if err := os.WriteFile(path, b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		before := c.Stats()
-		var got payload
-		if c.Get("k", &got) {
-			t.Fatalf("%s: expected a miss", name)
-		}
-		after := c.Stats()
-		if after.Misses != before.Misses+1 {
-			t.Fatalf("%s: miss not counted", name)
-		}
-		if after.Corrupt != before.Corrupt+1 {
-			t.Fatalf("%s: corrupt entry not counted (stats %+v)", name, after)
-		}
-		// The slot still works: a rewrite serves hits again.
-		c.Put("k", payload{Cycles: 9})
-		if !c.Get("k", &got) || got.Cycles != 9 {
-			t.Fatalf("%s: cache slot did not recover after rewrite", name)
+		for _, d := range dests {
+			name := tc.name + "/" + d.name
+			if err := os.WriteFile(path, []byte(tc.b), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			before := c.Stats()
+			got := d.new()
+			if c.Get("k", got) {
+				t.Fatalf("%s: expected a miss", name)
+			}
+			if !reflect.ValueOf(got).Elem().IsZero() {
+				t.Fatalf("%s: a miss wrote %+v into the destination", name, reflect.ValueOf(got).Elem())
+			}
+			after := c.Stats()
+			if after.Misses != before.Misses+1 || after.Hits != before.Hits {
+				t.Fatalf("%s: miss not counted (stats %+v -> %+v)", name, before, after)
+			}
+			if after.Corrupt != before.Corrupt+1 {
+				t.Fatalf("%s: corrupt entry not counted (stats %+v)", name, after)
+			}
+			// The slot still works: a rewrite serves hits again.
+			c.Put("k", payload{Cycles: 9})
+			if got := d.new(); !c.Get("k", got) || !d.hit(got) {
+				t.Fatalf("%s: cache slot did not recover after rewrite", name)
+			}
 		}
 	}
 	// An absent entry is a plain miss, not a corrupt one.
@@ -171,5 +202,24 @@ func TestTruncatedCacheFileIsCountedMiss(t *testing.T) {
 	after := c.Stats()
 	if after.Corrupt != before.Corrupt || after.Misses != before.Misses+1 {
 		t.Fatalf("absent entry miscounted: %+v -> %+v", before, after)
+	}
+}
+
+// TestCachePathStable pins the file an entry lives in: the SHA-256 of
+// "v<Version>|<key>", fanned out by its first two hex digits. Caches
+// filled by earlier builds stay warm only while this naming holds.
+func TestCachePathStable(t *testing.T) {
+	c := &Cache{dir: "root"}
+	if Version == 2 {
+		want := filepath.Join("root", "40", "55bab959ac7d69fe332e7f2c96a734bcf5bdbc6dc1096b74ed29eba3a95fbf.json")
+		if got := c.path("k"); got != want {
+			t.Errorf("path(%q) = %s, want %s", "k", got, want)
+		}
+	}
+	for _, key := range []string{"", "k", "measure|kernel=matmul(64x64)|seed=1|cfg=pulp4|model=ab12", "ü|\x00"} {
+		h := fmt.Sprintf("%x", sha256.Sum256([]byte(fmt.Sprintf("v%d|%s", Version, key))))
+		if got, want := c.path(key), filepath.Join("root", h[:2], h[2:]+".json"); got != want {
+			t.Errorf("path(%q) = %s, want %s", key, got, want)
+		}
 	}
 }

@@ -61,8 +61,12 @@ type JournalStats struct {
 	AppendFails int `json:"append_fails"` // records that could not be made durable
 }
 
-// castagnoli is the CRC-32C table every record checksum uses.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+// crc32c is the CRC-32C checksum of a record payload. crc32.MakeTable
+// builds the table once per process, on first use, so a process that
+// journals nothing never pays for it.
+func crc32c(payload []byte) uint32 {
+	return crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli))
+}
 
 // journalHeader is the first line of every journal file; it pins the
 // journal format version and the sweep.Version of the recorded entries.
@@ -85,7 +89,7 @@ type journalRecord struct {
 // appendRecordLine encodes one record: CRC-32C of the payload in fixed-
 // width hex, a space, the payload, a newline.
 func appendRecordLine(dst, payload []byte) []byte {
-	dst = append(dst, fmt.Sprintf("%08x ", crc32.Checksum(payload, castagnoli))...)
+	dst = append(dst, fmt.Sprintf("%08x ", crc32c(payload))...)
 	dst = append(dst, payload...)
 	return append(dst, '\n')
 }
@@ -101,7 +105,7 @@ func parseRecordLine(line []byte) (journalRecord, bool) {
 		return journalRecord{}, false
 	}
 	payload := line[9:]
-	if crc32.Checksum(payload, castagnoli) != uint32(want) {
+	if crc32c(payload) != uint32(want) {
 		return journalRecord{}, false
 	}
 	var p journalPayload
