@@ -78,8 +78,8 @@ const (
 )
 
 // Encodes counts Image calls process-wide; kernels.ArtifactStats reports
-// it, and the warm-campaign test pins that each offloaded program is
-// serialized once.
+// it, and the warm-campaign test pins that a campaign, which only
+// composes offloads, serializes none.
 var Encodes atomic.Uint64
 
 // Image serializes the program to the byte stream offloaded over SPI.

@@ -252,10 +252,6 @@ func (cl *Cluster) Now() uint64 { return cl.now }
 // value it wrote (by convention 1 = success).
 func (cl *Cluster) EOC() (bool, uint32) { return cl.eoc, cl.eocValue }
 
-// ClearEOC re-arms the end-of-computation latch (between iterations of a
-// multi-offload run).
-func (cl *Cluster) ClearEOC() { cl.eoc = false }
-
 // LoadProgram installs the program: pre-decoded text for the cores, the
 // data image at its load address in L2. When direct is true the data image
 // is additionally pre-placed at its runtime (TCDM) address, modelling a

@@ -305,11 +305,13 @@ func (s *System) Offload(job loader.Job, opts Options) ([]byte, *Report, error) 
 	if err != nil {
 		return nil, nil, err
 	}
-	// Re-parse the serialized binary: the byte stream on the link is all
-	// the accelerator side ever sees.
-	if r.parsed, err = asm.ParseImage(r.image); err != nil {
+	// Serialize once per call: the encoded text is what the link writes
+	// into L2 (past the image's 36-byte header, which never crosses it).
+	img, err := job.Prog.Image()
+	if err != nil {
 		return nil, nil, err
 	}
+	r.text = img[36 : 36+4*len(job.Prog.Text)]
 	return r.run()
 }
 
@@ -345,16 +347,11 @@ func (s *System) Compose(job loader.Job, opts Options, c Compute) (*Report, erro
 		return nil, fmt.Errorf("core: compute of %d cycles exceeds the %d-cycle budget of one attempt",
 			c.Cycles, r.opts.WatchdogCycles)
 	}
-	// No device loads the image, so the link phases take their sizes and
-	// addresses from the program it serializes (the image round trip
-	// preserves them).
-	r.parsed = job.Prog
 	return r.compose(c)
 }
 
-// newRun validates the options, fills in their defaults and serializes
-// the image unless the job carries it: the state every offload, simulated
-// or composed, starts from.
+// newRun validates the options and fills in their defaults: the state
+// every offload, simulated or composed, starts from.
 func (s *System) newRun(job loader.Job, opts Options) (*offloadRun, error) {
 	if opts.Iterations <= 0 {
 		opts.Iterations = 1
@@ -387,27 +384,19 @@ func (s *System) newRun(job loader.Job, opts Options) (*offloadRun, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	image := job.Image
-	if image == nil {
-		if image, err = job.Prog.Image(); err != nil {
-			return nil, err
-		}
-	}
-	return &offloadRun{sys: s, job: job, opts: opts, lay: lay, image: image}, nil
+	return &offloadRun{sys: s, job: job, opts: opts, lay: lay}, nil
 }
 
 // offloadRun carries the state of one Offload or Compose call: the
 // measured phase times/energies, the recovery ledger and the live cluster
-// (nil when composing).
+// and encoded text (both nil when composing).
 type offloadRun struct {
-	sys    *System
-	job    loader.Job
-	opts   Options
-	lay    loader.Layout
-	image  []byte
-	parsed *asm.Program
-	acc    *cluster.Cluster
+	sys  *System
+	job  loader.Job
+	opts Options
+	lay  loader.Layout
+	text []byte
+	acc  *cluster.Cluster
 
 	// Happy-path phase measurements (seconds / joules on the link).
 	tBin, eBin float64
@@ -525,7 +514,7 @@ func (r *offloadRun) run() ([]byte, *Report, error) {
 	if r.tBin, r.eBin, err = r.loadImage(); err != nil {
 		return r.fail(err)
 	}
-	r.hostSpan("load image+descriptor", "phase", r.tBin, map[string]any{"bytes": len(r.image)})
+	r.hostSpan("load image+descriptor", "phase", r.tBin, map[string]any{"bytes": r.job.Prog.Size()})
 	r.linkSeek()
 	if r.tIn, r.eIn, err = r.writeInput(); err != nil {
 		return r.fail(err)
@@ -641,7 +630,7 @@ func (r *offloadRun) report(c Compute) *Report {
 	}
 
 	return &Report{
-		BinaryBytes:        len(r.image),
+		BinaryBytes:        r.job.Prog.Size(),
 		InBytes:            len(r.job.In),
 		OutBytes:           int(r.job.OutLen),
 		BinTime:            tBin,
@@ -689,20 +678,20 @@ func (r *offloadRun) read(addr, n uint32) ([]byte, float64, error) {
 }
 
 // buildCluster builds (or rebuilds, on a full reload) the accelerator and
-// installs the parsed program. The fault injector attaches before the
+// installs the job's program. The fault injector attaches before the
 // program lands so the load itself is exposed to memory faults.
 func (r *offloadRun) buildCluster() error {
 	acc := cluster.New(r.sys.AccCfg)
 	acc.AttachFaults(r.opts.Faults)
 	// The predecoded text comes from the per-process memo: repeat
-	// offloads, retries and parallel sweep workers running the same image
+	// offloads, retries and parallel sweep workers running the same program
 	// share one compilation (LoadCompiled decides per cluster whether fused
 	// execution is on — faults or a tracer turn it off).
-	comp, err := kernels.Compiled(r.parsed, r.sys.AccCfg.Target)
+	comp, err := kernels.Compiled(r.job.Prog, r.sys.AccCfg.Target)
 	if err != nil {
 		return err
 	}
-	if err := acc.LoadCompiled(r.parsed, false, comp); err != nil {
+	if err := acc.LoadCompiled(r.job.Prog, false, comp); err != nil {
 		return err
 	}
 	acc.AttachTracer(r.opts.Tracer)
@@ -718,17 +707,22 @@ func (r *offloadRun) buildCluster() error {
 
 // loadImage performs the host-side loader protocol: text, data and the
 // job descriptor over the link, with optional write-verify of the
-// descriptor. Returns the phase time and link energy.
+// descriptor. Returns the phase time and link energy. Composed, it
+// charges the text's byte count without encoding it.
 func (r *offloadRun) loadImage() (t, e float64, err error) {
 	s := r.sys
+	p := r.job.Prog
 	e0 := s.Link.EnergyJ
-	textBytes := r.image[36 : 36+4*len(r.parsed.Text)]
-	t, err = r.write(r.parsed.TextBase, textBytes)
+	if r.acc == nil {
+		t, err = s.Link.Charge(4*len(p.Text), true)
+	} else {
+		t, err = s.Link.Write(r.acc.L2, p.TextBase, r.text)
+	}
 	if err != nil {
 		return 0, 0, err
 	}
-	if len(r.parsed.Data) > 0 {
-		td, err := r.write(r.parsed.DataLMA, r.parsed.Data)
+	if len(p.Data) > 0 {
+		td, err := r.write(p.DataLMA, p.Data)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -877,7 +871,7 @@ func (r *offloadRun) attempts() (cluster.RunResult, error) {
 		if hang {
 			r.note("injecting EOC hang for attempt %d", attempt+1)
 		}
-		r.acc.Start(r.parsed.Entry)
+		r.acc.Start(r.job.Prog.Entry)
 		c0 := r.acc.Now()
 		base := r.clk
 		var err error
@@ -934,8 +928,15 @@ func (r *offloadRun) fail(cause error) ([]byte, *Report, error) {
 	}
 	r.note("falling back to host execution: %v", cause)
 	r.hostEvent("fallback to host execution", map[string]any{"cause": cause.Error()})
+	// The fallback runs the host build's own compilation, never the
+	// accelerator code the job may carry.
 	fjob := r.job
 	fjob.Prog = r.opts.HostFallback
+	comp, err := kernels.Compiled(fjob.Prog, s.Host.Model.Target)
+	if err != nil {
+		return nil, nil, err
+	}
+	fjob.Compiled = comp
 	base, err := s.Baseline(fjob, r.opts.MaxCycles)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: offloaded %s: %w; host fallback also failed: %v",
@@ -968,7 +969,7 @@ func (r *offloadRun) fail(cause error) ([]byte, *Report, error) {
 		en.SensorJ = n * r.opts.Sensor.SampleEnergyJ
 	}
 	rep := &Report{
-		BinaryBytes:        len(r.image),
+		BinaryBytes:        r.job.Prog.Size(),
 		InBytes:            len(r.job.In),
 		OutBytes:           int(r.job.OutLen),
 		BinTime:            r.tBin,

@@ -9,6 +9,7 @@ import (
 
 	"hetsim/internal/asm"
 	"hetsim/internal/core"
+	"hetsim/internal/cpu"
 	"hetsim/internal/devrt"
 	"hetsim/internal/fault"
 	"hetsim/internal/isa"
@@ -386,27 +387,59 @@ func TestOffloadFullReloadRecovers(t *testing.T) {
 func TestOffloadHostFallback(t *testing.T) {
 	// A persistent hang exhausts the retries; with a host-ISA build
 	// attached, the runtime degrades to native MCU execution and still
-	// returns the correct result.
+	// returns the correct result. A job may also carry its program's
+	// predecoded code (cluster.RunJob honours it); the fallback must run
+	// the host build's own code, not the accelerator's.
 	sys := testSystem(t, 16e6)
 	k := kernels.MatMulChar(16)
-	job, want := kernelJob(t, k, 2)
-	out, rep, err := sys.Offload(job, core.Options{
-		WatchdogCycles: 2_000_000,
-		Retries:        1,
-		HostFallback:   hostBuild(t, k),
-		Faults:         fault.New(fault.Config{Seed: 9, EOCHangRate: 1}),
-	})
-	if err != nil {
-		t.Fatalf("fallback should absorb the failure: %v", err)
+	for _, carry := range []bool{false, true} {
+		job, want := kernelJob(t, k, 2)
+		if carry {
+			comp, err := kernels.Compiled(job.Prog, sys.AccCfg.Target)
+			if err != nil {
+				t.Fatal(err)
+			}
+			job.Compiled = comp
+		}
+		out, rep, err := sys.Offload(job, core.Options{
+			WatchdogCycles: 2_000_000,
+			Retries:        1,
+			HostFallback:   hostBuild(t, k),
+			Faults:         fault.New(fault.Config{Seed: 9, EOCHangRate: 1}),
+		})
+		if err != nil {
+			t.Fatalf("job carries Compiled %v: fallback should absorb the failure: %v", carry, err)
+		}
+		if !bytes.Equal(out, want) {
+			t.Fatalf("job carries Compiled %v: host fallback produced wrong output", carry)
+		}
+		if !rep.FallbackUsed || rep.WatchdogTrips != 2 || rep.Retries != 1 {
+			t.Fatalf("unexpected fallback ledger: %+v", rep)
+		}
+		if rep.RecoveryTime <= 0 || rep.RecoveryEnergyJ <= 0 || rep.Efficiency >= 1 {
+			t.Fatalf("wasted accelerator work must be priced: %+v", rep)
+		}
 	}
-	if !bytes.Equal(out, want) {
-		t.Fatal("host fallback produced wrong output")
+}
+
+func TestOffloadCompilesOnce(t *testing.T) {
+	// Offload installs the program it is handed, so repeat offloads of one
+	// job share one compilation through the memo. Reads counter deltas;
+	// not parallel, so no other test compiles meanwhile.
+	sys := testSystem(t, 16e6)
+	job, want := kernelJob(t, kernels.MatMulChar(16), 4)
+	c0 := cpu.Compiles.Load()
+	for i := 0; i < 2; i++ {
+		out, _, err := sys.Offload(job, core.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out, want) {
+			t.Fatalf("offload %d: output differs from golden", i+1)
+		}
 	}
-	if !rep.FallbackUsed || rep.WatchdogTrips != 2 || rep.Retries != 1 {
-		t.Fatalf("unexpected fallback ledger: %+v", rep)
-	}
-	if rep.RecoveryTime <= 0 || rep.RecoveryEnergyJ <= 0 || rep.Efficiency >= 1 {
-		t.Fatalf("wasted accelerator work must be priced: %+v", rep)
+	if n := cpu.Compiles.Load() - c0; n > 1 {
+		t.Fatalf("two offloads of one job compiled %d times, want at most 1", n)
 	}
 }
 

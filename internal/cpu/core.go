@@ -277,9 +277,6 @@ func (c *Core) Wake(now uint64) {
 	}
 }
 
-// SleepNow forces the core to sleep (used for cores outside the team).
-func (c *Core) SleepNow(kind SleepKind) { c.sleep = kind }
-
 func (c *Core) fail(err error) {
 	c.Halted = true
 	if c.Err == nil {

@@ -351,9 +351,6 @@ func (o Op) MemSize() uint8 {
 	return 0
 }
 
-// IsBranch reports whether the opcode is a PC-relative conditional branch.
-func (o Op) IsBranch() bool { return o == BF || o == BNF }
-
 // IsCompare reports whether the opcode sets the flag.
 func (o Op) IsCompare() bool { return o >= SFEQ && o <= SFGEUI }
 

@@ -50,7 +50,8 @@ var inputs atomic.Uint64
 // ArtifactStats reports the process-wide counts of kernel inputs
 // generated (Input) and program images serialized (asm.Program.Image). A
 // warm campaign generates only the inputs of the kernels it composes
-// offloads for and serializes each of their programs once (Image).
+// offloads for and serializes nothing: composition sizes the binary from
+// the program (asm.Program.Size), and only a simulated offload encodes.
 func ArtifactStats() (inputsGenerated, imagesEncoded uint64) {
 	return inputs.Load(), asm.Encodes.Load()
 }
@@ -76,26 +77,4 @@ func Compiled(p *asm.Program, t isa.Target) (*cpu.Compiled, error) {
 	entry := e.(*compileEntry)
 	entry.once.Do(func() { entry.comp = cpu.Compile(p.Text, t) })
 	return entry.comp, nil
-}
-
-// imageCache memoizes serialized images per built program. buildCache
-// hands out one *asm.Program per build key, so the pointer stands for the
-// image, as it does for compileCache.
-var imageCache sync.Map // *asm.Program -> *imageEntry
-
-// imageEntry is the imageCache slot; the once serializes single-flight.
-type imageEntry struct {
-	once sync.Once
-	img  []byte
-	err  error
-}
-
-// Image returns the shared serialized image of a program, encoding it on
-// first use. The bytes are read-only: every offload of the program, and
-// every composition of one, shares them (loader.Job.Image).
-func Image(p *asm.Program) ([]byte, error) {
-	e, _ := imageCache.LoadOrStore(p, &imageEntry{})
-	entry := e.(*imageEntry)
-	entry.once.Do(func() { entry.img, entry.err = p.Image() })
-	return entry.img, entry.err
 }

@@ -25,15 +25,11 @@ type Job struct {
 	// StackCores sizes the per-core stack reservation at the top of TCDM
 	// (0 defaults to the 4-core cluster of the paper).
 	StackCores int
-	// Compiled, when non-nil, is the shared predecoded text and block run
-	// table of Prog for the cluster's target (kernels.Compiled memoizes
-	// it per process, keyed on the program and the full target spec). Nil
-	// makes the cluster compile privately at load.
+	// Compiled, when non-nil, is the shared predecoded text of Prog for
+	// the cluster's target (kernels.Compiled memoizes it per process,
+	// keyed on the program and the full target spec). Nil makes the
+	// cluster compile privately at load.
 	Compiled *cpu.Compiled
-	// Image, when non-nil, is Prog's serialized image, read-only
-	// (kernels.Image memoizes it per process). Nil makes an offload
-	// serialize Prog itself.
-	Image []byte
 }
 
 // Layout is the resolved set of addresses of one job.

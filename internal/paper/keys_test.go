@@ -183,13 +183,11 @@ func TestWarmCampaignBuildsNothing(t *testing.T) {
 	if n := in2 - in1; n > composed {
 		t.Errorf("warm campaign generated %d inputs, want at most %d (the composed kernels')", n, composed)
 	}
-	if n := enc2 - enc1; n > composed {
-		t.Errorf("warm campaign encoded %d images, want at most %d (one per offloaded program)", n, composed)
-	}
-	// Cold, each pulp-4t program is serialized once, for its measured
-	// binary size and for every composition of its offload.
-	if n, most := enc2-enc0, uint64(len(kernels.SmallSuite())); n > most {
-		t.Errorf("cold and warm campaign encoded %d images, want at most %d (one per pulp-4t program)", n, most)
+	// Nothing is serialized cold or warm: the measured binary size and
+	// every composed offload take it from the program (asm.Program.Size);
+	// only a simulated offload encodes, and the campaign runs none.
+	if cold, warm := enc1-enc0, enc2-enc1; cold+warm != 0 {
+		t.Errorf("campaign encoded %d images cold and %d warm, want 0", cold, warm)
 	}
 	if st.Executed != 0 || st.CacheHits != st.Jobs {
 		t.Errorf("warm campaign stats %+v, want every job a cache hit", st)

@@ -191,8 +191,8 @@ type offloadCompute struct {
 // cycle artifact Fig. 5b and the link and sensor ablations compose from.
 // The pulp-4t measure job runs the same program, input, cluster shape and
 // team of 4 as a direct offload's compute step (the artifact validity
-// test pins this), so its result stands in for the simulation. The job,
-// its input and its image are made once per measurement set.
+// test pins this), so its result stands in for the simulation. The job
+// and its input are made once per measurement set.
 func (m *Measurements) offload(k *kernels.Instance) (offloadCompute, error) {
 	km, ok := m.ByK[k.Name]
 	if !ok {
@@ -213,17 +213,13 @@ func (m *Measurements) offload(k *kernels.Instance) (offloadCompute, error) {
 }
 
 // offloadJob is the job a direct offload of k moves over the link: its
-// pulp-4t program with the memoized image, and its input at measureSeed.
+// pulp-4t program and its input at measureSeed.
 func offloadJob(k *kernels.Instance) (loader.Job, error) {
 	prog, err := k.Build(isa.PULPFull, devrt.Accel)
 	if err != nil {
 		return loader.Job{}, err
 	}
-	img, err := kernels.Image(prog)
-	if err != nil {
-		return loader.Job{}, err
-	}
-	return loader.Job{Prog: prog, Image: img, In: k.Input(measureSeed), OutLen: k.OutLen(), Iters: 1, Threads: 4, Args: k.Args()}, nil
+	return loader.Job{Prog: prog, In: k.Input(measureSeed), OutLen: k.OutLen(), Iters: 1, Threads: 4, Args: k.Args()}, nil
 }
 
 // OpsPerCycle returns RISC operations per cycle for a configuration (the

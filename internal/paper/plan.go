@@ -179,17 +179,17 @@ func (s *JobSpec) resolve() (simulation, error) {
 // payload is the cached result of a spec's simulation: a measureResult for
 // a measure point, the cycle count for the extension and scaling studies
 // and a BankSweepPoint for the bank sweep.
-func (s *JobSpec) payload(res *cluster.JobResult, prog *asm.Program) (any, error) {
+func (s *JobSpec) payload(res *cluster.JobResult, prog *asm.Program) any {
 	switch s.Study {
 	case StudyExt, StudyScaling:
-		return res.Cycles, nil
+		return res.Cycles
 	case StudyBanks:
 		tot := res.Stats.TCDMAccess + res.Stats.TCDMConf
 		rate := 0.0
 		if tot > 0 {
 			rate = float64(res.Stats.TCDMConf) / float64(tot)
 		}
-		return BankSweepPoint{Banks: s.Banks, Cycles: res.Cycles, ConflictRate: rate}, nil
+		return BankSweepPoint{Banks: s.Banks, Cycles: res.Cycles, ConflictRate: rate}
 	}
 	r := measureResult{Cycles: res.Cycles}
 	switch configKey(s.Config) {
@@ -197,14 +197,10 @@ func (s *JobSpec) payload(res *cluster.JobResult, prog *asm.Program) (any, error
 		r.Retired = res.Stats.Retired()
 	case cfgPULP4:
 		r.Activity = power.ActivityOf(res.Stats)
-		img, err := kernels.Image(prog)
-		if err != nil {
-			return nil, err
-		}
-		r.BinBytes = len(img)
+		r.BinBytes = prog.Size()
 		r.Attr = res.Attr
 	}
-	return r, nil
+	return r
 }
 
 // job builds the sweep job of a point. The key is the spec itself plus the
@@ -233,11 +229,7 @@ func (p Point) job() (sweep.Job[json.RawMessage], error) {
 			if err != nil {
 				return nil, fmt.Errorf("paper: simulating %+v: %w", s, err)
 			}
-			v, err := s.payload(res, prog)
-			if err != nil {
-				return nil, err
-			}
-			return json.Marshal(v)
+			return json.Marshal(s.payload(res, prog))
 		},
 	}, nil
 }
