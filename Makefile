@@ -95,14 +95,17 @@ serve-drill:
 	@echo "serve drill passed (soak seed $(SOAK_SEED))"
 
 # Kill-9 crash drill (DESIGN.md §14): builds the real hetexp binary,
-# SIGKILLs it at CRASH_POINTS seeded points mid-sweep, resumes each
-# campaign from its journal, and asserts byte-identical output, exact
-# only-the-missing-jobs resume accounting, and a scrub that quarantines
-# every leftover without finding corruption — under the race detector.
-# Every run drills fresh kill points: CRASH_SEED defaults to a random
-# seed, which a failing TestCrashDrill logs with the command that replays
-# it (make crash-drill CRASH_SEED=N). Plain `go test` drills seed 1.
-# Also fuzzes the journal's torn-tail recovery parser briefly.
+# SIGKILLs it at CRASH_POINTS seeded points mid-sweep, reruns each
+# campaign on its cache (the one store a campaign resumes from), and
+# asserts a scrub that quarantines every leftover without finding
+# corruption, byte-identical output, exact resume accounting (cache hits
+# equal the healthy entries, the rest re-simulated), and a clean second
+# scrub — under the race detector. Every run drills fresh kill points:
+# CRASH_SEED defaults to a random seed, which a failing TestCrashDrill
+# logs with the command that replays it (make crash-drill CRASH_SEED=N).
+# Plain `go test` drills seed 1. Also fuzzes the journal's torn-tail
+# recovery parser briefly, while internal/sweep/journal.go still ships
+# for the benchmark's append probe.
 CRASH_POINTS ?= 24
 ifeq ($(origin CRASH_SEED),undefined)
 CRASH_SEED := $(shell od -An -N4 -tu4 /dev/urandom | tr -d ' ')

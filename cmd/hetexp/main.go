@@ -5,15 +5,16 @@
 //	hetexp [-exp table1|fig3|fig4|fig5a|ablate|fig5b|all] [-small] [-kernel name]
 //	       [-j N] [-cache-dir DIR] [-no-cache] [-breakdown]
 //	       [-remote URL] [-tenant NAME]
-//	       [-resume FILE] [-scrub] [-stats-json FILE]
+//	       [-scrub] [-stats-json FILE]
 //
-// -resume makes the campaign crash-safe: every completed job is appended
-// (fsync'd, checksummed) to FILE before it counts as done, and a rerun
-// with the same -resume replays the journal and simulates only the
-// missing jobs — the rendered output is byte-identical to an
-// uninterrupted run, even after SIGKILL (the kill-9 crash drill in
-// internal/chaos proves it). -scrub quarantines what a killed writer can
-// leave in the cache (leftover temp files, torn entries) and exits.
+// Every cached campaign is crash-safe: each completed job is committed to
+// the run cache (temp file, fsync, rename, directory fsync) as it
+// finishes, so rerunning the same command after a kill — even SIGKILL —
+// serves the committed jobs from the cache and simulates only the rest,
+// and the rendered output is byte-identical to an uninterrupted run (the
+// kill-9 crash drill in internal/chaos proves it). A -no-cache campaign
+// keeps nothing to resume from. -scrub quarantines what a killed writer
+// can leave in the cache (leftover temp files, torn entries) and exits.
 //
 // -remote routes the campaign through a hetsimd server instead of
 // simulating locally: every point of every selected experiment goes out
@@ -21,7 +22,7 @@
 // deduplicated server-side, served from the shared cache, completions
 // consumed as they land, a cut stream resumed by re-submitting only the
 // incomplete points. Every experiment renders byte-identically to local
-// execution. -chaos, -resume and -job-timeout are rejected under -remote
+// execution. -chaos and -job-timeout are rejected under -remote
 // (the server applies its own per-simulation budget, hetsimd
 // -job-timeout). Locally the same campaign is one sweep over one engine,
 // with one progress series; either way a -kernel outside the suite is
@@ -91,9 +92,8 @@ func main() {
 	jobTimeout := flag.Duration("job-timeout", 0, "per-simulation time budget (0 = unbounded)")
 	remote := flag.String("remote", "", "route the campaign through a hetsimd server at this base URL")
 	tenant := flag.String("tenant", "", "tenant name sent with -remote requests (rate limiting/quota identity)")
-	resume := flag.String("resume", "", "journal completed jobs to this file and replay it on restart (crash-safe resume)")
 	scrub := flag.Bool("scrub", false, "scrub the run cache (quarantine corrupt entries and leftover temp files), report, and exit")
-	statsJSON := flag.String("stats-json", "", "write machine-readable run stats (sweep/cache/journal/reconnects) to this file on success")
+	statsJSON := flag.String("stats-json", "", "write machine-readable run stats (sweep/cache/reconnects/cycles/compile) to this file on success")
 	chaosOn := flag.Bool("chaos", false, "run the memory-fault chaos campaign instead of the paper figures")
 	chaosKernels := flag.String("chaos-kernels", "matmul", "comma-separated kernels for the chaos campaign")
 	chaosClasses := flag.String("chaos-classes", "", "comma-separated fault classes (default: tcdm,l2,parity,dma)")
@@ -142,25 +142,9 @@ func main() {
 		}
 		return
 	}
-	var journal *sweep.Journal
-	if *resume != "" {
-		if *remote != "" {
-			fatal(fmt.Errorf("-resume journals the local sweep engine; it cannot be combined with -remote"))
-		}
-		journal, err = sweep.OpenJournal(*resume)
-		if err != nil {
-			fatal(err)
-		}
-		defer journal.Close()
-		if st := journal.Stats(); st.Replayed > 0 || st.TornBytes > 0 {
-			fmt.Fprintf(os.Stderr, "resume: %d completed job(s) replayed from %s (%d torn byte(s) discarded)\n",
-				st.Replayed, *resume, st.TornBytes)
-		}
-	}
 	eng := sweep.New(sweep.Config{
 		Workers:    *workers,
 		Cache:      cache,
-		Journal:    journal,
 		Context:    ctx,
 		JobTimeout: *jobTimeout,
 		Progress: func(ev sweep.Event) {
@@ -235,12 +219,11 @@ func main() {
 // stderr summary, consumed by the crash drill (internal/chaos) to assert
 // exact resume accounting.
 type statsOut struct {
-	Sweep      sweep.Stats         `json:"sweep"`
-	Cache      *sweep.CacheStats   `json:"cache,omitempty"`
-	Journal    *sweep.JournalStats `json:"journal,omitempty"`
-	Reconnects uint64              `json:"reconnects,omitempty"`
-	Cycles     tiers               `json:"cycles"`
-	Compile    compileCounts       `json:"compile"`
+	Sweep      sweep.Stats       `json:"sweep"`
+	Cache      *sweep.CacheStats `json:"cache,omitempty"`
+	Reconnects uint64            `json:"reconnects,omitempty"`
+	Cycles     tiers             `json:"cycles"`
+	Compile    compileCounts     `json:"compile"`
 }
 
 // compileCounts is the -stats-json form of the compile: stderr line: the
@@ -270,10 +253,6 @@ func writeStatsJSON(path string, eng *sweep.Engine, reconnects uint64) error {
 		cs := c.Stats()
 		out.Cache = &cs
 	}
-	if j := eng.Journal(); j != nil {
-		js := j.Stats()
-		out.Journal = &js
-	}
 	b, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {
 		return err
@@ -288,17 +267,6 @@ func sweepStats(eng *sweep.Engine) {
 	st := eng.Stats()
 	fmt.Fprintf(os.Stderr, "sweep: %d jobs, %d simulated, %d served from cache\n",
 		st.Jobs, st.Executed, st.CacheHits)
-	if j := eng.Journal(); j != nil {
-		js := j.Stats()
-		fmt.Fprintf(os.Stderr, "journal: %d job(s) replayed on resume, %d appended this run (%s)\n",
-			st.JournalHits, js.Appended, j.Path())
-		if js.AppendFails > 0 {
-			// A journal that cannot persist silently downgrades -resume to
-			// re-simulation; say so while the campaign is still attended.
-			fmt.Fprintf(os.Stderr, "journal: warning: %d append(s) failed; a crash would re-simulate those jobs\n",
-				js.AppendFails)
-		}
-	}
 	if c := eng.Cache(); c != nil {
 		cs := c.Stats()
 		if cs.Corrupt > 0 {

@@ -19,17 +19,20 @@ import (
 
 // CrashDrill is the process-level half of the durability story: it re-execs
 // the real hetexp binary on the small campaign (`-small -exp all`, one
-// sweep of every experiment's jobs), SIGKILLs it at seeded points
-// mid-sweep — no cleanup, no signal handler, the exact failure -resume
-// exists for — and then resumes the campaign in a fresh process. For every
-// kill point it asserts the three crash-safety invariants end to end:
+// sweep of every experiment's jobs) over a run cache, SIGKILLs it at
+// seeded points mid-sweep — no cleanup, no signal handler — and then
+// reruns the same command on the same cache in a fresh process. The cache
+// is the only store the rerun resumes from. For every kill point it
+// asserts the crash-safety invariants end to end:
 //
-//  1. The resumed run's stdout is byte-identical to an uninterrupted run.
-//  2. Only journal-uncommitted jobs are re-simulated: the resume executes
-//     exactly Jobs − journaled-records simulations and replays the rest.
-//  3. Scrubbing the battered cache finds zero unquarantined corrupt
-//     entries (leftover temp files are quarantined, never served), and a
-//     second scrub comes back clean.
+//  1. The killed writer left no damage: scrubbing the cache before the
+//     rerun finds no corrupt entry and no I/O error (leftover temp files
+//     are quarantined, never served). Its healthy count H is the number
+//     of entries the rerun inherits.
+//  2. The rerun's stdout is byte-identical to an uninterrupted run.
+//  3. Exactly the committed jobs are served: the rerun reports H cache
+//     hits, Jobs − H simulations and no corrupt entry.
+//  4. A scrub after the rerun comes back clean.
 //
 // Kills are triggered on progress thresholds, not wall-clock timers: the
 // drill watches the child's own "sweep: N/M jobs" stderr counter and kills
@@ -47,21 +50,20 @@ type CrashDrill struct {
 	// Seed feeds the kill-point stream (0 is a valid seed).
 	Seed uint64
 	// Workers is the child's -j (<= 0 selects 4 — parallel workers keep
-	// the kill window racing against concurrent journal appends).
+	// the kill window racing against concurrent cache commits).
 	Workers int
 	// Log, when set, receives per-trial progress lines.
 	Log io.Writer
 }
 
-// CrashTrial records one kill-and-resume cycle.
+// CrashTrial records one kill-and-rerun cycle.
 type CrashTrial struct {
 	Threshold int  // progress count the kill was armed for
 	Progress  int  // last progress observed when the kill was sent
 	Killed    bool // false when the child finished before the kill landed
-	Journaled int  // committed journal records the resume inherited
-	TornBytes int  // torn journal tail discarded by the resume
-	Executed  int  // simulations the resume actually ran
-	Tmp       int  // leftover temp files quarantined after the resume
+	Healthy   int  // committed cache entries the rerun inherited (H)
+	Tmp       int  // leftover temp files quarantined before the rerun
+	Executed  int  // simulations the rerun actually ran
 }
 
 // CrashReport summarizes a drill.
@@ -71,11 +73,12 @@ type CrashReport struct {
 }
 
 // Partial counts trials whose kill landed strictly mid-campaign — some
-// but not all jobs journaled — the cases that exercise real recovery.
+// but not all jobs committed to the cache — the cases that exercise real
+// recovery.
 func (r *CrashReport) Partial() int {
 	n := 0
 	for _, t := range r.Trials {
-		if t.Journaled > 0 && t.Journaled < r.Jobs {
+		if t.Healthy > 0 && t.Healthy < r.Jobs {
 			n++
 		}
 	}
@@ -85,9 +88,8 @@ func (r *CrashReport) Partial() int {
 // runStats mirrors hetexp's -stats-json schema (the drill's contract with
 // the binary it drives).
 type runStats struct {
-	Sweep   sweep.Stats         `json:"sweep"`
-	Cache   *sweep.CacheStats   `json:"cache"`
-	Journal *sweep.JournalStats `json:"journal"`
+	Sweep sweep.Stats       `json:"sweep"`
+	Cache *sweep.CacheStats `json:"cache"`
 }
 
 // Run executes the drill and fails fast on the first violated invariant.
@@ -103,7 +105,7 @@ func (d *CrashDrill) Run() (*CrashReport, error) {
 	}
 
 	// Golden run: one uninterrupted campaign in a pristine directory — the
-	// byte-identity reference every resumed trial is compared against.
+	// byte-identity reference every rerun is compared against.
 	goldenDir := filepath.Join(d.Scratch, "golden")
 	golden, gst, _, _, err := d.exec(goldenDir, 0)
 	if err != nil {
@@ -131,34 +133,8 @@ func (d *CrashDrill) Run() (*CrashReport, error) {
 			return rep, fmt.Errorf("crash drill: trial %d: uninterrupted child failed: %w", i, err)
 		}
 
-		journal := filepath.Join(dir, "journal")
-		records, torn, err := sweep.InspectJournal(journal)
-		if err != nil {
-			return rep, fmt.Errorf("crash drill: trial %d: inspecting journal: %w", i, err)
-		}
-		if records > jobs {
-			return rep, fmt.Errorf("crash drill: trial %d: journal holds %d records for %d jobs", i, records, jobs)
-		}
-
-		out, st, _, _, err := d.exec(dir, 0) // resume: same dir, no kill
-		if err != nil {
-			return rep, fmt.Errorf("crash drill: trial %d: resume failed: %w", i, err)
-		}
-		// Invariant 1: byte-identical output.
-		if !bytes.Equal(out, golden) {
-			return rep, fmt.Errorf("crash drill: trial %d: resumed output differs from golden (%d vs %d bytes)",
-				i, len(out), len(golden))
-		}
-		// Invariant 2: exact resume accounting — every journaled job is
-		// replayed, every other job is re-simulated, and nothing is served
-		// by the (journal-shadowed) cache.
-		if st.Sweep.JournalHits != records || st.Sweep.Executed != jobs-records || st.Sweep.CacheHits != 0 {
-			return rep, fmt.Errorf("crash drill: trial %d: resume stats %+v, want %d replayed + %d executed (journal had %d records)",
-				i, st.Sweep, records, jobs-records, records)
-		}
-		// Invariant 3: scrub the battered cache. Leftover temp files from
-		// the killed writer are quarantined; nothing is corrupt, and a
-		// second pass finds a clean store.
+		// Invariant 1: the killed writer left nothing corrupt, and the
+		// healthy entries are what the rerun may serve.
 		cache, err := sweep.Open(filepath.Join(dir, "cache"))
 		if err != nil {
 			return rep, fmt.Errorf("crash drill: trial %d: %w", i, err)
@@ -170,17 +146,34 @@ func (d *CrashDrill) Run() (*CrashReport, error) {
 		if sr.Corrupt != 0 || sr.IOErrors != 0 {
 			return rep, fmt.Errorf("crash drill: trial %d: scrub found damage: %s", i, sr)
 		}
+		h := sr.Healthy
+
+		out, st, _, _, err := d.exec(dir, 0) // rerun: same dir, no kill
+		if err != nil {
+			return rep, fmt.Errorf("crash drill: trial %d: rerun failed: %w", i, err)
+		}
+		// Invariant 2: byte-identical output.
+		if !bytes.Equal(out, golden) {
+			return rep, fmt.Errorf("crash drill: trial %d: rerun output differs from golden (%d vs %d bytes)",
+				i, len(out), len(golden))
+		}
+		// Invariant 3: exact resume accounting — every committed job is
+		// served from the cache, every other job is re-simulated.
+		if st.Sweep.CacheHits != h || st.Sweep.Executed != jobs-h || st.Cache == nil || st.Cache.Corrupt != 0 {
+			return rep, fmt.Errorf("crash drill: trial %d: rerun stats %+v, cache %+v; want %d served + %d executed, 0 corrupt (scrub: %s)",
+				i, st.Sweep, st.Cache, h, jobs-h, sr)
+		}
+		// Invariant 4: the rerun left a clean store.
 		if sr2, err := cache.Scrub(); err != nil || !sr2.Clean() {
 			return rep, fmt.Errorf("crash drill: trial %d: second scrub not clean: %s (%v)", i, sr2, err)
 		}
 
 		rep.Trials = append(rep.Trials, CrashTrial{
 			Threshold: threshold, Progress: progress, Killed: killed,
-			Journaled: records, TornBytes: torn,
-			Executed: st.Sweep.Executed, Tmp: sr.TmpFiles,
+			Healthy: h, Tmp: sr.TmpFiles, Executed: st.Sweep.Executed,
 		})
-		logf("crash drill: trial %02d: kill@%d (saw %d, killed=%v) -> %d journaled (%d torn bytes), %d re-simulated, %d tmp quarantined\n",
-			i, threshold, progress, killed, records, torn, st.Sweep.Executed, sr.TmpFiles)
+		logf("crash drill: trial %02d: kill@%d (saw %d, killed=%v) -> %d committed, %d tmp quarantined, %d re-simulated\n",
+			i, threshold, progress, killed, h, sr.TmpFiles, st.Sweep.Executed)
 		os.RemoveAll(dir) // keep the scratch footprint bounded
 	}
 	if rep.Partial() == 0 {
@@ -189,8 +182,8 @@ func (d *CrashDrill) Run() (*CrashReport, error) {
 	return rep, nil
 }
 
-// exec runs one hetexp campaign rooted at dir (cache, journal and stats
-// live inside it). killAt > 0 arms a SIGKILL for the moment the child's
+// exec runs one hetexp campaign rooted at dir (cache and stats live
+// inside it). killAt > 0 arms a SIGKILL for the moment the child's
 // progress counter reaches it; killAt <= 0 runs to completion and returns
 // the parsed -stats-json.
 func (d *CrashDrill) exec(dir string, killAt int) (stdout []byte, st *runStats, progress int, killed bool, err error) {
@@ -206,7 +199,6 @@ func (d *CrashDrill) exec(dir string, killAt int) (stdout []byte, st *runStats, 
 		"-small", "-exp", "all",
 		"-j", strconv.Itoa(workers),
 		"-cache-dir", filepath.Join(dir, "cache"),
-		"-resume", filepath.Join(dir, "journal"),
 		"-stats-json", statsPath,
 	)
 	var out bytes.Buffer

@@ -78,7 +78,7 @@ func TestParseProgress(t *testing.T) {
 		{"sweep: 12/60 jobs (3 cached)", 12, true},
 		{"\rsweep: 1/60 jobs (0 cached)", 1, true},
 		{"sweep: 60 jobs, 60 simulated, 0 served from cache", 0, false},
-		{"journal: 60 job(s) replayed on resume, 0 appended this run (j)", 0, false},
+		{"cache: 2 unusable entr(ies) re-simulated", 0, false},
 		{"measuring kernel suite (each kernel on 6 configurations, 4 workers)...", 0, false},
 		{"", 0, false},
 	}

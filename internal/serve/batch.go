@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"strconv"
@@ -85,6 +86,28 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		inners[i] = inner
 	}
 
+	// The queue charge is the batch's true concurrent footprint: at most
+	// Workers of its jobs are claimed at once, so that is what it holds
+	// against the admission bound — a 4096-point batch must not evict
+	// every one-spec client from the queue.
+	foot := int64(min(len(inners), s.cfg.Workers))
+	// A batch that no amount of finished work can make fit — more points
+	// than the tenant quota, or a footprint beyond the whole queue — is
+	// refused for good: a retryable 429 would only make the client spend
+	// its whole retry budget waiting.
+	if q := s.cfg.TenantQuota; q > 0 && len(inners) > q {
+		s.rejectedQuota.Add(1)
+		writeJSON(w, http.StatusRequestEntityTooLarge, paper.JobResponse{
+			Error: fmt.Sprintf("batch of %d specs exceeds the tenant quota of %d; split it", len(inners), q)})
+		return
+	}
+	if foot > int64(s.cfg.Queue) {
+		s.rejectedQueue.Add(1)
+		writeJSON(w, http.StatusRequestEntityTooLarge, paper.JobResponse{
+			Error: fmt.Sprintf("batch of %d specs needs %d queue slots, more than the queue of %d", len(inners), foot, s.cfg.Queue)})
+		return
+	}
+
 	tenant := req.Tenant
 	if tenant == "" {
 		tenant = "anon"
@@ -105,14 +128,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.limits.releaseN(tenant, len(inners))
-	// The queue charge is the batch's true concurrent footprint: at most
-	// Workers of its jobs are claimed at once, so that is what it holds
-	// against the admission bound — a 4096-point batch must not evict
-	// every one-spec client from the queue.
-	foot := int64(len(inners))
-	if foot > int64(s.cfg.Workers) {
-		foot = int64(s.cfg.Workers)
-	}
 	if n := s.queued.Add(foot); n > int64(s.cfg.Queue) {
 		s.queued.Add(-foot)
 		s.rejectedQueue.Add(1)

@@ -191,26 +191,56 @@ func TestBatchValidation(t *testing.T) {
 }
 
 // TestBatchQuotaWholeBatch: admission charges the full job list against
-// the tenant quota — a batch that does not fit is refused whole, and
-// releases its charge when it completes.
+// the tenant quota and its footprint against the queue. A batch that can
+// never fit — more specs than the quota, or min(specs, Workers) beyond
+// the queue — is refused before admission with a terminal 413 naming the
+// size and the bound, so a client fails after one request instead of
+// waiting out its retry budget. A fitting batch is admitted and releases
+// its charge when it completes. (A quota full of in-flight work is the
+// retryable case: TestServeTenantQuota.)
 func TestBatchQuotaWholeBatch(t *testing.T) {
-	srv := New(Config{Build: testBuild(nil), Workers: 2, Queue: 16, TenantQuota: 2})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		bound string
+		stat  func(Stats) uint64
+	}{
+		{"quota", Config{Workers: 2, Queue: 16, TenantQuota: 2}, "tenant quota of 2",
+			func(st Stats) uint64 { return st.RejectedQuota }},
+		{"queue", Config{Workers: 4, Queue: 2}, "queue of 2",
+			func(st Stats) uint64 { return st.RejectedQueue }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.cfg.Build = testBuild(nil)
+			srv := New(tc.cfg)
+			ts := httptest.NewServer(srv.Handler())
+			defer ts.Close()
 
-	code, hdr, _, jr := postBatch(t, ts, batchBody(t, "lab", "a", "b", "c"))
-	if code != http.StatusTooManyRequests || !jr.Retryable || hdr.Get("Retry-After") == "" {
-		t.Fatalf("over-quota batch: code=%d resp=%+v", code, jr)
-	}
-	if st := srv.Stats(); st.RejectedQuota != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-	// A fitting batch is admitted, and its release leaves the quota clean.
-	for i := 0; i < 2; i++ {
-		code, _, recs, _ := postBatch(t, ts, batchBody(t, "lab", "a", "b"))
-		if code != http.StatusOK || lastSummary(t, recs).Completed != 2 {
-			t.Fatalf("fitting batch round %d: code %d", i, code)
-		}
+			code, _, _, jr := postBatch(t, ts, batchBody(t, "lab", "a", "b", "c"))
+			if code != http.StatusRequestEntityTooLarge || jr.Retryable ||
+				!strings.Contains(jr.Error, "batch of 3 specs") || !strings.Contains(jr.Error, tc.bound) {
+				t.Fatalf("never-admissible batch: code=%d resp=%+v", code, jr)
+			}
+			if n := tc.stat(srv.Stats()); n != 1 {
+				t.Fatalf("rejection not counted: stats = %+v", srv.Stats())
+			}
+			before := srv.Stats().Requests
+			c := &Client{BaseURL: ts.URL, Tenant: "lab"}
+			specs := []paper.JobSpec{{Kernel: "a"}, {Kernel: "b"}, {Kernel: "c"}}
+			if _, err := c.RunBatch(context.Background(), specs); err == nil {
+				t.Fatal("RunBatch over a never-admissible batch succeeded")
+			}
+			if n := srv.Stats().Requests - before; n != 1 {
+				t.Fatalf("RunBatch sent %d requests, want 1", n)
+			}
+			// A fitting batch is admitted, and its release leaves the bounds clean.
+			for i := 0; i < 2; i++ {
+				code, _, recs, _ := postBatch(t, ts, batchBody(t, "lab", "a", "b"))
+				if code != http.StatusOK || lastSummary(t, recs).Completed != 2 {
+					t.Fatalf("fitting batch round %d: code %d", i, code)
+				}
+			}
+		})
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
-	"sync/atomic"
 	"testing"
 )
 
@@ -209,117 +208,6 @@ func TestJournalDuplicateAppend(t *testing.T) {
 		t.Fatalf("Len = %d", j.Len())
 	}
 	j.Close()
-}
-
-// TestEngineJournalResume is the in-process half of the crash drill: an
-// interrupted campaign's journal makes the rerun execute only the missing
-// jobs, with identical results.
-func TestEngineJournalResume(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "j")
-	mkJobs := func(n int, calls *atomic.Int64) []Job[payload] {
-		jobs := make([]Job[payload], n)
-		for i := range jobs {
-			i := i
-			jobs[i] = Job[payload]{
-				Key: fmt.Sprintf("job-%d", i),
-				Run: func() (payload, error) {
-					calls.Add(1)
-					return payload{Cycles: uint64(i * i), Eff: float64(i) / 16}, nil
-				},
-			}
-		}
-		return jobs
-	}
-	var calls atomic.Int64
-	j1, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first, err := Run(New(Config{Workers: 4, Journal: j1}), mkJobs(8, &calls))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls.Load() != 8 {
-		t.Fatalf("cold run executed %d", calls.Load())
-	}
-	j1.Close()
-
-	// "Crash" and resume: same campaign plus 4 new jobs.
-	j2, err := OpenJournal(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	eng := New(Config{Workers: 4, Journal: j2})
-	second, err := Run(eng, mkJobs(12, &calls))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if calls.Load() != 12 {
-		t.Fatalf("resume executed %d extra jobs, want 4", calls.Load()-8)
-	}
-	if st := eng.Stats(); st.JournalHits != 8 || st.Executed != 4 || st.CacheHits != 0 {
-		t.Fatalf("resume stats = %+v", st)
-	}
-	if !reflect.DeepEqual(first, second[:8]) {
-		t.Fatalf("resumed results differ:\n%+v\n%+v", first, second[:8])
-	}
-}
-
-// TestEngineJournalCoversCacheHits: a cache hit is journaled too, so the
-// resume guarantee never depends on the best-effort cache retaining its
-// entries.
-func TestEngineJournalCoversCacheHits(t *testing.T) {
-	dir := t.TempDir()
-	cache, err := Open(filepath.Join(dir, "cache"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	jobs := []Job[payload]{{Key: "k", Run: func() (payload, error) { return payload{Cycles: 5}, nil }}}
-	if _, err := Run(New(Config{Workers: 1, Cache: cache}), jobs); err != nil {
-		t.Fatal(err)
-	}
-	// Warm cache, fresh journal: the run is all cache hits, and the
-	// journal must still end up holding every completed job.
-	j, err := OpenJournal(filepath.Join(dir, "j"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := New(Config{Workers: 1, Cache: cache, Journal: j})
-	if _, err := Run(eng, jobs); err != nil {
-		t.Fatal(err)
-	}
-	if st := eng.Stats(); st.CacheHits != 1 || st.Executed != 0 {
-		t.Fatalf("warm stats = %+v", st)
-	}
-	if j.Len() != 1 {
-		t.Fatalf("cache hit not journaled: Len = %d", j.Len())
-	}
-	j.Close()
-
-	// Now wipe the cache: the journal alone must carry the resume.
-	if err := os.RemoveAll(cache.Dir()); err != nil {
-		t.Fatal(err)
-	}
-	j2, err := OpenJournal(filepath.Join(dir, "j"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j2.Close()
-	eng2 := New(Config{Workers: 1, Journal: j2})
-	got, err := Run(eng2, []Job[payload]{{Key: "k", Run: func() (payload, error) {
-		t.Fatal("journaled job re-executed")
-		return payload{}, nil
-	}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0].Cycles != 5 {
-		t.Fatalf("journal served %+v", got[0])
-	}
-	if st := eng2.Stats(); st.JournalHits != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
 }
 
 // FuzzJournalParse hammers the recovery parser: arbitrary bytes must

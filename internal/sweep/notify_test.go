@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"path/filepath"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -192,57 +191,38 @@ func TestRunNotifyCacheAccounting(t *testing.T) {
 }
 
 // TestRunNotifyMatchesRun: Run and RunNotify are one worker loop, so one
-// batch — journal hits, cache hits and fresh runs mixed — driven through
-// each from identical fresh state yields the same values and leaves the
-// same engine, cache and journal accounting and the same Progress series.
+// batch — cache hits and fresh runs mixed — driven through each from
+// identical fresh state yields the same values and leaves the same engine
+// and cache accounting and the same Progress series.
 func TestRunNotifyMatchesRun(t *testing.T) {
-	const n = 12 // jobs 0-3 journaled, 4-7 cached, 8-11 fresh
+	const n = 8 // jobs 0-3 cached, 4-7 fresh
 	type outcome struct {
-		values  []payload
-		hits    int
-		events  int
-		stats   Stats
-		cache   CacheStats
-		journal JournalStats
+		values []payload
+		hits   int
+		events int
+		stats  Stats
+		cache  CacheStats
 	}
 	execute := func(notify bool) outcome {
 		dir := t.TempDir()
-		jpath := filepath.Join(dir, "journal")
-		seedCache, err := Open(filepath.Join(dir, "cache"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		seedJournal, err := OpenJournal(jpath)
+		seedCache, err := Open(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
 		val := func(i int) payload { return payload{Cycles: uint64(i * i), Eff: float64(i) / 4} }
-		for i := 0; i < 8; i++ {
-			key := fmt.Sprintf("job-%d", i)
-			if i < 4 {
-				err = seedJournal.Append(key, val(i))
-			} else {
-				err = seedCache.Put(key, val(i))
-			}
-			if err != nil {
+		for i := 0; i < 4; i++ {
+			if err := seedCache.Put(fmt.Sprintf("job-%d", i), val(i)); err != nil {
 				t.Fatal(err)
 			}
 		}
-		seedJournal.Close()
-		// Fresh handles, so the counters start from zero in both modes.
-		cache, err := Open(seedCache.Dir())
+		// A fresh handle, so the counters start from zero in both modes.
+		cache, err := Open(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		journal, err := OpenJournal(jpath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer journal.Close()
 
 		var o outcome
-		eng := New(Config{Workers: 4, Cache: cache, Journal: journal,
-			Progress: func(Event) { o.events++ }})
+		eng := New(Config{Workers: 4, Cache: cache, Progress: func(Event) { o.events++ }})
 		jobs := make([]Job[payload], n)
 		for i := range jobs {
 			i := i
@@ -261,24 +241,24 @@ func TestRunNotifyMatchesRun(t *testing.T) {
 			})
 		} else {
 			o.values, err = Run(eng, jobs)
-			o.hits = eng.Stats().JournalHits + eng.Stats().CacheHits
+			o.hits = eng.Stats().CacheHits
 		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		o.stats, o.cache, o.journal = eng.Stats(), cache.Stats(), journal.Stats()
+		o.stats, o.cache = eng.Stats(), cache.Stats()
 		return o
 	}
 	run, notify := execute(false), execute(true)
 	if !reflect.DeepEqual(run, notify) {
 		t.Fatalf("Run and RunNotify diverge:\nRun:       %+v\nRunNotify: %+v", run, notify)
 	}
-	want := Stats{Jobs: n, Executed: 4, CacheHits: 4, JournalHits: 4}
-	if run.stats != want || run.hits != 8 || run.events != n {
-		t.Fatalf("outcome = %+v, want stats %+v, 8 hits, %d events", run, want, n)
+	want := Stats{Jobs: n, Executed: 4, CacheHits: 4}
+	if run.stats != want || run.hits != 4 || run.events != n {
+		t.Fatalf("outcome = %+v, want stats %+v, 4 hits, %d events", run, want, n)
 	}
-	// Cache hits are journaled and fresh runs are journaled then cached.
-	if run.journal.Appended != 8 || run.cache.Hits != 4 || run.cache.Writes != 4 {
-		t.Fatalf("cache %+v, journal %+v", run.cache, run.journal)
+	// Fresh runs are cached.
+	if run.cache.Hits != 4 || run.cache.Writes != 4 {
+		t.Fatalf("cache %+v", run.cache)
 	}
 }

@@ -11,7 +11,10 @@
 // campaign, the job's spec (study, kernel, parameters, seed,
 // configuration) plus the checked-in model fingerprint — so a repeat
 // invocation, or a single re-rendered figure after a full run, skips
-// already-simulated points entirely without building anything.
+// already-simulated points entirely without building anything. The cache
+// is also the one store a killed campaign resumes from: Put commits each
+// entry by temp file, fsync and rename, so rerunning the same command
+// serves every entry committed before the kill and simulates the rest.
 //
 // The scheduler itself never inspects results: values only need to
 // round-trip through encoding/json (Go's float64 encoding is exact, so
@@ -69,13 +72,6 @@ type Config struct {
 	Workers int
 	// Cache memoizes completed jobs on disk (nil disables caching).
 	Cache *Cache
-	// Journal, when set, makes the campaign resumable across crashes:
-	// every completed job is appended (fsync'd) before it counts as done,
-	// jobs the journal already holds are served from it without touching
-	// the cache or the simulator, and a torn tail left by SIGKILL costs
-	// only the jobs from the torn record on (see Journal). Consulted
-	// before the cache — the journal is the authority a resume trusts.
-	Journal *Journal
 	// Progress, when set, is called after every completed job. Callbacks
 	// may arrive from any worker goroutine, but never concurrently.
 	Progress func(Event)
@@ -94,10 +90,9 @@ type Config struct {
 
 // Stats counts what an engine has done across all Run batches.
 type Stats struct {
-	Jobs        int // jobs scheduled
-	Executed    int // jobs actually simulated (cache miss or no cache)
-	CacheHits   int // jobs served from the cache
-	JournalHits int // jobs served from a resumed journal
+	Jobs      int // jobs scheduled
+	Executed  int // jobs actually simulated (cache miss or no cache)
+	CacheHits int // jobs served from the cache
 }
 
 // Engine is a reusable scheduler: one engine typically serves every sweep
@@ -105,7 +100,6 @@ type Stats struct {
 type Engine struct {
 	workers  int
 	cache    *Cache
-	journal  *Journal
 	progress func(Event)
 	ctx      context.Context
 	timeout  time.Duration
@@ -124,7 +118,7 @@ func New(cfg Config) *Engine {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return &Engine{workers: w, cache: cfg.Cache, journal: cfg.Journal,
+	return &Engine{workers: w, cache: cfg.Cache,
 		progress: cfg.Progress, ctx: ctx, timeout: cfg.JobTimeout}
 }
 
@@ -133,10 +127,6 @@ func (e *Engine) Workers() int { return e.workers }
 
 // Cache returns the engine's cache (nil when caching is disabled).
 func (e *Engine) Cache() *Cache { return e.cache }
-
-// Journal returns the engine's journal (nil when the campaign is not
-// resumable).
-func (e *Engine) Journal() *Journal { return e.journal }
 
 // Context returns the engine's cancellation context (never nil), so
 // multi-batch drivers like the chaos campaign can stop scheduling new
@@ -211,7 +201,7 @@ type Completion[T any] struct {
 	Key   string // the job's content key
 	Value T      // the result; zero when Err != nil
 	Err   error  // the job's typed error, nil on success
-	Hit   bool   // served from the journal or the cache, not simulated
+	Hit   bool   // served from the cache, not simulated
 }
 
 // RunNotify executes jobs on the engine's worker pool like Run, but
@@ -224,9 +214,9 @@ type Completion[T any] struct {
 // Context ends, workers stop claiming, in-flight jobs finish — still
 // notified, still cached — and RunNotify returns the context error; jobs
 // never claimed are never notified, so the caller can enumerate them as
-// the resumable remainder. Journal/cache consultation, ordering of
-// journal-append before cache-put, and engine Stats accrue exactly as
-// under Run. notify must not call back into the engine.
+// the resumable remainder. Cache consultation, the cache put of every
+// executed job, and engine Stats accrue exactly as under Run. notify
+// must not call back into the engine.
 func RunNotify[T any](e *Engine, jobs []Job[T], notify func(Completion[T])) error {
 	run(e, e.ctx, jobs, notify)
 	if err := e.ctx.Err(); err != nil {
@@ -270,8 +260,7 @@ func Run[T any](e *Engine, jobs []Job[T]) ([]T, error) {
 
 // run is the one worker loop behind Run and RunNotify. Workers claim jobs
 // in submission order until ctx ends; each claimed job is served from the
-// journal, else from the cache (a hit is journaled too), else executed —
-// its result journaled before it is cached. The Stats counts, deliver and
+// cache, else executed and its result cached. The Stats counts, deliver and
 // the Progress event then follow under e.mu, so deliver and Progress are
 // serialized and arrive in Done order; neither may call back into the
 // engine. run returns once every claimed job has been delivered.
@@ -292,40 +281,21 @@ func run[T any](e *Engine, ctx context.Context, jobs []Job[T], deliver func(Comp
 				return
 			}
 			c := Completion[T]{Index: i, Key: jobs[i].Key}
-			journaled := e.journal != nil && e.journal.Lookup(c.Key, &c.Value)
-			c.Hit = journaled
-			if !c.Hit && e.cache != nil {
-				c.Hit = e.cache.Get(c.Key, &c.Value)
-				if c.Hit && e.journal != nil {
-					// A cache hit is a completed job: journal it so the
-					// resume guarantee never depends on the (best-effort)
-					// cache still holding the entry.
-					_ = e.journal.Append(c.Key, c.Value)
-				}
-			}
+			c.Hit = e.cache != nil && e.cache.Get(c.Key, &c.Value)
 			if !c.Hit {
 				c.Value, c.Err = exec(e, jobs[i])
-				if c.Err == nil {
-					// Journal first: once Append returns the job is durably
-					// complete, whatever happens to the cache write after.
-					if e.journal != nil {
-						_ = e.journal.Append(c.Key, c.Value) // counted in JournalStats.AppendFails
-					}
-					if e.cache != nil {
-						_ = e.cache.Put(c.Key, c.Value) // best effort: a failed write is only a future miss
-					}
+				if c.Err == nil && e.cache != nil {
+					// Best effort: a failed write is only a future miss, and
+					// a rerun after a crash re-simulates just that job.
+					_ = e.cache.Put(c.Key, c.Value)
 				}
 			}
 			e.mu.Lock()
 			done++
-			switch {
-			case journaled:
-				cached++
-				e.stats.JournalHits++
-			case c.Hit:
+			if c.Hit {
 				cached++
 				e.stats.CacheHits++
-			default:
+			} else {
 				e.stats.Executed++
 			}
 			e.stats.Jobs++

@@ -155,7 +155,8 @@ func mustJSON(t *testing.T, v any) []byte {
 }
 
 // TestEngineCaching checks the end-to-end memoization path: a second
-// engine over the same cache executes nothing, and a key change re-runs.
+// engine over the same cache executes nothing, a key change re-runs, and
+// a cache left by a killed campaign resumes it.
 func TestEngineCaching(t *testing.T) {
 	dir := t.TempDir()
 	c1, err := Open(dir)
@@ -211,6 +212,56 @@ func TestEngineCaching(t *testing.T) {
 	}
 	if calls.Load() != 16 {
 		t.Fatalf("changed keys executed %d jobs, want 8", calls.Load()-8)
+	}
+
+	// A campaign killed after committing its first k entries, while a
+	// writer was between its temp file and the rename and another left
+	// entry k torn, resumes from the cache: k hits, the other n−k jobs
+	// (the torn one among them) run, and the values match a run without
+	// a cache.
+	const k = 3
+	killed := t.TempDir()
+	c3, err := Open(killed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range first[:k] {
+		if err := c3.Put(fmt.Sprintf("p-%d", i), v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	plant := func(path string, b []byte) {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	plant(c3.path(fmt.Sprintf("p-%d", k)), []byte(fmt.Sprintf(`{"version":%d,"key":"p-%d","val`, Version, k)))
+	plant(c3.path(fmt.Sprintf("p-%d", k+1))+".tmp123", mustJSON(t, first[k+1]))
+	c4, err := Open(killed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls.Store(0)
+	eng4 := New(Config{Workers: 4, Cache: c4})
+	resumed, err := Run(eng4, mkJobs("p"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := eng4.Stats(); st.CacheHits != k || st.Executed != 8-k || calls.Load() != 8-k {
+		t.Fatalf("resume stats = %+v after %d calls, want %d hits and %d executed", st, calls.Load(), k, 8-k)
+	}
+	if cs := c4.Stats(); cs.Corrupt != 1 {
+		t.Fatalf("resume cache stats = %+v, want 1 corrupt", cs)
+	}
+	uncached, err := Run(New(Config{Workers: 4}), mkJobs("p"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(resumed, uncached) {
+		t.Fatalf("resumed results differ:\n%+v\n%+v", resumed, uncached)
 	}
 }
 
