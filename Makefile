@@ -78,7 +78,8 @@ chaos-drill:
 # client-reconnect and dedup legs, byte-identical remote-vs-local tables
 # and the late-result-after-timeout discard; plus the sweep tests the
 # batch stream and the injected write faults rest on (RunNotify, and the
-# cache's write-fault injector) — all under the race detector, bounded
+# cache's write-fault injector), and concurrent runs of one spec on the
+# shared kernel registry — all under the race detector, bounded
 # in wall clock. Also fuzzes the request decoder
 # briefly. Every run soaks a fresh fault schedule: SOAK_SEED defaults to
 # a random seed, which the soaks log with the command that replays it
@@ -89,8 +90,8 @@ endif
 serve-drill:
 	@echo "serve drill: soak seed $(SOAK_SEED)"
 	HETSIM_SOAK_SEED=$(SOAK_SEED) $(GO) test -race -count=1 -timeout 120s \
-		-run 'TestServeSoak|TestBatchSoak|TestBatchDrainCursor|TestBatchClientReconnect|TestBatchDedupOneSpecOntoBatch|TestRemoteEquivalence|TestLateResultAfterTimeoutIsDiscarded|TestRunNotify|TestCacheWriteFail' \
-		./internal/serve ./internal/sweep
+		-run 'TestServeSoak|TestBatchSoak|TestBatchDrainCursor|TestBatchClientReconnect|TestBatchDedupOneSpecOntoBatch|TestRemoteEquivalence|TestLateResultAfterTimeoutIsDiscarded|TestRunNotify|TestCacheWriteFail|TestSharedRegistryConcurrentRuns' \
+		./internal/serve ./internal/sweep ./internal/paper
 	$(GO) test -run FuzzParseBatchRequest -fuzz FuzzParseBatchRequest -fuzztime 5s ./internal/paper
 	@echo "serve drill passed (soak seed $(SOAK_SEED))"
 

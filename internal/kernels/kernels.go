@@ -14,6 +14,7 @@ package kernels
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"hetsim/internal/asm"
@@ -139,42 +140,55 @@ func (x *xorshift64) i32(bound int32) int32 {
 	return int32(x.next()%span) - bound
 }
 
-// PaperSuite returns the ten kernels of Table I at the paper's sizes.
-func PaperSuite() []*Instance {
-	return []*Instance{
-		MatMulChar(64),
-		MatMulShort(64),
-		MatMulFixed(64),
-		Strassen(64),
-		SVM(SVMLinear, 64, 40, 54),
-		SVM(SVMPoly, 64, 40, 54),
-		SVM(SVMRBF, 64, 40, 54),
-		CNN(false),
-		CNN(true),
-		HOG(128, 128),
-	}
-}
+// The two Table I registries, built once per process on first use: the
+// instances are read-only after construction (their models, LUTs and
+// parameters are captured by closures nothing writes), so every caller —
+// a local campaign, each /v1/batch spec, the facade — can share them.
+// Building lazily keeps process start-up (hetsimd, hetexp -scrub) free of
+// the weight and table generation.
+var (
+	paperSuite = sync.OnceValue(func() []*Instance {
+		return []*Instance{
+			MatMulChar(64),
+			MatMulShort(64),
+			MatMulFixed(64),
+			Strassen(64),
+			SVM(SVMLinear, 64, 40, 54),
+			SVM(SVMPoly, 64, 40, 54),
+			SVM(SVMRBF, 64, 40, 54),
+			CNN(false),
+			CNN(true),
+			HOG(128, 128),
+		}
+	})
+	smallSuite = sync.OnceValue(func() []*Instance {
+		return []*Instance{
+			MatMulChar(16),
+			MatMulShort(16),
+			MatMulFixed(16),
+			Strassen(16),
+			SVM(SVMLinear, 16, 8, 6),
+			SVM(SVMPoly, 16, 8, 6),
+			SVM(SVMRBF, 16, 8, 6),
+			CNNSized(false, 16, 2, 4),
+			CNNSized(true, 16, 2, 4),
+			HOG(32, 32),
+		}
+	})
+)
+
+// PaperSuite returns the ten kernels of Table I at the paper's sizes: a
+// fresh slice of the process-wide, read-only instances.
+func PaperSuite() []*Instance { return slices.Clone(paperSuite()) }
 
 // SmallSuite returns reduced-size instances of every kernel for fast
-// functional testing.
-func SmallSuite() []*Instance {
-	return []*Instance{
-		MatMulChar(16),
-		MatMulShort(16),
-		MatMulFixed(16),
-		Strassen(16),
-		SVM(SVMLinear, 16, 8, 6),
-		SVM(SVMPoly, 16, 8, 6),
-		SVM(SVMRBF, 16, 8, 6),
-		CNNSized(false, 16, 2, 4),
-		CNNSized(true, 16, 2, 4),
-		HOG(32, 32),
-	}
-}
+// functional testing: a fresh slice of the process-wide, read-only
+// instances.
+func SmallSuite() []*Instance { return slices.Clone(smallSuite()) }
 
 // ByName finds a kernel in the paper suite by its Table I name.
 func ByName(name string) (*Instance, error) {
-	for _, k := range PaperSuite() {
+	for _, k := range paperSuite() {
 		if k.Name == name {
 			return k, nil
 		}

@@ -184,14 +184,19 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 	var werr error
-	write := func(rec paper.BatchRecord) bool {
+	// write encodes one record and, if flush, pushes the stream to the
+	// client. A producer record flushes only when no further record is
+	// queued, so a burst of completions (a warm batch's cache hits) leaves
+	// in a few writes, while a record that arrives alone is never held
+	// back; the summary is always last, so it always flushes.
+	write := func(rec paper.BatchRecord, flush bool) bool {
 		if werr != nil {
 			return false
 		}
 		if werr = enc.Encode(rec); werr != nil {
 			return false
 		}
-		if flusher != nil {
+		if flush && flusher != nil {
 			flusher.Flush()
 		}
 		return true
@@ -206,12 +211,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				// returning (and releasing the drain group) is safe.
 				return
 			}
-			write(rec)
+			write(rec, len(records) == 0)
 		case <-hb.C:
 			// Keepalive: an idle stream (a long simulation, a cold cache)
 			// still shows bytes on the wire, so proxies and load balancers
 			// between the client and the pool keep the connection alive.
-			if write(paper.BatchRecord{Type: paper.BatchTypeHeartbeat}) {
+			if write(paper.BatchRecord{Type: paper.BatchTypeHeartbeat}, true) {
 				s.bmu.Lock()
 				s.batch.heartbeats++
 				s.bmu.Unlock()
