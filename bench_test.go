@@ -6,10 +6,15 @@
 //
 //	go test -run xxx -bench SimulatorThroughput -benchmem .
 //
-// Each variant is a func(*testing.B) that the Benchmark functions and the
-// perf-gate table (gates_test.go, `make gates`) both run. The paper's
-// tables and figures are pinned byte-for-byte by the goldens in
-// internal/paper; the end-to-end campaign benchmark lives in bench/.
+// These are hand-run tools for paired measurements: compare two trees
+// only with interleaved runs on one machine. No test gates on their wall
+// clock. What they would regress on is asserted on counters in the
+// ordinary suite: the tier split (TestTierCoverage), the steady-state
+// allocations (TestSteadyRunsAllocateNothing), detached observability
+// (TestDetachedRunsArmNoObs) and the warm campaign
+// (TestWarmCampaignBuildsNothing). The paper's tables and figures are
+// pinned byte-for-byte by the goldens in internal/paper; the end-to-end
+// campaign benchmark lives in bench/.
 package hetsim_test
 
 import (
@@ -30,8 +35,8 @@ func BenchmarkSimulatorThroughput(b *testing.B) { offloadThroughput(false)(b) }
 
 // BenchmarkSimulatorThroughputObs is BenchmarkSimulatorThroughput with the
 // full observability layer attached — per-core cycle attribution plus the
-// span timeline. The gate table reports its overhead against the plain
-// benchmark; detached observability is gated through the plain one.
+// span timeline. Its overhead against the plain benchmark is what
+// attaching observability costs.
 func BenchmarkSimulatorThroughputObs(b *testing.B) { offloadThroughput(true)(b) }
 
 // BenchmarkSimulatorThroughputBlocks measures fused execution (DESIGN.md

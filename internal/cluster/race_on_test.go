@@ -1,6 +1,6 @@
 //go:build race
 
-package cluster_test
+package cluster
 
 // raceEnabled reports a -race build, whose instrumentation allocates on
 // its own and so voids any allocation count.

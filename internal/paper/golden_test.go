@@ -8,6 +8,7 @@ import (
 	"slices"
 	"testing"
 
+	"hetsim/internal/cluster"
 	"hetsim/internal/kernels"
 	"hetsim/internal/sweep"
 )
@@ -41,7 +42,11 @@ func TestFullReproductionGolden(t *testing.T) {
 // and compares the bytes against the recorded golden file. It also pins
 // Experiments (the names `hetexp -exp` accepts) to the sections
 // RenderCampaign asks about, in order, and the campaign to one sweep.Run:
-// every progress event counts against the same total of 135 jobs.
+// every progress event counts against the same total of 135 jobs. And it
+// splits the cold campaign's simulated cycles by execution tier through
+// cluster.WindowStats: at most 5% may run stepped or idle, and windows
+// must cover at least 80% of the multi-core cycles (1.7% and 87.5% when
+// recorded), so a fused tier that quietly switched off fails here.
 func TestSmallCampaignGolden(t *testing.T) {
 	totals := map[int]bool{}
 	eng := sweep.New(sweep.Config{Progress: func(ev sweep.Event) { totals[ev.Total] = true }})
@@ -51,8 +56,19 @@ func TestSmallCampaignGolden(t *testing.T) {
 		asked = append(asked, exp)
 		return true
 	}
+	ws0 := cluster.WindowStats()
 	if err := RenderCampaign(&buf, LocalRunner(eng), kernels.SmallSuite(), CampaignOptions{Include: include, Breakdown: true}); err != nil {
 		t.Fatal(err)
+	}
+	ws := cluster.WindowStats()
+	sim, multi := ws.SimCycles-ws0.SimCycles, ws.MultiCycles-ws0.MultiCycles
+	stepped, windowed := ws.Stepped()-ws0.Stepped(), ws.Cycles-ws0.Cycles
+	t.Logf("of %d simulated cycles %d stepped or idle; windows cover %d of %d multi-core cycles", sim, stepped, windowed, multi)
+	if sim == 0 || float64(stepped) > 0.05*float64(sim) {
+		t.Errorf("%d of %d simulated cycles stepped or idle, want <= 5%%", stepped, sim)
+	}
+	if multi == 0 || float64(windowed) < 0.80*float64(multi) {
+		t.Errorf("windows cover %d of %d multi-core cycles, want >= 80%%", windowed, multi)
 	}
 	if len(totals) != 1 || !totals[135] || eng.Stats().Jobs != 135 {
 		t.Errorf("campaign ran as sweeps totalling %v, %d jobs; want one sweep.Run of 135", totals, eng.Stats().Jobs)
