@@ -73,9 +73,11 @@ chaos-drill:
 # campaigns, points, cuts and resumes, persisted cache writes, no stuck
 # waiters and a clean drain; plus the deterministic drain-cursor-resume,
 # client-reconnect and dedup legs, byte-identical remote-vs-local tables
-# and the late-result-after-timeout discard; plus the sweep tests the
-# batch stream and the injected write faults rest on (RunNotify, and the
-# cache's write-fault injector), and concurrent runs of one spec on the
+# and the late-result-after-timeout discard; the one-count-per-job
+# accounting of concurrent warm batches under an injected cancel; plus the
+# sweep tests the batch stream and the injected write faults rest on
+# (RunNotify, one engine shared by concurrent calls, and the cache's
+# write-fault injector), and concurrent runs of one spec on the
 # shared kernel registry — all under the race detector, bounded
 # in wall clock. Also fuzzes the request decoder
 # briefly. Every run soaks a fresh fault schedule: SOAK_SEED defaults to
@@ -87,7 +89,7 @@ endif
 serve-drill:
 	@echo "serve drill: soak seed $(SOAK_SEED)"
 	HETSIM_SOAK_SEED=$(SOAK_SEED) $(GO) test -race -count=1 -timeout 120s \
-		-run 'TestServeSoak|TestBatchSoak|TestBatchDrainCursor|TestBatchClientReconnect|TestBatchDedupOneSpecOntoBatch|TestRemoteEquivalence|TestLateResultAfterTimeoutIsDiscarded|TestRunNotify|TestCacheWriteFail|TestSharedRegistryConcurrentRuns' \
+		-run 'TestServeSoak|TestBatchSoak|TestBatchDrainCursor|TestBatchClientReconnect|TestBatchDedupOneSpecOntoBatch|TestBatchCountsEachJobOnce|TestRemoteEquivalence|TestLateResultAfterTimeoutIsDiscarded|TestRunNotify|TestOneEngine|TestCacheWriteFail|TestSharedRegistryConcurrentRuns' \
 		./internal/serve ./internal/sweep ./internal/paper
 	$(GO) test -run FuzzParseBatchRequest -fuzz FuzzParseBatchRequest -fuzztime 5s ./internal/paper
 	@echo "serve drill passed (soak seed $(SOAK_SEED))"

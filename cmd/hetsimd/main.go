@@ -1,8 +1,9 @@
 // hetsimd is the simulation service: a long-running HTTP/JSON server
 // (internal/serve) where clients submit content-keyed simulation jobs of
 // the paper sweep and a million identical requests cost one simulation —
-// single-flight dedup in front of the shared worker pool, backed by the
-// content-addressed run cache.
+// every batch runs on one sweep engine, whose single-flight dedup and -j
+// worker slots all clients share, backed by the content-addressed run
+// cache.
 //
 // Usage:
 //
@@ -37,7 +38,7 @@
 // slow jobs and mid-request cancellations injected into the serving path
 // itself, and cache-write failures injected into the run cache's own
 // write path (first N writes of every key, plus a rate), which the
-// server's put retry rides out (see `make serve-drill`).
+// engine's put retry rides out (see `make serve-drill`).
 package main
 
 import (
@@ -105,7 +106,7 @@ func main() {
 	}
 	if cache != nil && (*fCacheFirst > 0 || *fCacheRate > 0) {
 		// Cache-write faults fail the temp-file write inside the real
-		// Cache.Put, which the server's put retry then rides out.
+		// Cache.Put, which the engine's put retry then rides out.
 		cache.Faults = &sweep.WriteFaults{Seed: *fSeed}
 		cache.Faults.FailFirst[sweep.FaultTempWrite] = *fCacheFirst
 		cache.Faults.Rates[sweep.FaultTempWrite] = *fCacheRate
@@ -118,12 +119,11 @@ func main() {
 		Workers:     *workers,
 		Queue:       *queue,
 		JobTimeout:  *jobTimeout,
-		Retry:       serve.RetryPolicy{Max: *retries, Base: *retryBase, Cap: time.Second},
+		Retry:       sweep.RetryPolicy{Max: *retries, Base: *retryBase, Cap: time.Second, Seed: *seed},
 		RatePerSec:  *rate,
 		Burst:       *burst,
 		TenantQuota: *tenantQuota,
 		Heartbeat:   *heartbeat,
-		Seed:        *seed,
 		Faults:      faults,
 		Scrub:       scrubRep,
 	})

@@ -18,9 +18,10 @@ import (
 // a whole campaign in one submission — an explicit spec list, the one
 // request form — and streams per-job completions back as NDJSON the
 // moment each lands, so a 60-point paper sweep costs one HTTP round trip
-// instead of sixty. A single point is a one-spec batch. Every point rides
-// the single-flight layer (points of concurrent batches that share a key
-// coalesce onto one simulation), the cache and the retry taxonomy, and
+// instead of sixty. A single point is a one-spec batch. Every batch runs
+// through sweep.RunNotify on the server's one engine, so every point rides
+// its single-flight layer (points of concurrent batches that share a key
+// coalesce onto one simulation), its cache and its retry taxonomy, and
 // admission charges the full job count up front — a one-spec batch pays
 // one rate token, one quota slot and one queue slot.
 //
@@ -32,13 +33,19 @@ import (
 // resumes the campaign; the completed remainder is already cached, so a
 // resume costs only the missing work.
 
-// batchVal is what a batch job publishes per point: the raw result plus
-// how it was obtained (for the summary accounting).
-type batchVal struct {
-	raw    json.RawMessage
-	cached bool
-	shared bool
-}
+// resolution is how one batch job ended. runBatch puts every job in
+// exactly one, and the stream's summary and /v1/stats count the same ones
+// (DESIGN.md §15).
+type resolution int
+
+const (
+	resCached   resolution = iota // served from the cache, also by a joined flight
+	resDeduped                    // shared another job's simulation
+	resExecuted                   // led its flight and simulated
+	resFailed                     // failed, terminally or after the retry budget
+	resExpired                    // cut before it completed: detached or never claimed
+	numResolutions
+)
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
@@ -74,37 +81,37 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// Resolve every spec before the stream starts: a batch with one
 	// unresolvable point is refused whole with a diagnosable 400 rather
 	// than failing mid-stream after work has been spent.
-	inners := make([]sweep.Job[json.RawMessage], len(specs))
+	jobs := make([]sweep.Job[json.RawMessage], len(specs))
 	for i, spec := range specs {
-		inner, err := s.cfg.Build(spec)
+		job, err := s.cfg.Build(spec)
 		if err != nil {
 			s.badRequests.Add(1)
 			writeJSON(w, http.StatusBadRequest,
 				paper.JobResponse{Error: "batch spec " + strconv.Itoa(i) + ": " + err.Error()})
 			return
 		}
-		inners[i] = inner
+		jobs[i] = s.cfg.Faults.slow(job)
 	}
 
 	// The queue charge is the batch's true concurrent footprint: at most
 	// Workers of its jobs are claimed at once, so that is what it holds
 	// against the admission bound — a 4096-point batch must not evict
 	// every one-spec client from the queue.
-	foot := int64(min(len(inners), s.cfg.Workers))
+	foot := int64(min(len(jobs), s.cfg.Workers))
 	// A batch that no amount of finished work can make fit — more points
 	// than the tenant quota, or a footprint beyond the whole queue — is
 	// refused for good: a retryable 429 would only make the client spend
 	// its whole retry budget waiting.
-	if q := s.cfg.TenantQuota; q > 0 && len(inners) > q {
+	if q := s.cfg.TenantQuota; q > 0 && len(jobs) > q {
 		s.rejectedQuota.Add(1)
 		writeJSON(w, http.StatusRequestEntityTooLarge, paper.JobResponse{
-			Error: fmt.Sprintf("batch of %d specs exceeds the tenant quota of %d; split it", len(inners), q)})
+			Error: fmt.Sprintf("batch of %d specs exceeds the tenant quota of %d; split it", len(jobs), q)})
 		return
 	}
 	if foot > int64(s.cfg.Queue) {
 		s.rejectedQueue.Add(1)
 		writeJSON(w, http.StatusRequestEntityTooLarge, paper.JobResponse{
-			Error: fmt.Sprintf("batch of %d specs needs %d queue slots, more than the queue of %d", len(inners), foot, s.cfg.Queue)})
+			Error: fmt.Sprintf("batch of %d specs needs %d queue slots, more than the queue of %d", len(jobs), foot, s.cfg.Queue)})
 		return
 	}
 
@@ -116,7 +123,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// every job at once, and the rate bucket is debited the full count
 	// (overdraft semantics — see limiter.admitN), so packaging a campaign
 	// into one request never sidesteps a tenant's budget.
-	if wait, ok := s.limits.admitN(tenant, len(inners)); !ok {
+	if wait, ok := s.limits.admitN(tenant, len(jobs)); !ok {
 		if wait > 0 {
 			s.rejectedRate.Add(1)
 		} else {
@@ -127,7 +134,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			paper.JobResponse{Error: "tenant over rate limit or quota", Retryable: true})
 		return
 	}
-	defer s.limits.releaseN(tenant, len(inners))
+	defer s.limits.releaseN(tenant, len(jobs))
 	if n := s.queued.Add(foot); n > int64(s.cfg.Queue) {
 		s.queued.Add(-foot)
 		s.rejectedQueue.Add(1)
@@ -161,11 +168,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		case <-ctx.Done():
 		}
 	}()
-
-	jobs := make([]sweep.Job[batchVal], len(inners))
-	for i, inner := range inners {
-		jobs[i] = s.batchJob(ctx, inner)
-	}
 
 	s.bmu.Lock()
 	s.batch.requests++
@@ -207,11 +209,15 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		select {
 		case rec, ok := <-records:
 			if !ok {
-				// Producer done: every claimed simulation has completed, so
-				// returning (and releasing the drain group) is safe.
 				return
 			}
 			write(rec, len(records) == 0)
+			if rec.Type == paper.BatchTypeSummary {
+				// The producer's last record: every claimed simulation has
+				// completed, so returning (and releasing the drain group) is
+				// safe, and no heartbeat can follow the summary.
+				return
+			}
 		case <-hb.C:
 			// Keepalive: an idle stream (a long simulation, a cold cache)
 			// still shows bytes on the wire, so proxies and load balancers
@@ -225,94 +231,81 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// batchJob wraps a resolved job for the batch engine: the run is one
-// pass through the single-flight layer, so points of concurrent batches
-// that share a key cost one simulation, and it keeps the server's dedup,
-// expiry and failure counters.
-func (s *Server) batchJob(ctx context.Context, inner sweep.Job[json.RawMessage]) sweep.Job[batchVal] {
-	return sweep.Job[batchVal]{
-		Key: inner.Key,
-		Run: func() (batchVal, error) {
-			// The batch context governs only the *wait*: a point that leads
-			// its flight runs on this goroutine's stack and always rides to
-			// completion (and lands in the cache) even through a cut — that
-			// is what makes the cursor's "completed points are cached"
-			// promise true — while a point waiting on another request's
-			// flight detaches at the cut and goes to the cursor; the flight
-			// itself, which has other waiters, is untouched.
-			v, err, shared := s.flight.Do(ctx, inner.Key, func() (flightVal, error) {
-				return s.lead(inner)
-			})
-			if err != nil {
-				if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-					s.expired.Add(1)
-				} else {
-					s.failed.Add(1)
-				}
-				return batchVal{}, err
-			}
-			return batchVal{raw: v.raw, cached: v.cached, shared: shared}, nil
-		},
-	}
-}
-
-// runBatch executes the campaign on a per-batch engine and feeds the
+// runBatch executes the campaign on the server's engine and feeds the
 // record channel: one job record per completion in completion order, a
 // cursor record when the batch was cut before finishing, and always a
-// terminal summary. Closes records when the batch is fully wound down —
-// the handler (and therefore Drain) waits on that.
-func (s *Server) runBatch(ctx context.Context, jobs []sweep.Job[batchVal], records chan<- paper.BatchRecord) {
+// terminal summary, whose job counts reach /v1/stats, with the rest of
+// the batch group, just before it is sent. The summary is the last
+// record; the handler (and therefore Drain) waits for it.
+func (s *Server) runBatch(ctx context.Context, jobs []sweep.Job[json.RawMessage], records chan<- paper.BatchRecord) {
 	defer close(records)
-	// A fresh engine per batch: its Context is the batch's cut signal,
-	// and its workers mirror the server's pool width. Global simulation
-	// concurrency is still bounded by s.sem inside lead — the batch
-	// engine only bounds how many points wait on flights at once.
-	eng := sweep.New(sweep.Config{Workers: s.cfg.Workers, Context: ctx})
 	done := make([]bool, len(jobs))
-	var completed, failed, cached, deduped, executed int
-	_ = sweep.RunNotify(eng, jobs, func(c sweep.Completion[batchVal]) {
+	var n [numResolutions]int
+	leads, failed := 0, 0
+	// ctx is the batch's cut: it stops claiming and detaches this batch's
+	// waiters, never a simulation this batch leads.
+	_ = sweep.RunNotify(s.eng, ctx, jobs, func(c sweep.Completion[json.RawMessage]) {
+		if !c.Shared {
+			leads++
+		}
 		rec := paper.BatchRecord{Type: paper.BatchTypeJob,
 			Job: &paper.BatchJob{Index: c.Index, Key: c.Key}}
 		switch {
 		case c.Err == nil:
 			done[c.Index] = true
-			completed++
-			rec.Job.Cached = c.Value.cached
-			rec.Job.Shared = c.Value.shared
-			rec.Job.Result = c.Value.raw
+			rec.Job.Cached = c.Hit
+			rec.Job.Shared = c.Shared
+			rec.Job.Result = c.Value
 			switch {
-			case c.Value.cached:
-				cached++
-			case c.Value.shared:
-				deduped++
+			case c.Hit: // also by a flight another job led
+				n[resCached]++
+			case c.Shared:
+				n[resDeduped]++
 			default:
-				executed++
+				n[resExecuted]++
 			}
 		case errors.Is(c.Err, context.Canceled) || errors.Is(c.Err, context.DeadlineExceeded):
 			// The batch was cut while this point waited on a flight; the
 			// point itself is unharmed and goes to the cursor, not the
-			// stream — a resume re-submits it for free.
+			// stream — a resume re-submits it for free. It is expired.
 			return
-		case Retryable(c.Err):
+		case sweep.Retryable(c.Err):
 			// Transient failure that exhausted the server's retry budget:
 			// reported, left incomplete (cursor), the client may resubmit.
+			n[resFailed]++
 			rec.Job.Error = c.Err.Error()
 			rec.Job.Retryable = true
 		default:
 			// Terminal (panic, job timeout, bad build): reported and done —
 			// resubmitting the same point would fail the same way.
 			done[c.Index] = true
+			n[resFailed]++
 			failed++
 			rec.Job.Error = c.Err.Error()
 		}
 		records <- rec
 	})
+	// Every job the cut kept from completing is expired: a detached
+	// waiter, or a point never claimed. None is also counted deduped.
+	n[resExpired] = len(jobs) - n[resCached] - n[resDeduped] - n[resExecuted] - n[resFailed]
 	var pending []string
 	for i, ok := range done {
 		if !ok {
 			pending = append(pending, jobs[i].Key)
 		}
 	}
+	completed := n[resCached] + n[resDeduped] + n[resExecuted]
+	s.bmu.Lock()
+	for r, k := range n {
+		s.batch.resolved[r] += uint64(k)
+	}
+	s.batch.leads += uint64(leads)
+	s.batch.completed += uint64(completed)
+	s.batch.failed += uint64(failed)
+	if len(pending) > 0 {
+		s.batch.cursorCuts++
+	}
+	s.bmu.Unlock()
 	if len(pending) > 0 {
 		records <- paper.BatchRecord{Type: paper.BatchTypeCursor, Pending: pending}
 	}
@@ -321,16 +314,9 @@ func (s *Server) runBatch(ctx context.Context, jobs []sweep.Job[batchVal], recor
 		Completed: completed,
 		Failed:    failed,
 		Pending:   len(pending),
-		Cached:    cached,
-		Deduped:   deduped,
-		Executed:  executed,
+		Cached:    n[resCached],
+		Deduped:   n[resDeduped],
+		Executed:  n[resExecuted],
 		State:     s.State().String(),
 	}}
-	s.bmu.Lock()
-	s.batch.completed += uint64(completed)
-	s.batch.failed += uint64(failed)
-	if len(pending) > 0 {
-		s.batch.cursorCuts++
-	}
-	s.bmu.Unlock()
 }

@@ -321,7 +321,7 @@ func TestBatchDedupOneSpecOntoBatch(t *testing.T) {
 		done <- postPoint(t, ts, pointBody("slow", "", 0))
 	}()
 	waitFor(t, "the one-spec batch to coalesce onto the batch's flight", func() bool {
-		return srv.flight.Stats().Shared == 1
+		return srv.eng.Flights().Shared == 1
 	})
 	close(gate)
 	r := <-done
@@ -568,7 +568,7 @@ func TestBatchFailureTaxonomy(t *testing.T) {
 	build := testBuild(map[string]func() (json.RawMessage, error){
 		"flaky": func() (json.RawMessage, error) { return nil, fmt.Errorf("transient hiccup") },
 	})
-	srv := New(Config{Build: build, Workers: 1, Retry: RetryPolicy{Max: 1, Base: time.Millisecond, Cap: time.Millisecond}})
+	srv := New(Config{Build: build, Workers: 1, Retry: sweep.RetryPolicy{Max: 1, Base: time.Millisecond, Cap: time.Millisecond}})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -616,5 +616,90 @@ func TestBatchFailureTaxonomy(t *testing.T) {
 	}
 	if term == nil || term.Retryable || term.Error == "" {
 		t.Fatalf("terminal record = %+v", term)
+	}
+}
+
+// TestBatchCountsEachJobOnce pins the job accounting: every batch job
+// lands in exactly one of cache_hits, deduped, executed, failed and
+// expired, and the streams' summaries classify the same jobs the same way
+// as /v1/stats. Concurrent warm batches put points onto flights whose
+// leader reads the cache (cache hits, for leader and waiters alike); one
+// injected cancel cuts a waiter on a slow flight (expired, never also
+// deduped) while the flight's leader still executes.
+func TestBatchCountsEachJobOnce(t *testing.T) {
+	cache, err := sweep.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate, leading := make(chan struct{}), make(chan struct{})
+	build := testBuild(map[string]func() (json.RawMessage, error){
+		"slow": func() (json.RawMessage, error) {
+			close(leading)
+			<-gate
+			return json.RawMessage(`{"slow":true}`), nil
+		},
+	})
+	srv := New(Config{Build: build, Cache: cache, Workers: 4, Queue: 256,
+		Faults: &Faults{CancelRate: 1, CancelAfter: 100 * time.Millisecond}})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	var (
+		mu   sync.Mutex
+		sums []paper.BatchSummary
+	)
+	post := func(names ...string) {
+		_, _, recs, _ := postBatch(t, ts, batchBody(t, "", names...))
+		sum := lastSummary(t, recs)
+		mu.Lock()
+		sums = append(sums, *sum)
+		mu.Unlock()
+	}
+	warm := make([]string, 32)
+	for i := range warm {
+		warm[i] = fmt.Sprintf("w%02d", i)
+	}
+	post(warm...) // fills the cache
+	var wg sync.WaitGroup
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 5; i++ {
+				post(warm...)
+			}
+		}()
+	}
+	wg.Wait()
+
+	leaderDone := make(chan struct{})
+	go func() {
+		post("slow")
+		close(leaderDone)
+	}()
+	<-leading
+	post("slow") // joins the slow flight; the injected cancel cuts it
+	close(gate)
+	<-leaderDone
+
+	st := srv.Stats()
+	var tot paper.BatchSummary
+	for _, s := range sums {
+		tot.Jobs += s.Jobs
+		tot.Failed += s.Failed
+		tot.Pending += s.Pending
+		tot.Cached += s.Cached
+		tot.Deduped += s.Deduped
+		tot.Executed += s.Executed
+	}
+	if got := st.CacheHits + st.Deduped + st.Executed + st.Failed + st.Expired; got != st.BatchJobs || uint64(tot.Jobs) != st.BatchJobs {
+		t.Fatalf("%d jobs resolved, %d in the summaries, %d submitted; stats = %+v", got, tot.Jobs, st.BatchJobs, st)
+	}
+	if uint64(tot.Cached) != st.CacheHits || uint64(tot.Deduped) != st.Deduped ||
+		uint64(tot.Executed) != st.Executed || uint64(tot.Failed+tot.Pending) != st.Failed+st.Expired {
+		t.Fatalf("summaries %+v disagree with stats %+v", tot, st)
+	}
+	if st.Expired == 0 || st.Executed != uint64(len(warm)+1) {
+		t.Fatalf("want the cut waiter expired and every key executed once: %+v", st)
 	}
 }

@@ -1,10 +1,12 @@
 package serve
 
 import (
+	"encoding/json"
 	"sync"
 	"time"
 
 	"hetsim/internal/fault"
+	"hetsim/internal/sweep"
 )
 
 // Faults is the service-level fault injector — the chaos discipline of
@@ -18,7 +20,7 @@ import (
 type Faults struct {
 	// Seed feeds the splitmix64 stream behind the rate-based decisions.
 	Seed uint64
-	// SlowEvery makes every Nth led execution sleep SlowDelay before the
+	// SlowEvery makes every Nth execution sleep SlowDelay before the
 	// simulation (0 disables) — the knob behind queue-pressure, deadline
 	// and dedup-under-latency drills.
 	SlowEvery int
@@ -44,8 +46,8 @@ func (f *Faults) roll() float64 {
 	return fault.Unit(fault.SplitMix64(&f.rng))
 }
 
-// SlowJob reports how long the next led execution should stall (0 = run
-// at full speed).
+// SlowJob reports how long the next execution should stall (0 = run at
+// full speed).
 func (f *Faults) SlowJob() time.Duration {
 	if f == nil || f.SlowEvery <= 0 {
 		return 0
@@ -57,6 +59,20 @@ func (f *Faults) SlowJob() time.Duration {
 		return f.SlowDelay
 	}
 	return 0
+}
+
+// slow wraps a job's Run so that each execution first stalls for SlowJob,
+// holding a worker slot and its time budget as a slow simulation would.
+func (f *Faults) slow(j sweep.Job[json.RawMessage]) sweep.Job[json.RawMessage] {
+	if f == nil || f.SlowEvery <= 0 {
+		return j
+	}
+	run := j.Run
+	j.Run = func() (json.RawMessage, error) {
+		time.Sleep(f.SlowJob())
+		return run()
+	}
+	return j
 }
 
 // CancelRequest reports whether this request's wait should be cancelled

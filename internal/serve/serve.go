@@ -1,28 +1,31 @@
 // Package serve is the hardened simulation-as-a-service layer: a
-// long-running HTTP/JSON front-end (cmd/hetsimd) over the sweep engine
+// long-running HTTP/JSON front-end (cmd/hetsimd) over one sweep engine
 // and the content-addressed run cache, built so that a million clients
 // asking for the same sweep point cost one simulation.
 //
 // There is one submission mechanism, POST /v1/batch (batch.go): a
 // campaign is a spec list streamed back as NDJSON completions, and a
 // single point is simply a one-spec batch, charged like any other job.
-// Client.RunBatch is the matching client.
+// Client.RunBatch is the matching client. A batch is one sweep.RunNotify
+// call on the server's one engine, which owns cache, execution, dedup,
+// the Workers bound and retry; this package keeps admission, HTTP, NDJSON
+// streaming and the request-level counters.
 //
 // The robustness envelope, every piece exercised under injected failure
 // (fault.go, the soak drill):
 //
 //   - Single-flight dedup: concurrent batch points for the same content
-//     key coalesce onto one in-flight simulation (sweep.Flight); waiters
-//     share the result or the typed error.
+//     key coalesce onto one in-flight simulation (the engine's flight);
+//     waiters share the result or the typed error.
 //   - Backpressure: a bounded admission queue and per-tenant token
 //     buckets + in-flight quotas answer 429 with Retry-After instead of
 //     melting down.
 //   - Deadline propagation: a client deadline bounds how long its
 //     request waits — never the shared simulation other waiters ride on.
 //   - Bounded retry: transient failures (cache writes, injected faults)
-//     re-attempt with seeded, jittered exponential backoff; the sweep
-//     taxonomy's terminal errors (*sweep.PanicError, sweep.ErrJobTimeout,
-//     cancelled contexts) never retry.
+//     re-attempt in the engine with seeded, jittered exponential backoff;
+//     terminal errors (*sweep.PanicError, sweep.ErrJobTimeout, cancelled
+//     contexts) never retry.
 //   - Graceful drain: Drain stops admission (readiness flips to 503),
 //     lets in-flight jobs finish and land in the fsynced cache — the
 //     checkpoint — then reports. A wedged drain is bounded by its
@@ -30,17 +33,15 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"context"
 
 	"hetsim/internal/kernels"
 	"hetsim/internal/paper"
@@ -77,8 +78,8 @@ type Config struct {
 	// Cache persists results across requests and restarts (nil disables
 	// persistence; dedup still works for concurrent requests).
 	Cache *sweep.Cache
-	// Workers bounds concurrently executing simulations (<= 0 selects
-	// runtime.GOMAXPROCS(0)).
+	// Workers bounds concurrently executing simulations across every
+	// batch (sweep.Config.Workers; <= 0 selects runtime.GOMAXPROCS(0)).
 	Workers int
 	// Queue bounds admitted requests — running plus waiting, dedup
 	// waiters included. Beyond it the server answers 429 + Retry-After.
@@ -87,9 +88,10 @@ type Config struct {
 	// JobTimeout bounds each simulation (sweep.Config.JobTimeout);
 	// a job that exceeds it fails terminally for every waiter.
 	JobTimeout time.Duration
-	// Retry bounds transient-failure re-attempts (zero value selects
-	// DefaultRetryPolicy; Max < 0 disables retry).
-	Retry RetryPolicy
+	// Retry bounds the re-attempts of each execution and cache write
+	// (sweep.Config.Retry). Setting only Seed selects 3 retries with
+	// 25ms-1s backoff; Max <= 0 with Base or Cap set disables retry.
+	Retry sweep.RetryPolicy
 	// RatePerSec and Burst parameterize the per-tenant token buckets
 	// (RatePerSec <= 0 disables rate limiting).
 	RatePerSec float64
@@ -100,8 +102,6 @@ type Config struct {
 	// when no job completes for this long, a heartbeat record goes out so
 	// proxies and load balancers see a live connection (<= 0 selects 10s).
 	Heartbeat time.Duration
-	// Seed feeds the backoff jitter stream (0 is a valid seed).
-	Seed uint64
 	// Faults injects service-level failures for drills (nil = none).
 	Faults *Faults
 	// Scrub, when set, is the startup cache-scrub report (cmd/hetsimd
@@ -119,15 +119,18 @@ type Stats struct {
 	RejectedQuota uint64 `json:"rejected_quota"`
 	RejectedDrain uint64 `json:"rejected_drain"`
 	BadRequests   uint64 `json:"bad_requests"`
-	Deduped       uint64 `json:"deduped"` // requests coalesced onto another request's flight
-	Leads         uint64 `json:"leads"`   // flights led (distinct in-flight keys)
-	CacheHits     uint64 `json:"cache_hits"`
-	Executed      uint64 `json:"executed"` // simulations actually run
-	ExecRetries   uint64 `json:"exec_retries"`
-	PutRetries    uint64 `json:"put_retries"`
-	PutFailures   uint64 `json:"put_failures"` // puts that failed even after retry
-	Failed        uint64 `json:"failed"`
-	Expired       uint64 `json:"expired"` // waits abandoned on deadline/cancel
+	// Every batch job lands in exactly one of Deduped, CacheHits,
+	// Executed, Failed and Expired, as its stream's summary counts it and
+	// when that summary is sent (DESIGN.md §15); retries are the engine's.
+	Deduped     uint64 `json:"deduped"`    // jobs that shared another job's simulation
+	Leads       uint64 `json:"leads"`      // completions that led their flight
+	CacheHits   uint64 `json:"cache_hits"` // waiters on a cache-hit flight included
+	Executed    uint64 `json:"executed"`   // simulations actually run
+	ExecRetries uint64 `json:"exec_retries"`
+	PutRetries  uint64 `json:"put_retries"`
+	PutFailures uint64 `json:"put_failures"` // puts that failed even after retry
+	Failed      uint64 `json:"failed"`
+	Expired     uint64 `json:"expired"` // jobs cut (deadline, cancel, drain) before completing
 
 	// Batch counters (/v1/batch): accepted batch submissions, the jobs
 	// they carried, how those jobs resolved, how many streams were cut
@@ -161,10 +164,7 @@ type Stats struct {
 type Server struct {
 	cfg    Config
 	eng    *sweep.Engine
-	flight sweep.Flight[flightVal]
 	limits *limiter
-	retry  *retrier
-	sem    chan struct{}
 	queued atomic.Int64
 	state  atomic.Int32
 	wg     sync.WaitGroup
@@ -188,19 +188,6 @@ type Server struct {
 	rejectedQuota atomic.Uint64
 	rejectedDrain atomic.Uint64
 	badRequests   atomic.Uint64
-	cacheHits     atomic.Uint64
-	executed      atomic.Uint64
-	execRetries   atomic.Uint64
-	putRetries    atomic.Uint64
-	putFailures   atomic.Uint64
-	failed        atomic.Uint64
-	expired       atomic.Uint64
-}
-
-// flightVal is what a flight publishes to its waiters.
-type flightVal struct {
-	raw    json.RawMessage
-	cached bool
 }
 
 // batchCounters is the multi-word /v1/batch accounting group (see
@@ -212,6 +199,8 @@ type batchCounters struct {
 	failed     uint64
 	cursorCuts uint64
 	heartbeats uint64
+	resolved   [numResolutions]uint64 // jobs by how they resolved
+	leads      uint64
 }
 
 // New builds a server. The zero-value knobs of cfg select production
@@ -220,17 +209,14 @@ func New(cfg Config) *Server {
 	if cfg.Build == nil {
 		cfg.Build = paper.BuildSpecJob
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
+	if r := cfg.Retry; r == (sweep.RetryPolicy{Seed: r.Seed}) {
+		cfg.Retry = sweep.RetryPolicy{Max: 3, Base: 25 * time.Millisecond, Cap: time.Second, Seed: r.Seed}
 	}
+	eng := sweep.New(sweep.Config{Workers: cfg.Workers, Cache: cfg.Cache,
+		JobTimeout: cfg.JobTimeout, Retry: cfg.Retry})
+	cfg.Workers = eng.Workers()
 	if cfg.Queue <= 0 {
 		cfg.Queue = 8 * cfg.Workers
-	}
-	if cfg.Retry == (RetryPolicy{}) {
-		cfg.Retry = DefaultRetryPolicy()
-	}
-	if cfg.Retry.Max < 0 {
-		cfg.Retry.Max = 0
 	}
 	if cfg.Burst <= 0 {
 		cfg.Burst = int(math.Max(1, cfg.RatePerSec))
@@ -238,15 +224,8 @@ func New(cfg Config) *Server {
 	if cfg.Heartbeat <= 0 {
 		cfg.Heartbeat = 10 * time.Second
 	}
-	s := &Server{
-		cfg:     cfg,
-		eng:     sweep.New(sweep.Config{Workers: cfg.Workers, JobTimeout: cfg.JobTimeout}),
-		limits:  newLimiter(cfg.RatePerSec, cfg.Burst, cfg.TenantQuota),
-		retry:   newRetrier(cfg.Retry, cfg.Seed),
-		sem:     make(chan struct{}, cfg.Workers),
-		drained: make(chan struct{}),
-	}
-	return s
+	return &Server{cfg: cfg, eng: eng, drained: make(chan struct{}),
+		limits: newLimiter(cfg.RatePerSec, cfg.Burst, cfg.TenantQuota)}
 }
 
 // State reports where the drain state machine stands.
@@ -255,9 +234,9 @@ func (s *Server) State() State { return State(s.state.Load()) }
 // Stats snapshots the counters. The single-word counters are atomics;
 // the batch group is multi-word and is snapshotted under the same mutex
 // the batch handlers mutate it under, so its fields are mutually
-// consistent even mid-load.
+// consistent even mid-load; the retry counters are the engine's.
 func (s *Server) Stats() Stats {
-	fs := s.flight.Stats()
+	es := s.eng.Stats()
 	bc, _, mh, mm := kernels.CompileStats()
 	s.bmu.Lock()
 	bt := s.batch
@@ -270,15 +249,15 @@ func (s *Server) Stats() Stats {
 		RejectedQuota: s.rejectedQuota.Load(),
 		RejectedDrain: s.rejectedDrain.Load(),
 		BadRequests:   s.badRequests.Load(),
-		Deduped:       fs.Shared,
-		Leads:         fs.Leads,
-		CacheHits:     s.cacheHits.Load(),
-		Executed:      s.executed.Load(),
-		ExecRetries:   s.execRetries.Load(),
-		PutRetries:    s.putRetries.Load(),
-		PutFailures:   s.putFailures.Load(),
-		Failed:        s.failed.Load(),
-		Expired:       s.expired.Load(),
+		Deduped:       bt.resolved[resDeduped],
+		Leads:         bt.leads,
+		CacheHits:     bt.resolved[resCached],
+		Executed:      bt.resolved[resExecuted],
+		ExecRetries:   uint64(es.ExecRetries),
+		PutRetries:    uint64(es.PutRetries),
+		PutFailures:   uint64(es.PutFailures),
+		Failed:        bt.resolved[resFailed],
+		Expired:       bt.resolved[resExpired],
 
 		BatchRequests:   bt.requests,
 		BatchJobs:       bt.jobs,
@@ -360,49 +339,6 @@ func (s *Server) Drain(ctx context.Context) error {
 // (paper.ParseBatchRequest enforces the same bound on its own) and a
 // stream line on the client side.
 const maxBodyBytes = 1 << 20
-
-// lead runs one deduplicated execution: worker slot, cache read, the
-// simulation itself under the transient-retry budget, then the cache
-// write under the same budget (an ultimately failed write is non-fatal —
-// the result is still served, persistence is what degraded). Leaders run
-// on their caller's stack and always ride to completion, so a drain that
-// waits out the handlers has waited out every simulation.
-func (s *Server) lead(job sweep.Job[json.RawMessage]) (flightVal, error) {
-	s.sem <- struct{}{}
-	defer func() { <-s.sem }()
-	if s.cfg.Cache != nil {
-		var raw json.RawMessage
-		if s.cfg.Cache.Get(job.Key, &raw) {
-			s.cacheHits.Add(1)
-			return flightVal{raw: raw, cached: true}, nil
-		}
-	}
-	if d := s.cfg.Faults.SlowJob(); d > 0 {
-		time.Sleep(d)
-	}
-	var raw json.RawMessage
-	err := s.retry.do(context.Background(), func() error {
-		rs, err := sweep.Run(s.eng, []sweep.Job[json.RawMessage]{job})
-		if err != nil {
-			return err
-		}
-		raw = rs[0]
-		return nil
-	}, func() { s.execRetries.Add(1) })
-	if err != nil {
-		return flightVal{}, err
-	}
-	s.executed.Add(1)
-	if s.cfg.Cache != nil {
-		perr := s.retry.do(context.Background(), func() error {
-			return s.cfg.Cache.Put(job.Key, raw)
-		}, func() { s.putRetries.Add(1) })
-		if perr != nil {
-			s.putFailures.Add(1)
-		}
-	}
-	return flightVal{raw: raw}, nil
-}
 
 // retryAfter renders a wait as a Retry-After header value (whole
 // seconds, minimum 1 — the header has no sub-second form).

@@ -153,7 +153,7 @@ func TestServeDedupConcurrent(t *testing.T) {
 		}(i)
 	}
 	waitFor(t, "waiters to coalesce", func() bool {
-		return srv.flight.Stats().Shared == waiters
+		return srv.eng.Flights().Shared == waiters
 	})
 	close(gate)
 	wg.Wait()
@@ -588,7 +588,7 @@ func TestServeTransientRetry(t *testing.T) {
 	})
 	srv := New(Config{
 		Build: build, Cache: cache, Workers: 1,
-		Retry: RetryPolicy{Max: 3, Base: time.Millisecond, Cap: 5 * time.Millisecond},
+		Retry: sweep.RetryPolicy{Max: 3, Base: time.Millisecond, Cap: 5 * time.Millisecond},
 	})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -668,28 +668,6 @@ func TestServeScrubInStats(t *testing.T) {
 	}
 }
 
-func TestRetryableClassification(t *testing.T) {
-	cases := []struct {
-		err  error
-		want bool
-	}{
-		{nil, false},
-		{sweep.ErrJobTimeout, false},
-		{fmt.Errorf("job x: %w", sweep.ErrJobTimeout), false},
-		{context.Canceled, false},
-		{context.DeadlineExceeded, false},
-		{&sweep.PanicError{}, false},
-		{fmt.Errorf("wrapped: %w", &sweep.PanicError{}), false},
-		{sweep.ErrInjectedWriteFault, true},
-		{fmt.Errorf("disk full"), true},
-	}
-	for _, tc := range cases {
-		if got := Retryable(tc.err); got != tc.want {
-			t.Errorf("Retryable(%v) = %v, want %v", tc.err, got, tc.want)
-		}
-	}
-}
-
 func TestLimiter(t *testing.T) {
 	l := newLimiter(1, 2, 3)
 	clock := time.Unix(1000, 0)
@@ -728,35 +706,6 @@ func TestLimiter(t *testing.T) {
 	var nilL *limiter
 	if _, ok := nilL.admitN("x", 1); !ok {
 		t.Fatal("nil limiter refused")
-	}
-}
-
-func TestRetrierBackoffBounds(t *testing.T) {
-	r := newRetrier(RetryPolicy{Max: 5, Base: 10 * time.Millisecond, Cap: 80 * time.Millisecond}, 42)
-	for n := 0; n < 8; n++ {
-		d := r.backoff(n)
-		if d <= 0 || d > 80*time.Millisecond {
-			t.Fatalf("backoff(%d) = %v out of (0, cap]", n, d)
-		}
-	}
-	// Terminal errors are never retried.
-	calls := 0
-	err := r.do(context.Background(), func() error {
-		calls++
-		return sweep.ErrJobTimeout
-	}, nil)
-	if calls != 1 || err == nil {
-		t.Fatalf("terminal error retried: calls=%d err=%v", calls, err)
-	}
-	// The budget bounds transient retries.
-	calls = 0
-	r2 := newRetrier(RetryPolicy{Max: 2, Base: time.Millisecond, Cap: time.Millisecond}, 1)
-	err = r2.do(context.Background(), func() error {
-		calls++
-		return fmt.Errorf("transient")
-	}, nil)
-	if calls != 3 || err == nil {
-		t.Fatalf("budget: calls=%d err=%v", calls, err)
 	}
 }
 

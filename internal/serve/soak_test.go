@@ -68,7 +68,7 @@ func TestServeSoak(t *testing.T) {
 	}
 	srv := New(Config{
 		Build: build, Cache: cache, Workers: 4, Queue: 256,
-		Retry: RetryPolicy{Max: 3, Base: time.Millisecond, Cap: 10 * time.Millisecond},
+		Retry: sweep.RetryPolicy{Max: 3, Base: time.Millisecond, Cap: 10 * time.Millisecond},
 		Faults: &Faults{
 			Seed:      seed,
 			SlowEvery: 5, SlowDelay: 2 * time.Millisecond,
@@ -194,7 +194,7 @@ func TestBatchSoak(t *testing.T) {
 	}
 	srv := New(Config{
 		Build: build, Cache: cache, Workers: 4, Queue: 256,
-		Retry: RetryPolicy{Max: 4, Base: time.Millisecond, Cap: 10 * time.Millisecond},
+		Retry: sweep.RetryPolicy{Max: 4, Base: time.Millisecond, Cap: 10 * time.Millisecond},
 		Faults: &Faults{
 			Seed:      seed,
 			SlowEvery: 5, SlowDelay: 2 * time.Millisecond,

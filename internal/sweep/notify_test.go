@@ -28,7 +28,7 @@ func TestRunNotifySerializedCompletions(t *testing.T) {
 		var inside atomic.Int32
 		seen := make([]int, n) // written only from the serialized callback
 		count := 0
-		err := RunNotify(eng, jobs, func(c Completion[int]) {
+		err := RunNotify(eng, context.Background(), jobs, func(c Completion[int]) {
 			if inside.Add(1) != 1 {
 				t.Error("notify callbacks overlapped")
 			}
@@ -78,7 +78,7 @@ func TestRunNotifyContinuesPastFailures(t *testing.T) {
 		}
 	}
 	var ok, failed int
-	err := RunNotify(eng, jobs, func(c Completion[int]) {
+	err := RunNotify(eng, context.Background(), jobs, func(c Completion[int]) {
 		if c.Index%5 == 0 {
 			if !errors.Is(c.Err, boom) {
 				t.Errorf("job %d: err = %v, want boom", c.Index, c.Err)
@@ -99,14 +99,14 @@ func TestRunNotifyContinuesPastFailures(t *testing.T) {
 	}
 }
 
-// TestRunNotifyCancellation: when the engine context ends, workers stop
+// TestRunNotifyCancellation: when the batch context ends, workers stop
 // claiming; claimed jobs finish and are notified, unclaimed jobs are
 // never notified (they are the caller's resumable remainder), and
 // RunNotify returns the context error.
 func TestRunNotifyCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	eng := New(Config{Workers: 1, Context: ctx})
+	eng := New(Config{Workers: 1})
 	const n = 10
 	jobs := make([]Job[int], n)
 	for i := range jobs {
@@ -122,7 +122,7 @@ func TestRunNotifyCancellation(t *testing.T) {
 		}
 	}
 	notified := make(map[int]bool)
-	err := RunNotify(eng, jobs, func(c Completion[int]) {
+	err := RunNotify(eng, ctx, jobs, func(c Completion[int]) {
 		notified[c.Index] = true
 		if c.Err != nil {
 			t.Errorf("claimed job %d failed: %v", c.Index, c.Err)
@@ -163,7 +163,7 @@ func TestRunNotifyCacheAccounting(t *testing.T) {
 		return jobs
 	}
 	eng := New(Config{Workers: 4, Cache: cache})
-	if err := RunNotify(eng, mk(), func(c Completion[int]) {
+	if err := RunNotify(eng, context.Background(), mk(), func(c Completion[int]) {
 		if c.Hit {
 			t.Errorf("cold job %d claimed a cache hit", c.Index)
 		}
@@ -171,7 +171,7 @@ func TestRunNotifyCacheAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	hits := 0
-	if err := RunNotify(eng, mk(), func(c Completion[int]) {
+	if err := RunNotify(eng, context.Background(), mk(), func(c Completion[int]) {
 		if c.Err != nil || c.Value != c.Index {
 			t.Errorf("warm job %d: (%d, %v)", c.Index, c.Value, c.Err)
 		}
@@ -230,7 +230,7 @@ func TestRunNotifyMatchesRun(t *testing.T) {
 		}
 		if notify {
 			o.values = make([]payload, n)
-			err = RunNotify(eng, jobs, func(c Completion[payload]) {
+			err = RunNotify(eng, context.Background(), jobs, func(c Completion[payload]) {
 				if c.Err != nil {
 					t.Errorf("job %d: %v", c.Index, c.Err)
 				}

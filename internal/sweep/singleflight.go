@@ -14,9 +14,10 @@ var errFlightAbandoned = errors.New("sweep: flight abandoned by a panicking lead
 // Flight coalesces concurrent executions of the same content key: the
 // first caller of Do for a key becomes the leader and runs the function;
 // every caller that arrives while the leader is in flight becomes a
-// waiter and shares the leader's result or its typed error. This is the
-// single-flight layer under the simulation service (internal/serve) — a
-// thundering herd of identical keyed requests costs one simulation.
+// waiter and shares the leader's result or its typed error. Every
+// Engine owns one, and every job the engine claims passes through it
+// (sweep.go's resolve) — so a thundering herd of identical keyed
+// requests to the simulation service costs one simulation.
 //
 // The leader runs the function on its own call stack and always rides it
 // to completion: a waiter whose context ends detaches and returns the
@@ -31,8 +32,8 @@ type Flight[T any] struct {
 	shared atomic.Uint64
 }
 
-// flightCall is one in-flight execution; done is closed exactly once,
-// after val/err are final.
+// flightCall is one in-flight execution; done is made by its first
+// waiter, if any, and closed once val/err are final, both under Flight.mu.
 type flightCall[T any] struct {
 	done chan struct{}
 	val  T
@@ -64,6 +65,9 @@ func (f *Flight[T]) Do(ctx context.Context, key string, fn func() (T, error)) (v
 		f.calls = make(map[string]*flightCall[T])
 	}
 	if c, ok := f.calls[key]; ok {
+		if c.done == nil {
+			c.done = make(chan struct{})
+		}
 		f.mu.Unlock()
 		f.shared.Add(1)
 		select {
@@ -74,7 +78,7 @@ func (f *Flight[T]) Do(ctx context.Context, key string, fn func() (T, error)) (v
 			return zero, ctx.Err(), true
 		}
 	}
-	c := &flightCall[T]{done: make(chan struct{})}
+	c := &flightCall[T]{}
 	f.calls[key] = c
 	f.mu.Unlock()
 	f.leads.Add(1)
@@ -89,8 +93,10 @@ func (f *Flight[T]) Do(ctx context.Context, key string, fn func() (T, error)) (v
 		}
 		f.mu.Lock()
 		delete(f.calls, key)
+		if c.done != nil {
+			close(c.done)
+		}
 		f.mu.Unlock()
-		close(c.done)
 	}()
 	c.val, c.err = fn()
 	completed = true

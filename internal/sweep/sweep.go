@@ -16,20 +16,26 @@
 // entry by temp file, fsync and rename, so rerunning the same command
 // serves every entry committed before the kill and simulates the rest.
 //
+// One engine is one completion path: every job claimed by any of its
+// concurrent Run and RunNotify calls passes through its single-flight
+// layer, whose leader takes one of the Workers slots, reads the cache,
+// else executes the job and puts the result. cmd/hetsimd serves every
+// batch on one engine, so one point asked for twice is simulated once.
+//
 // The scheduler itself never inspects results: values only need to
 // round-trip through encoding/json (Go's float64 encoding is exact, so
 // cached results are bit-identical to fresh ones).
 //
 // The runtime is hardened for long campaigns: a panicking job is
 // recovered into a typed *PanicError that fails its batch without killing
-// the process, Config.JobTimeout bounds each job, and Config.Context
-// threads cancellation through every batch so SIGINT drains in-flight
-// work and flushes partial state instead of corrupting it.
+// the process, Config.JobTimeout bounds each job, Config.Retry re-attempts
+// transient failures (retry.go), and Config.Context threads cancellation
+// through every Run so SIGINT drains in-flight work and flushes partial
+// state instead of corrupting it.
 package sweep
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"runtime/debug"
@@ -68,7 +74,8 @@ type Event struct {
 
 // Config shapes an Engine.
 type Config struct {
-	// Workers is the pool size; <= 0 selects runtime.GOMAXPROCS(0).
+	// Workers bounds executions across all concurrent Run and RunNotify
+	// calls; <= 0 selects runtime.GOMAXPROCS(0).
 	Workers int
 	// Cache memoizes completed jobs on disk (nil disables caching).
 	Cache *Cache
@@ -79,20 +86,27 @@ type Config struct {
 	// is done, workers stop claiming new jobs, in-flight jobs finish (and
 	// still land in the cache), and Run returns the context's error. This
 	// is how SIGINT on cmd/hetexp drains a campaign cleanly instead of
-	// killing it mid-write. Nil means never cancelled.
+	// killing it mid-write. Nil means never cancelled. RunNotify takes
+	// its own context instead.
 	Context context.Context
 	// JobTimeout bounds each job's Run call (0 = unbounded). A job that
 	// exceeds it fails with ErrJobTimeout; its goroutine is abandoned (the
 	// simulator's own MaxCycles bound eventually ends it) and its late
 	// result is discarded, never cached.
 	JobTimeout time.Duration
+	// Retry bounds the re-attempts of a transiently failed execution and,
+	// counted apart, of a failed cache put (zero = no retry).
+	Retry RetryPolicy
 }
 
 // Stats counts what an engine has done across all Run batches.
 type Stats struct {
-	Jobs      int // jobs scheduled
-	Executed  int // jobs actually simulated (cache miss or no cache)
-	CacheHits int // jobs served from the cache
+	Jobs        int // jobs scheduled
+	Executed    int // jobs actually simulated (they led their key's flight on a cache miss)
+	CacheHits   int // jobs served from the cache, directly or through a shared flight
+	ExecRetries int // re-attempts of transiently failed executions
+	PutRetries  int // re-attempts of failed cache puts
+	PutFailures int // cache puts that failed even after retry (a future miss)
 }
 
 // Engine is a reusable scheduler: one engine typically serves every sweep
@@ -103,9 +117,20 @@ type Engine struct {
 	progress func(Event)
 	ctx      context.Context
 	timeout  time.Duration
+	retry    *retrier
+	slots    chan struct{} // one token per executing flight leader
+	flight   Flight[outcome]
 
 	mu    sync.Mutex
 	stats Stats
+}
+
+// outcome is what a flight publishes: a pointer to the leader's value,
+// boxed because one engine serves every result type (a pointer boxes
+// without a copy), and whether the cache served it.
+type outcome struct {
+	val any
+	hit bool
 }
 
 // New builds an engine from the config.
@@ -118,8 +143,8 @@ func New(cfg Config) *Engine {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	return &Engine{workers: w, cache: cfg.Cache,
-		progress: cfg.Progress, ctx: ctx, timeout: cfg.JobTimeout}
+	return &Engine{workers: w, cache: cfg.Cache, progress: cfg.Progress, ctx: ctx,
+		timeout: cfg.JobTimeout, retry: newRetrier(cfg.Retry), slots: make(chan struct{}, w)}
 }
 
 // Workers returns the pool size.
@@ -140,21 +165,16 @@ func (e *Engine) Stats() Stats {
 	return e.stats
 }
 
-// PanicError is the typed per-job error a worker produces when a job's
-// Run function panics: the panic is recovered inside the worker, so one
-// crashing job fails its batch with a diagnosable error instead of
-// killing the whole process (and every sibling sweep) mid-campaign.
-type PanicError struct {
-	Value any    // the recovered panic value
-	Stack []byte // the panicking goroutine's stack
-}
+// Flights snapshots the engine's flight traffic, counted on joining: a
+// live view of coalescing that also counts waiters which later detach.
+func (e *Engine) Flights() FlightStats { return e.flight.Stats() }
 
-func (e *PanicError) Error() string {
-	return fmt.Sprintf("job panicked: %v", e.Value)
+// bump increments one of the engine's counters.
+func (e *Engine) bump(n *int) {
+	e.mu.Lock()
+	*n++
+	e.mu.Unlock()
 }
-
-// ErrJobTimeout marks a job that exceeded Config.JobTimeout.
-var ErrJobTimeout = errors.New("sweep: job exceeded its time budget")
 
 // exec runs one job with the worker-side guards: a recover() that turns a
 // panic into a *PanicError, and — when the engine has a JobTimeout — a
@@ -165,14 +185,14 @@ func exec[T any](e *Engine, j Job[T]) (T, error) {
 	if e.timeout <= 0 {
 		return runRecover(j)
 	}
-	type outcome struct {
+	type result struct {
 		v   T
 		err error
 	}
-	ch := make(chan outcome, 1)
+	ch := make(chan result, 1)
 	go func() {
 		v, err := runRecover(j)
-		ch <- outcome{v, err}
+		ch <- result{v, err}
 	}()
 	timer := time.NewTimer(e.timeout)
 	defer timer.Stop()
@@ -195,31 +215,72 @@ func runRecover[T any](j Job[T]) (v T, err error) {
 	return j.Run()
 }
 
-// Completion reports one finished job to a RunNotify consumer.
-type Completion[T any] struct {
-	Index int    // position in the submitted job slice
-	Key   string // the job's content key
-	Value T      // the result; zero when Err != nil
-	Err   error  // the job's typed error, nil on success
-	Hit   bool   // served from the cache, not simulated
+// lead is a flight leader's work: under one of the engine's worker slots,
+// serve the job from the cache, else execute it and cache the result,
+// each under the RetryPolicy. A put that still fails is a future miss.
+func lead[T any](e *Engine, j Job[T]) (outcome, error) {
+	e.slots <- struct{}{}
+	defer func() { <-e.slots }()
+	var v T
+	if e.cache != nil && e.cache.Get(j.Key, &v) {
+		return outcome{val: &v, hit: true}, nil
+	}
+	err := e.retry.do(func() (err error) {
+		v, err = exec(e, j)
+		return err
+	}, func() { e.bump(&e.stats.ExecRetries) })
+	if err != nil {
+		return outcome{}, err
+	}
+	if e.cache != nil {
+		put := func() error { return e.cache.Put(j.Key, v) }
+		if e.retry.do(put, func() { e.bump(&e.stats.PutRetries) }) != nil {
+			e.bump(&e.stats.PutFailures)
+		}
+	}
+	return outcome{val: &v}, nil
 }
 
-// RunNotify executes jobs on the engine's worker pool like Run, but
-// delivers every outcome to notify the moment it lands — in completion
-// order, serialized (never concurrently), from worker goroutines — and
-// keeps claiming after individual failures: the consumer owns the per-job
-// failure policy, which is what a streaming batch endpoint needs (one bad
-// point must not abandon the rest of a campaign whose results all land in
-// the cache). Cancellation is the only early stop: when the engine's
-// Context ends, workers stop claiming, in-flight jobs finish — still
-// notified, still cached — and RunNotify returns the context error; jobs
-// never claimed are never notified, so the caller can enumerate them as
-// the resumable remainder. Cache consultation, the cache put of every
-// executed job, and engine Stats accrue exactly as under Run. notify
-// must not call back into the engine.
-func RunNotify[T any](e *Engine, jobs []Job[T], notify func(Completion[T])) error {
-	run(e, e.ctx, jobs, notify)
-	if err := e.ctx.Err(); err != nil {
+// resolve completes one claimed job through the engine's flight: the
+// first claimant of a key leads and always runs to completion; a later
+// one, from any call, shares its outcome or detaches when ctx ends. A
+// shared value of another result type fails the waiter, never panics it.
+func resolve[T any](e *Engine, ctx context.Context, j Job[T]) (v T, hit, shared bool, err error) {
+	o, err, shared := e.flight.Do(ctx, j.Key, func() (outcome, error) { return lead(e, j) })
+	if err != nil {
+		return v, false, shared, err
+	}
+	p, ok := o.val.(*T)
+	if !ok {
+		return v, false, shared, fmt.Errorf("sweep: job %q shares a %T result, want %T", j.Key, o.val, p)
+	}
+	return *p, o.hit, shared, nil
+}
+
+// Completion reports one finished job to a RunNotify consumer.
+type Completion[T any] struct {
+	Index  int    // position in the submitted job slice
+	Key    string // the job's content key
+	Value  T      // the result; zero when Err != nil
+	Err    error  // the job's typed error, nil on success
+	Hit    bool   // served from the cache, not simulated
+	Shared bool   // joined another claimant's flight instead of leading its own
+}
+
+// RunNotify executes jobs on the engine like Run, but delivers every
+// outcome to notify the moment it lands — in completion order, serialized
+// (also across concurrent calls), from worker goroutines — and keeps
+// claiming after individual failures: the consumer owns the per-job
+// failure policy, which is what a streaming batch endpoint needs. The end
+// of ctx is the only early stop: workers stop claiming, a job waiting on
+// another claimant's flight detaches with ctx's error, jobs that lead
+// their flight finish — still notified, still cached — and RunNotify
+// returns the context error; jobs never claimed are never notified, so
+// the caller can enumerate them as the resumable remainder. notify must
+// not call back into the engine.
+func RunNotify[T any](e *Engine, ctx context.Context, jobs []Job[T], notify func(Completion[T])) error {
+	run(e, ctx, jobs, notify)
+	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("sweep: batch cancelled: %w", err)
 	}
 	return nil
@@ -244,7 +305,8 @@ func Run[T any](e *Engine, jobs []Job[T]) ([]T, error) {
 	failed, ferr := -1, error(nil)
 	run(e, ctx, jobs, func(c Completion[T]) {
 		results[c.Index] = c.Value
-		if c.Err != nil && (failed < 0 || c.Index < failed) {
+		// A waiter the batch's own cut detached did not fail.
+		if c.Err != nil && c.Err != ctx.Err() && (failed < 0 || c.Index < failed) {
 			failed, ferr = c.Index, c.Err
 			cancel()
 		}
@@ -259,11 +321,11 @@ func Run[T any](e *Engine, jobs []Job[T]) ([]T, error) {
 }
 
 // run is the one worker loop behind Run and RunNotify. Workers claim jobs
-// in submission order until ctx ends; each claimed job is served from the
-// cache, else executed and its result cached. The Stats counts, deliver and
-// the Progress event then follow under e.mu, so deliver and Progress are
-// serialized and arrive in Done order; neither may call back into the
-// engine. run returns once every claimed job has been delivered.
+// in submission order until ctx ends and complete each through resolve.
+// The Stats counts, deliver and the Progress event then follow under
+// e.mu, so deliver and Progress are serialized, also across concurrent
+// calls, and arrive in Done order; neither may call back into the engine.
+// run returns once every claimed job has been delivered.
 func run[T any](e *Engine, ctx context.Context, jobs []Job[T], deliver func(Completion[T])) {
 	n := len(jobs)
 	var (
@@ -281,21 +343,14 @@ func run[T any](e *Engine, ctx context.Context, jobs []Job[T], deliver func(Comp
 				return
 			}
 			c := Completion[T]{Index: i, Key: jobs[i].Key}
-			c.Hit = e.cache != nil && e.cache.Get(c.Key, &c.Value)
-			if !c.Hit {
-				c.Value, c.Err = exec(e, jobs[i])
-				if c.Err == nil && e.cache != nil {
-					// Best effort: a failed write is only a future miss, and
-					// a rerun after a crash re-simulates just that job.
-					_ = e.cache.Put(c.Key, c.Value)
-				}
-			}
+			c.Value, c.Hit, c.Shared, c.Err = resolve(e, ctx, jobs[i])
 			e.mu.Lock()
 			done++
-			if c.Hit {
+			switch {
+			case c.Hit:
 				cached++
 				e.stats.CacheHits++
-			} else {
+			case !c.Shared:
 				e.stats.Executed++
 			}
 			e.stats.Jobs++
