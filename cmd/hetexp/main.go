@@ -93,7 +93,7 @@ func main() {
 	remote := flag.String("remote", "", "route the campaign through a hetsimd server at this base URL")
 	tenant := flag.String("tenant", "", "tenant name sent with -remote requests (rate limiting/quota identity)")
 	scrub := flag.Bool("scrub", false, "scrub the run cache (quarantine corrupt entries and leftover temp files), report, and exit")
-	statsJSON := flag.String("stats-json", "", "write machine-readable run stats (sweep/cache/reconnects/cycles/compile) to this file on success")
+	statsJSON := flag.String("stats-json", "", "write machine-readable run stats (sweep/cache/reconnects/cycles/compile/sims) to this file on success")
 	chaosOn := flag.Bool("chaos", false, "run the memory-fault chaos campaign instead of the paper figures")
 	chaosKernels := flag.String("chaos-kernels", "matmul", "comma-separated kernels for the chaos campaign")
 	chaosClasses := flag.String("chaos-classes", "", "comma-separated fault classes (default: tcdm,l2,parity,dma)")
@@ -224,6 +224,20 @@ type statsOut struct {
 	Reconnects uint64            `json:"reconnects,omitempty"`
 	Cycles     tiers             `json:"cycles"`
 	Compile    compileCounts     `json:"compile"`
+	Sims       simCounts         `json:"sims"`
+}
+
+// simCounts is the -stats-json form of the sweep: line's sharing count:
+// the simulations the process's campaign jobs ran, and the jobs that took
+// another job's identical simulation instead (paper.SimStats).
+type simCounts struct {
+	Run    uint64 `json:"run"`
+	Shared uint64 `json:"shared"`
+}
+
+func simStats() simCounts {
+	run, shared := paper.SimStats()
+	return simCounts{Run: run, Shared: shared}
 }
 
 // compileCounts is the -stats-json form of the compile: stderr line: the
@@ -248,7 +262,7 @@ func writeStatsJSON(path string, eng *sweep.Engine, reconnects uint64) error {
 	if path == "" {
 		return nil
 	}
-	out := statsOut{Sweep: eng.Stats(), Reconnects: reconnects, Cycles: tierSplit(cluster.WindowStats()), Compile: compileStats()}
+	out := statsOut{Sweep: eng.Stats(), Reconnects: reconnects, Cycles: tierSplit(cluster.WindowStats()), Compile: compileStats(), Sims: simStats()}
 	if c := eng.Cache(); c != nil {
 		cs := c.Stats()
 		out.Cache = &cs
@@ -262,11 +276,13 @@ func writeStatsJSON(path string, eng *sweep.Engine, reconnects uint64) error {
 
 // sweepStats prints the engine's cumulative counters; it runs on success
 // and on a cancelled or failed campaign alike, so a SIGINT still reports
-// what was completed (and what a future warm run will skip).
+// what was completed (and what a future warm run will skip). Of the
+// simulated jobs, those that took another job's identical simulation
+// (DESIGN.md §8) are counted apart.
 func sweepStats(eng *sweep.Engine) {
 	st := eng.Stats()
-	fmt.Fprintf(os.Stderr, "sweep: %d jobs, %d simulated, %d served from cache\n",
-		st.Jobs, st.Executed, st.CacheHits)
+	fmt.Fprintf(os.Stderr, "sweep: %d jobs, %d simulated, %d served from cache (%d sharing another job's simulation)\n",
+		st.Jobs, st.Executed, st.CacheHits, simStats().Shared)
 	if c := eng.Cache(); c != nil {
 		cs := c.Stats()
 		if cs.Corrupt > 0 {

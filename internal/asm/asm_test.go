@@ -2,6 +2,7 @@ package asm
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"strings"
 	"testing"
 
@@ -183,6 +184,22 @@ func TestImageRoundtrip(t *testing.T) {
 	bad[0] = 'X'
 	if _, err := ParseImage(bad); err == nil {
 		t.Error("bad magic must fail")
+	}
+	// Digest hashes the same bytes without counting an encode; only
+	// Image, which hands the bytes out, counts.
+	n0 := Encodes.Load()
+	sum, err := p.Digest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := Encodes.Load() - n0; n != 0 {
+		t.Errorf("Digest counted %d encodes, want 0", n)
+	}
+	if sum != sha256.Sum256(img) {
+		t.Error("Digest differs from the sha256 of Image")
+	}
+	if _, err := p.Image(); err != nil || Encodes.Load()-n0 != 1 {
+		t.Errorf("Image counted %d encodes (err %v), want 1", Encodes.Load()-n0, err)
 	}
 }
 

@@ -1,6 +1,7 @@
 package asm
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"sort"
@@ -79,12 +80,28 @@ const (
 
 // Encodes counts Image calls process-wide; kernels.ArtifactStats reports
 // it, and the warm-campaign test pins that a campaign, which only
-// composes offloads, serializes none.
+// composes offloads, serializes none. Digest does not count: hashing a
+// program for a key moves no bytes.
 var Encodes atomic.Uint64
 
 // Image serializes the program to the byte stream offloaded over SPI.
 func (p *Program) Image() ([]byte, error) {
 	Encodes.Add(1)
+	return p.encode()
+}
+
+// Digest is the sha256 of the program's Image, computed without counting
+// an encode.
+func (p *Program) Digest() ([sha256.Size]byte, error) {
+	img, err := p.encode()
+	if err != nil {
+		return [sha256.Size]byte{}, err
+	}
+	return sha256.Sum256(img), nil
+}
+
+// encode serializes the program; Image and Digest share it.
+func (p *Program) encode() ([]byte, error) {
 	text, err := isa.EncodeProgram(p.Text)
 	if err != nil {
 		return nil, fmt.Errorf("asm: encoding %q: %w", p.Name, err)

@@ -1,7 +1,6 @@
 package kernels
 
 import (
-	"crypto/sha256"
 	"encoding/hex"
 
 	"hetsim/internal/asm"
@@ -13,11 +12,11 @@ import (
 // tell them apart, which is what makes the hash safe to use in run-cache
 // keys: any code-generator change that alters the instruction stream
 // changes the hash, while refactors that emit identical code do not.
+// It counts no encode (asm.Program.Digest).
 func HashProgram(p *asm.Program) (string, error) {
-	img, err := p.Image()
+	sum, err := p.Digest()
 	if err != nil {
 		return "", err
 	}
-	sum := sha256.Sum256(img)
 	return hex.EncodeToString(sum[:]), nil
 }

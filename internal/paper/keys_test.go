@@ -125,7 +125,7 @@ func TestSpecKeysDoNotAlias(t *testing.T) {
 	content := map[string]string{}
 	study := map[string]string{}
 	for _, p := range campaignPlans(t) {
-		job, err := p.job()
+		job, err := p.job(nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -61,12 +61,15 @@ func kernelPoints(k *kernels.Instance, specs ...JobSpec) []Point {
 // Runner executes a plan and returns the raw results indexed like pts.
 type Runner func(pts []Point) ([]json.RawMessage, error)
 
-// LocalRunner runs a plan as one sweep.Run on eng.
+// LocalRunner runs a plan as one sweep.Run on eng. The plan's jobs share
+// one simulation memo (sim.go), so points that run an identical
+// simulation run it once per call.
 func LocalRunner(eng *sweep.Engine) Runner {
 	return func(pts []Point) ([]json.RawMessage, error) {
+		memo := new(simMemo)
 		jobs := make([]sweep.Job[json.RawMessage], len(pts))
 		for i, p := range pts {
-			job, err := p.job()
+			job, err := p.job(memo)
 			if err != nil {
 				return nil, err
 			}
@@ -205,9 +208,10 @@ func (s *JobSpec) payload(res *cluster.JobResult, prog *asm.Program) any {
 
 // job builds the sweep job of a point. The key is the spec itself plus the
 // model fingerprint (specKey), so forming it builds nothing: the program
-// is emitted and block-compiled and the input generated in Run, which a
-// cache hit never calls.
-func (p Point) job() (sweep.Job[json.RawMessage], error) {
+// is emitted and the input generated in Run, which a cache hit never
+// calls. Run simulates through memo, which compiles and simulates only a
+// simulation no other job of the memo has run; nil shares nothing.
+func (p Point) job(memo *simMemo) (sweep.Job[json.RawMessage], error) {
 	s := p.Spec
 	sim, err := s.resolve()
 	if err != nil {
@@ -220,12 +224,8 @@ func (p Point) job() (sweep.Job[json.RawMessage], error) {
 			if err != nil {
 				return nil, err
 			}
-			comp, err := kernels.Compiled(prog, sim.cfg.Target)
-			if err != nil {
-				return nil, err
-			}
-			job := loader.Job{Prog: prog, In: p.in(), OutLen: p.k.OutLen(), Iters: 1, Threads: sim.threads, Args: p.k.Args(), Compiled: comp}
-			res, err := cluster.RunJob(sim.cfg, sim.mode, job, measureMaxCycles)
+			job := loader.Job{Prog: prog, In: p.in(), OutLen: p.k.OutLen(), Iters: 1, Threads: sim.threads, Args: p.k.Args()}
+			res, err := memo.run(sim.cfg, sim.mode, job, measureMaxCycles)
 			if err != nil {
 				return nil, fmt.Errorf("paper: simulating %+v: %w", s, err)
 			}

@@ -272,7 +272,7 @@ type BatchSummary struct {
 func BuildSpecJob(spec JobSpec) (sweep.Job[json.RawMessage], error) {
 	for _, k := range Registry(spec.Small) {
 		if k.Name == spec.Kernel {
-			return kernelPoints(k, spec)[0].job()
+			return kernelPoints(k, spec)[0].job(nil)
 		}
 	}
 	return sweep.Job[json.RawMessage]{}, fmt.Errorf("paper: job spec: unknown kernel %q", spec.Kernel)
