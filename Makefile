@@ -89,7 +89,7 @@ endif
 serve-drill:
 	@echo "serve drill: soak seed $(SOAK_SEED)"
 	HETSIM_SOAK_SEED=$(SOAK_SEED) $(GO) test -race -count=1 -timeout 120s \
-		-run 'TestServeSoak|TestBatchSoak|TestBatchDrainCursor|TestBatchClientReconnect|TestBatchDedupOneSpecOntoBatch|TestBatchCountsEachJobOnce|TestRemoteEquivalence|TestLateResultAfterTimeoutIsDiscarded|TestRunNotify|TestOneEngine|TestCacheWriteFail|TestSharedRegistryConcurrentRuns' \
+		-run 'TestServeSoak|TestBatchSoak|TestBatchDrainCursor|TestBatchClientReconnect|TestBatchDedupOneSpecOntoBatch|TestBatchCountsEachJobOnce|TestWarmBatchReadsNoDisk|TestRemoteEquivalence|TestLateResultAfterTimeoutIsDiscarded|TestRunNotify|TestOneEngine|TestCacheWriteFail|TestSharedRegistryConcurrentRuns' \
 		./internal/serve ./internal/sweep ./internal/paper
 	$(GO) test -run FuzzParseBatchRequest -fuzz FuzzParseBatchRequest -fuzztime 5s ./internal/paper
 	@echo "serve drill passed (soak seed $(SOAK_SEED))"

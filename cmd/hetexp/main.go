@@ -284,7 +284,11 @@ func sweepStats(eng *sweep.Engine) {
 	fmt.Fprintf(os.Stderr, "sweep: %d jobs, %d simulated, %d served from cache (%d sharing another job's simulation)\n",
 		st.Jobs, st.Executed, st.CacheHits, simStats().Shared)
 	if c := eng.Cache(); c != nil {
+		// Resident hits are served from memory (sweep.CacheStats); in
+		// one campaign, whose keys are distinct, they stay 0.
 		cs := c.Stats()
+		fmt.Fprintf(os.Stderr, "cache: %d hits (%d resident), %d misses, %d written\n",
+			cs.Hits, cs.Resident, cs.Misses, cs.Writes)
 		if cs.Corrupt > 0 {
 			fmt.Fprintf(os.Stderr, "cache: %d unusable entr(ies) re-simulated\n", cs.Corrupt)
 		}

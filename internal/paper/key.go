@@ -5,6 +5,7 @@ import (
 	_ "embed"
 	"encoding/hex"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"hetsim/internal/kernels"
@@ -39,9 +40,33 @@ func ModelFingerprint() string { return strings.TrimSpace(modelFingerprint) }
 // model fingerprint. resolve leaves every parameter but the point's own at
 // its zero value, and JobSpec.Small is left out: the sizes in ParamDesc
 // already tell the suites apart, and a local point does not set it.
+// The key is appended into one buffer: every warm point forms one, and
+// fmt.Sprintf's boxing showed in the server's warm profile.
 func specKey(prefix string, k *kernels.Instance, s JobSpec, observe bool) string {
-	return fmt.Sprintf("%s|kernel=%s(%s)|seed=%d|cfg=%s|variant=%s|banks=%d|threads=%d|obs=%t|model=%s",
-		prefix, k.Name, k.ParamDesc, s.Seed, s.Config, s.Variant, s.Banks, s.Threads, observe, ModelFingerprint())
+	fp := ModelFingerprint()
+	var b strings.Builder
+	var num [20]byte
+	b.Grow(80 + len(prefix) + len(k.Name) + len(k.ParamDesc) + len(s.Config) + len(s.Variant) + len(fp))
+	b.WriteString(prefix)
+	b.WriteString("|kernel=")
+	b.WriteString(k.Name)
+	b.WriteByte('(')
+	b.WriteString(k.ParamDesc)
+	b.WriteString(")|seed=")
+	b.Write(strconv.AppendUint(num[:0], s.Seed, 10))
+	b.WriteString("|cfg=")
+	b.WriteString(s.Config)
+	b.WriteString("|variant=")
+	b.WriteString(s.Variant)
+	b.WriteString("|banks=")
+	b.Write(strconv.AppendInt(num[:0], int64(s.Banks), 10))
+	b.WriteString("|threads=")
+	b.Write(strconv.AppendInt(num[:0], int64(s.Threads), 10))
+	b.WriteString("|obs=")
+	b.Write(strconv.AppendBool(num[:0], observe))
+	b.WriteString("|model=")
+	b.WriteString(fp)
+	return b.String()
 }
 
 // hashBytes fingerprints a byte buffer for use inside a key.

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -114,6 +115,34 @@ func treeFingerprint(t *testing.T) string {
 		fmt.Fprintln(h, k)
 	}
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestSpecKeyMatchesSprintf pins the appended spec key to the fmt.Sprintf
+// form it replaced, for every point of the full and small campaigns and
+// both observation flags, and once more at the largest seed: a changed
+// key would send every cache cold.
+func TestSpecKeyMatchesSprintf(t *testing.T) {
+	pts := campaignPlans(t)
+	for _, p := range pts {
+		sim, err := p.Spec.resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, seed := range []uint64{p.Spec.Seed, math.MaxUint64} {
+			s := p.Spec
+			s.Seed = seed
+			for _, observe := range []bool{false, true} {
+				want := fmt.Sprintf("%s|kernel=%s(%s)|seed=%d|cfg=%s|variant=%s|banks=%d|threads=%d|obs=%t|model=%s",
+					sim.prefix, p.k.Name, p.k.ParamDesc, s.Seed, s.Config, s.Variant, s.Banks, s.Threads, observe, ModelFingerprint())
+				if got := specKey(sim.prefix, p.k, s, observe); got != want {
+					t.Fatalf("specKey = %q, want %q", got, want)
+				}
+			}
+		}
+	}
+	if len(pts) == 0 {
+		t.Fatal("no campaign points")
+	}
 }
 
 // TestSpecKeysDoNotAlias checks that a spec key names one simulation

@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -701,5 +703,76 @@ func TestBatchCountsEachJobOnce(t *testing.T) {
 	}
 	if st.Expired == 0 || st.Executed != uint64(len(warm)+1) {
 		t.Fatalf("want the cut waiter expired and every key executed once: %+v", st)
+	}
+}
+
+// TestWarmBatchReadsNoDisk: on a server over a pre-filled cache, the
+// first batch reads each entry from disk once and keeps it resident, so
+// an identical second batch is served entirely from memory: it still
+// answers after every entry file is deleted, /v1/stats counts each of its
+// hits as resident, and nothing is simulated.
+func TestWarmBatchReadsNoDisk(t *testing.T) {
+	dir := t.TempDir()
+	names := make([]string, 12)
+	fill, err := sweep.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range names {
+		names[i] = fmt.Sprintf("k%02d", i)
+		if err := fill.Put("test|"+names[i], json.RawMessage(fmt.Sprintf(`{"kernel":%q}`, names[i]))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cache, err := sweep.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs := map[string]func() (json.RawMessage, error){}
+	for _, n := range names {
+		runs[n] = func() (json.RawMessage, error) {
+			t.Errorf("a warm batch simulated a cached point")
+			return nil, fmt.Errorf("not cached")
+		}
+	}
+	srv := New(Config{Build: testBuild(runs), Cache: cache, Workers: 2, Queue: 64})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	batch := func() {
+		t.Helper()
+		code, _, recs, _ := postBatch(t, ts, batchBody(t, "", names...))
+		if code != http.StatusOK {
+			t.Fatalf("batch: code %d", code)
+		}
+		if sum := lastSummary(t, recs); sum.Cached != len(names) || sum.Completed != len(names) {
+			t.Fatalf("summary %+v, want %d cached", sum, len(names))
+		}
+		for _, rec := range recs[:len(recs)-1] {
+			if rec.Job == nil || string(rec.Job.Result) != fmt.Sprintf(`{"kernel":%q}`, names[rec.Job.Index]) {
+				t.Fatalf("record %+v", rec)
+			}
+		}
+	}
+	batch()
+	if st := srv.Stats(); st.CacheResident != 0 || st.CacheHits != uint64(len(names)) {
+		t.Fatalf("first batch: stats %+v, want every hit read from disk", st)
+	}
+	tops, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, top := range tops {
+		if err := os.RemoveAll(filepath.Join(dir, top.Name())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	batch()
+	st := srv.Stats()
+	if st.CacheResident != uint64(len(names)) || st.CacheHits != 2*uint64(len(names)) || st.Executed != 0 {
+		t.Fatalf("second batch: stats %+v, want its %d hits resident", st, len(names))
+	}
+	if cs := cache.Stats(); cs.Misses != 0 || cs.Hits != 2*uint64(len(names)) {
+		t.Fatalf("cache stats %+v", cs)
 	}
 }

@@ -131,6 +131,10 @@ type Stats struct {
 	PutFailures uint64 `json:"put_failures"` // puts that failed even after retry
 	Failed      uint64 `json:"failed"`
 	Expired     uint64 `json:"expired"` // jobs cut (deadline, cancel, drain) before completing
+	// CacheResident counts the cache reads served from memory, without a
+	// file read (sweep.CacheStats.Resident); a subset of the cache's own
+	// hits, which count each leader's read once.
+	CacheResident uint64 `json:"cache_resident"`
 
 	// Batch counters (/v1/batch): accepted batch submissions, the jobs
 	// they carried, how those jobs resolved, how many streams were cut
@@ -241,6 +245,10 @@ func (s *Server) Stats() Stats {
 	s.bmu.Lock()
 	bt := s.batch
 	s.bmu.Unlock()
+	var cs sweep.CacheStats
+	if c := s.eng.Cache(); c != nil {
+		cs = c.Stats()
+	}
 	return Stats{
 		State:         s.State().String(),
 		Requests:      s.requests.Load(),
@@ -252,6 +260,7 @@ func (s *Server) Stats() Stats {
 		Deduped:       bt.resolved[resDeduped],
 		Leads:         bt.leads,
 		CacheHits:     bt.resolved[resCached],
+		CacheResident: cs.Resident,
 		Executed:      bt.resolved[resExecuted],
 		ExecRetries:   uint64(es.ExecRetries),
 		PutRetries:    uint64(es.PutRetries),

@@ -175,3 +175,74 @@ func TestOneEngineTypeMismatch(t *testing.T) {
 		t.Fatalf("mismatched waiter = %+v", w)
 	}
 }
+
+// TestSlotCoversOnlyExecution: Workers bounds executions, not cache
+// traffic. On a one-worker engine whose only slot is held by a running
+// job, a cache hit from another call still completes, and a leader in
+// its put-retry backoff does not keep the next execution from starting.
+func TestSlotCoversOnlyExecution(t *testing.T) {
+	cache, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cache.Put("warm", 1); err != nil {
+		t.Fatal(err)
+	}
+	faults := &WriteFaults{}
+	faults.FailFirst[FaultTempWrite] = 1
+	faults.fail(FaultTempWrite, "next") // spend next's one failure: only slow's put retries
+	cache.Faults = faults
+	eng := New(Config{Workers: 1, Cache: cache,
+		Retry: RetryPolicy{Max: 1, Base: 300 * time.Millisecond, Cap: 300 * time.Millisecond}})
+	completions := func(jobs ...Job[int]) <-chan Completion[int] {
+		ch := make(chan Completion[int], len(jobs))
+		go RunNotify(eng, context.Background(), jobs, func(c Completion[int]) { ch <- c })
+		return ch
+	}
+	wait := func(what string, ch <-chan Completion[int]) Completion[int] {
+		t.Helper()
+		select {
+		case c := <-ch:
+			return c
+		case <-time.After(5 * time.Second):
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		return Completion[int]{}
+	}
+
+	gate, running := make(chan struct{}), make(chan struct{})
+	slow := completions(Job[int]{Key: "slow", Run: func() (int, error) {
+		close(running)
+		<-gate
+		return 2, nil
+	}})
+	<-running
+	if c := wait("a cache hit behind a held slot", completions(Job[int]{Key: "warm"})); !c.Hit || c.Value != 1 {
+		t.Fatalf("warm completion = %+v", c)
+	}
+	close(gate)
+
+	// "slow" has executed; its first Put fails and it backs off before
+	// retrying, without its slot, so "next" executes meanwhile.
+	next := completions(Job[int]{Key: "next", Run: func() (int, error) { return 3, nil }})
+	var order []Completion[int]
+	for len(order) < 2 {
+		select {
+		case c := <-slow:
+			order = append(order, c)
+		case c := <-next:
+			order = append(order, c)
+		case <-time.After(5 * time.Second):
+			t.Fatal("timed out waiting for slow and next")
+		}
+	}
+	if first := order[0]; first.Key != "next" || first.Err != nil || first.Value != 3 {
+		t.Fatalf("first completion = %+v, want next's while slow retries its put", first)
+	}
+	if c := order[1]; c.Err != nil || c.Value != 2 {
+		t.Fatalf("slow completion = %+v", c)
+	}
+	if st := eng.Stats(); st.PutRetries != 1 {
+		t.Fatalf("stats = %+v, want slow's put retried", st)
+	}
+}

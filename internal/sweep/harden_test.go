@@ -137,9 +137,14 @@ func TestPreCancelledContextRunsNothing(t *testing.T) {
 // a wrong result. An entry of another format version or another key is
 // the same kind of miss. Every case is read both into a typed value, as
 // chaos trials are, and into a *json.RawMessage, as campaign points and
-// the server are (it takes the value from the entry's one decode).
+// the server are (it takes the value from the entry's one decode). An
+// entry is immutable once renamed into place, so a live Cache keeps what
+// it has served resident and never sees an edit made behind its back;
+// each tampered entry is therefore read through a fresh Open of the
+// directory, which is a new process's view.
 func TestTruncatedCacheFileIsCountedMiss(t *testing.T) {
-	c, err := Open(t.TempDir())
+	dir := t.TempDir()
+	c, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,6 +174,9 @@ func TestTruncatedCacheFileIsCountedMiss(t *testing.T) {
 		for _, d := range dests {
 			name := tc.name + "/" + d.name
 			if err := os.WriteFile(path, []byte(tc.b), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if c, err = Open(dir); err != nil {
 				t.Fatal(err)
 			}
 			before := c.Stats()

@@ -7,7 +7,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 )
 
 // QuarantineDir is the subdirectory of a cache root that Scrub moves
@@ -38,6 +41,9 @@ func (r ScrubReport) Clean() bool {
 	return r.Corrupt == 0 && r.TmpFiles == 0 && r.IOErrors == 0
 }
 
+// scrubbers bounds Scrub's concurrent directory walkers.
+const scrubbers = 4
+
 // Scrub walks the store and quarantines everything a crashed or killed
 // writer can leave behind: leftover *.tmp files (a SIGKILL between
 // CreateTemp and rename), torn or undecodable entries (a torn copy, disk
@@ -50,54 +56,84 @@ func (r ScrubReport) Clean() bool {
 // rename, so the worst race is quarantining a temp file an instant before
 // its rename, which costs that writer a WriteFail, never corruption.
 func (c *Cache) Scrub() (ScrubReport, error) {
-	var r ScrubReport
 	tops, err := os.ReadDir(c.dir)
 	if err != nil {
-		return r, fmt.Errorf("sweep: scrub: %w", err)
+		return ScrubReport{}, fmt.Errorf("sweep: scrub: %w", err)
 	}
+	var subs []string
 	for _, top := range tops {
-		if !top.IsDir() || !isFanoutDir(top.Name()) {
-			continue // the quarantine area, or a file that was never ours
+		if top.IsDir() && isFanoutDir(top.Name()) {
+			subs = append(subs, top.Name()) // not the quarantine area, nor a file that was never ours
 		}
-		sub := top.Name()
-		files, err := os.ReadDir(filepath.Join(c.dir, sub))
-		if err != nil {
-			r.IOErrors++
-			continue
-		}
-		for _, fe := range files {
-			if fe.IsDir() {
-				continue
+	}
+	// The fanout directories are disjoint, so scrubbers share nothing but
+	// the next index; each keeps its own report. A filled cache is
+	// hundreds of small reads, and a hetexp -scrub or a hetsimd start
+	// waits for all of them.
+	reps := make([]ScrubReport, min(runtime.GOMAXPROCS(0), scrubbers, len(subs)))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := range reps {
+		wg.Add(1)
+		go func(r *ScrubReport) {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(subs); i = int(next.Add(1)) - 1 {
+				c.scrubFanout(subs[i], r)
 			}
-			name := fe.Name()
-			rel := filepath.Join(sub, name)
-			class := classifyEntry(c.dir, sub, name)
-			if class != entryTmp {
-				r.Scanned++
-			}
-			switch class {
-			case entryHealthy:
-				r.Healthy++
-			case entryStale:
-				r.Stale++
-			case entryUnreadable:
-				r.IOErrors++
-			case entryTmp:
-				if c.quarantine(rel) {
-					r.TmpFiles++
-				} else {
-					r.IOErrors++
-				}
-			case entryCorrupt:
-				if c.quarantine(rel) {
-					r.Corrupt++
-				} else {
-					r.IOErrors++
-				}
-			}
-		}
+		}(&reps[w])
+	}
+	wg.Wait()
+	var r ScrubReport
+	for _, w := range reps {
+		r.Scanned += w.Scanned
+		r.Healthy += w.Healthy
+		r.Stale += w.Stale
+		r.Corrupt += w.Corrupt
+		r.TmpFiles += w.TmpFiles
+		r.IOErrors += w.IOErrors
 	}
 	return r, nil
+}
+
+// scrubFanout classifies every file of one fanout directory into r and
+// quarantines what is unusable.
+func (c *Cache) scrubFanout(sub string, r *ScrubReport) {
+	files, err := os.ReadDir(filepath.Join(c.dir, sub))
+	if err != nil {
+		r.IOErrors++
+		return
+	}
+	for _, fe := range files {
+		if fe.IsDir() {
+			continue
+		}
+		name := fe.Name()
+		rel := filepath.Join(sub, name)
+		class := classifyEntry(c.dir, sub, name)
+		if class != entryTmp {
+			r.Scanned++
+		}
+		switch class {
+		case entryHealthy:
+			r.Healthy++
+		case entryStale:
+			r.Stale++
+		case entryUnreadable:
+			r.IOErrors++
+		case entryTmp:
+			if c.quarantine(rel) {
+				r.TmpFiles++
+			} else {
+				r.IOErrors++
+			}
+		case entryCorrupt:
+			if c.quarantine(rel) {
+				r.Corrupt++
+			} else {
+				r.IOErrors++
+			}
+		}
+	}
 }
 
 type entryClass int

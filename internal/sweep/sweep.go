@@ -15,12 +15,16 @@
 // is also the one store a killed campaign resumes from: Put commits each
 // entry by temp file, fsync and rename, so rerunning the same command
 // serves every entry committed before the kill and simulates the rest.
+// A Cache pays for each entry once per process: a validated entry stays
+// resident in memory, so a repeat read touches no file, and only the
+// first Put creates the fanout directories and fsyncs the cache root.
 //
 // One engine is one completion path: every job claimed by any of its
 // concurrent Run and RunNotify calls passes through its single-flight
-// layer, whose leader takes one of the Workers slots, reads the cache,
-// else executes the job and puts the result. cmd/hetsimd serves every
-// batch on one engine, so one point asked for twice is simulated once.
+// layer, whose leader reads the cache, else takes one of the Workers
+// slots to execute the job, then puts the result. cmd/hetsimd serves
+// every batch on one engine, so one point asked for twice is simulated
+// once.
 //
 // The scheduler itself never inspects results: values only need to
 // round-trip through encoding/json (Go's float64 encoding is exact, so
@@ -215,20 +219,23 @@ func runRecover[T any](j Job[T]) (v T, err error) {
 	return j.Run()
 }
 
-// lead is a flight leader's work: under one of the engine's worker slots,
-// serve the job from the cache, else execute it and cache the result,
-// each under the RetryPolicy. A put that still fails is a future miss.
+// lead is a flight leader's work: serve the job from the cache, else
+// execute it under one of the engine's worker slots and cache the
+// result, each step under the RetryPolicy. The slot covers the execution
+// only: a cache hit takes none, and a put (its fsyncs, its retry
+// backoff) never keeps another job's execution from starting. A put that
+// still fails is a future miss.
 func lead[T any](e *Engine, j Job[T]) (outcome, error) {
-	e.slots <- struct{}{}
-	defer func() { <-e.slots }()
 	var v T
 	if e.cache != nil && e.cache.Get(j.Key, &v) {
 		return outcome{val: &v, hit: true}, nil
 	}
+	e.slots <- struct{}{}
 	err := e.retry.do(func() (err error) {
 		v, err = exec(e, j)
 		return err
 	}, func() { e.bump(&e.stats.ExecRetries) })
+	<-e.slots
 	if err != nil {
 		return outcome{}, err
 	}

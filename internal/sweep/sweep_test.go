@@ -119,9 +119,12 @@ func TestCacheRoundTrip(t *testing.T) {
 }
 
 // TestCacheCorruptionIsMiss checks that truncated, invalid and
-// wrong-version entries degrade to misses rather than wrong results.
+// wrong-version entries degrade to misses rather than wrong results. Each
+// is read through a fresh Open, a new process's view: the writer's own
+// Cache holds its Put resident and never rereads the file.
 func TestCacheCorruptionIsMiss(t *testing.T) {
-	c, err := Open(t.TempDir())
+	dir := t.TempDir()
+	c, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,6 +139,9 @@ func TestCacheCorruptionIsMiss(t *testing.T) {
 	}
 	for name, b := range cases {
 		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if c, err = Open(dir); err != nil {
 			t.Fatal(err)
 		}
 		var got payload
