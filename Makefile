@@ -79,8 +79,9 @@ chaos-drill:
 # (RunNotify, one engine shared by concurrent calls, and the cache's
 # write-fault injector), and concurrent runs of one spec on the
 # shared kernel registry — all under the race detector, bounded
-# in wall clock. Also fuzzes the request decoder
-# briefly. Every run soaks a fresh fault schedule: SOAK_SEED defaults to
+# in wall clock. Also fuzzes briefly the request decoder, the stream's
+# record encoder (byte-equal to json.Encoder) and the client's record
+# decoder (equal to json.Unmarshal). Every run soaks a fresh fault schedule: SOAK_SEED defaults to
 # a random seed, which the soaks log with the command that replays it
 # (make serve-drill SOAK_SEED=N). Plain `go test` soaks seeds 11 and 7.
 ifeq ($(origin SOAK_SEED),undefined)
@@ -89,9 +90,11 @@ endif
 serve-drill:
 	@echo "serve drill: soak seed $(SOAK_SEED)"
 	HETSIM_SOAK_SEED=$(SOAK_SEED) $(GO) test -race -count=1 -timeout 120s \
-		-run 'TestServeSoak|TestBatchSoak|TestBatchDrainCursor|TestBatchClientReconnect|TestBatchDedupOneSpecOntoBatch|TestBatchCountsEachJobOnce|TestWarmBatchReadsNoDisk|TestRemoteEquivalence|TestLateResultAfterTimeoutIsDiscarded|TestRunNotify|TestOneEngine|TestCacheWriteFail|TestSharedRegistryConcurrentRuns' \
+		-run 'TestServeSoak|TestBatchSoak|TestBatchDrainCursor|TestBatchClientReconnect|TestBatchDedupOneSpecOntoBatch|TestBatchCountsEachJobOnce|TestWarmBatchReadsNoDisk|TestPrettyCacheEntryStreamsOneLine|TestRemoteEquivalence|TestLateResultAfterTimeoutIsDiscarded|TestRunNotify|TestOneEngine|TestCacheWriteFail|TestSharedRegistryConcurrentRuns' \
 		./internal/serve ./internal/sweep ./internal/paper
 	$(GO) test -run FuzzParseBatchRequest -fuzz FuzzParseBatchRequest -fuzztime 5s ./internal/paper
+	$(GO) test -run FuzzBatchRecordEncode -fuzz FuzzBatchRecordEncode -fuzztime 5s ./internal/paper
+	$(GO) test -run FuzzDecodeRecord -fuzz FuzzDecodeRecord -fuzztime 5s ./internal/serve
 	@echo "serve drill passed (soak seed $(SOAK_SEED))"
 
 # Kill-9 crash drill (DESIGN.md §14): builds the real hetexp binary,

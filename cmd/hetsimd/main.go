@@ -20,9 +20,10 @@
 //
 // Endpoints: POST /v1/batch, the one submission path (paper.BatchRequest
 // → streamed NDJSON paper.BatchRecords: per-job completions as they
-// land, heartbeats every -heartbeat so proxies keep idle streams alive,
-// a resumable cursor when a batch is cut, a terminal summary; a single
-// point is a one-spec batch), GET /v1/stats, GET /healthz (liveness),
+// land, each naming its point by index in the submitted spec list and
+// carrying no key, heartbeats every -heartbeat so proxies keep idle
+// streams alive, a resumable cursor of the uncompleted keys when a batch
+// is cut, a terminal summary; a single point is a one-spec batch), GET /v1/stats, GET /healthz (liveness),
 // GET /readyz (readiness — flips to 503 the moment a drain starts).
 // Overload answers 429 with Retry-After; per-tenant token buckets
 // (-rate/-burst) and in-flight quotas (-tenant-quota) keep one tenant

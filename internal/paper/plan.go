@@ -44,7 +44,7 @@ const measureSeed = 1
 type Point struct {
 	Spec JobSpec
 	k    *kernels.Instance
-	in   func() []byte // k's input at Spec.Seed, generated on first use once per kernel and plan
+	in   func() []byte // k's input at Spec.Seed, generated on first use once per kernel and plan; nil for a lone point
 }
 
 // kernelPoints pairs specs, all of one seed, with k and its input.
@@ -159,8 +159,12 @@ func (s *JobSpec) resolve() (simulation, error) {
 			return bad()
 		}
 		if i >= 0 { // "" is the full build
+			// Mod takes a pointer through a func value, which would move
+			// cfg to the heap on every resolve; only this copy escapes.
+			feat := cfg.Target.Feat
+			ExtVariants[i].Mod(&feat)
 			cfg.Target.Name += ExtVariants[i].Name
-			ExtVariants[i].Mod(&cfg.Target.Feat)
+			cfg.Target.Feat = feat
 		}
 		return simulation{"extablate", devrt.Accel, cfg, 1}, nil
 	case StudyBanks:
@@ -212,24 +216,43 @@ func (s *JobSpec) payload(res *cluster.JobResult, prog *asm.Program) any {
 // calls. Run simulates through memo, which compiles and simulates only a
 // simulation no other job of the memo has run; nil shares nothing.
 func (p Point) job(memo *simMemo) (sweep.Job[json.RawMessage], error) {
-	s := p.Spec
-	sim, err := s.resolve()
+	sim, err := p.Spec.resolve()
 	if err != nil {
 		return sweep.Job[json.RawMessage]{}, err
 	}
-	return sweep.Job[json.RawMessage]{
-		Key: specKey(sim.prefix, p.k, s, sim.cfg.Observe),
-		Run: func() (json.RawMessage, error) {
-			prog, err := p.k.Build(sim.cfg.Target, sim.mode)
-			if err != nil {
-				return nil, err
-			}
-			job := loader.Job{Prog: prog, In: p.in(), OutLen: p.k.OutLen(), Iters: 1, Threads: sim.threads, Args: p.k.Args()}
-			res, err := memo.run(sim.cfg, sim.mode, job, measureMaxCycles)
-			if err != nil {
-				return nil, fmt.Errorf("paper: simulating %+v: %w", s, err)
-			}
-			return json.Marshal(s.payload(res, prog))
-		},
-	}, nil
+	return p.simJob(sim, memo), nil
+}
+
+// simJob builds the sweep job of a point whose spec resolves to sim.
+func (p Point) simJob(sim simulation, memo *simMemo) sweep.Job[json.RawMessage] {
+	r := &pointRun{p, sim, memo}
+	return sweep.Job[json.RawMessage]{Key: specKey(sim.prefix, p.k, p.Spec, sim.cfg.Observe), Run: r.run}
+}
+
+// pointRun is a point's job as it runs: the point, what its spec
+// simulates and the memo it simulates through, in one allocation.
+type pointRun struct {
+	p    Point
+	sim  simulation
+	memo *simMemo
+}
+
+func (r *pointRun) run() (json.RawMessage, error) {
+	p, sim := &r.p, &r.sim
+	prog, err := p.k.Build(sim.cfg.Target, sim.mode)
+	if err != nil {
+		return nil, err
+	}
+	var in []byte
+	if p.in != nil {
+		in = p.in()
+	} else {
+		in = p.k.Input(p.Spec.Seed)
+	}
+	job := loader.Job{Prog: prog, In: in, OutLen: p.k.OutLen(), Iters: 1, Threads: sim.threads, Args: p.k.Args()}
+	res, err := r.memo.run(sim.cfg, sim.mode, job, measureMaxCycles)
+	if err != nil {
+		return nil, fmt.Errorf("paper: simulating %+v: %w", p.Spec, err)
+	}
+	return json.Marshal(p.Spec.payload(res, prog))
 }

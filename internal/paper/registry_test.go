@@ -2,8 +2,11 @@ package paper
 
 import (
 	"bytes"
+	"encoding/json"
 	"sync"
 	"testing"
+
+	"hetsim/internal/sweep"
 )
 
 // TestRegistryBuildsOnce counts the work a warm /v1/batch spec costs
@@ -26,17 +29,29 @@ func TestRegistryBuildsOnce(t *testing.T) {
 		t.Fatal("a caller's write to its registry slice reached the shared one")
 	}
 
+	// One spec's job is three allocations: the key, the run state and
+	// the run's func value. The kernel is a map lookup and a parsed
+	// request's spec is not resolved again.
 	spec := JobSpec{Kernel: "svm (RBF)", Seed: 1, Config: "pulp4"}
-	if _, err := BuildSpecJob(spec); err != nil {
+	req, err := ParseBatchRequest([]byte(`{"specs":[{"kernel":"svm (RBF)","seed":1,"config":"pulp4"}]}`))
+	if err != nil {
 		t.Fatal(err)
 	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := BuildSpecJob(spec); err != nil {
+	for name, build := range map[string]func() (sweep.Job[json.RawMessage], error){
+		"BuildSpecJob":     func() (sweep.Job[json.RawMessage], error) { return BuildSpecJob(spec) },
+		"BatchRequest.Job": func() (sweep.Job[json.RawMessage], error) { return req.Job(0) },
+	} {
+		if _, err := build(); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs > 40 {
-		t.Fatalf("BuildSpecJob(%+v) makes %.0f allocations, want ≤ 40: it builds more than the key", spec, allocs)
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := build(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 3 {
+			t.Fatalf("%s(%+v) makes %.0f allocations, want ≤ 3: it builds more than the key and the run", name, spec, allocs)
+		}
 	}
 }
 

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"slices"
+	"strconv"
+	"sync"
 
 	"hetsim/internal/kernels"
 	"hetsim/internal/sweep"
@@ -60,14 +62,19 @@ type JobSpec struct {
 // Validate checks the shape of a spec without touching the kernel
 // registry (BuildSpecJob resolves names; this guards the wire format).
 func (s *JobSpec) Validate() error {
+	_, err := s.validate()
+	return err
+}
+
+// validate is Validate that also returns what the spec simulates.
+func (s *JobSpec) validate() (simulation, error) {
 	if s.Kernel == "" {
-		return fmt.Errorf("paper: job spec: empty kernel name")
+		return simulation{}, fmt.Errorf("paper: job spec: empty kernel name")
 	}
 	if len(s.Kernel) > 128 {
-		return fmt.Errorf("paper: job spec: kernel name longer than 128 bytes")
+		return simulation{}, fmt.Errorf("paper: job spec: kernel name longer than 128 bytes")
 	}
-	_, err := s.resolve()
-	return err
+	return s.resolve()
 }
 
 // JobResponse is the JSON body of a refused /v1/batch submission: any
@@ -108,6 +115,10 @@ type BatchRequest struct {
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 	// Specs is the campaign point list (at least one).
 	Specs []JobSpec `json:"specs,omitempty"`
+
+	// sims holds what each spec simulates, as ParseBatchRequest resolved
+	// it, so Job does not resolve a spec again.
+	sims []simulation
 }
 
 // maxBatchRequestBytes bounds a batch body (a 4096-spec campaign of
@@ -152,12 +163,26 @@ func ParseBatchRequest(b []byte) (*BatchRequest, error) {
 	case len(req.Specs) > MaxBatchSpecs:
 		return nil, fmt.Errorf("paper: batch of %d specs exceeds the %d-spec bound", len(req.Specs), MaxBatchSpecs)
 	}
+	req.sims = make([]simulation, len(req.Specs))
 	for i := range req.Specs {
-		if err := req.Specs[i].Validate(); err != nil {
+		sim, err := req.Specs[i].validate()
+		if err != nil {
 			return nil, fmt.Errorf("paper: batch spec %d: %w", i, err)
 		}
+		req.sims[i] = sim
 	}
 	return &req, nil
+}
+
+// Job builds the sweep job of spec i: BuildSpecJob(r.Specs[i]), reusing
+// the resolution ParseBatchRequest kept, so a served spec is resolved
+// once; Specs must not change after parsing. A request built by hand
+// resolves here.
+func (r *BatchRequest) Job(i int) (sweep.Job[json.RawMessage], error) {
+	if i < len(r.sims) {
+		return specJob(r.Specs[i], &r.sims[i])
+	}
+	return specJob(r.Specs[i], nil)
 }
 
 // SuiteSpecs expands a named suite — "table1", "fig3", "fig4", "fig5a" or
@@ -207,7 +232,8 @@ func Registry(small bool) []*kernels.Instance {
 // BatchRecord is one NDJSON line of a /v1/batch response stream. Type
 // selects which of the optional fields is meaningful:
 //
-//	"job"       one per-point completion, as it lands (Job)
+//	"job"       one per-point completion, as it lands, named by its
+//	            index in the submitted specs (Job)
 //	"heartbeat" keepalive on an idle stream — proxies see traffic
 //	"cursor"    the uncompleted keys of a cut batch (Pending); resubmit
 //	            them to resume — completed points are already cached
@@ -228,16 +254,16 @@ const (
 )
 
 // BatchJob is one streamed per-point completion. Index positions the
-// point in the submitted batch and Key is its cache key. Cached reports
-// a server-side cache hit; Shared reports that the point coalesced onto
-// another request's in-flight simulation. Result is the simulation result
-// (its study's payload), exactly the bytes the content-addressed cache
-// stores for Key. Error and Retryable describe a failure: Retryable tells
-// the client whether re-submitting the point can succeed (transient
-// failure) or not (panic, job timeout).
+// point in the submitted batch, which names the spec the client sent; the
+// record carries no key (the cursor keeps keys, for resume). Cached
+// reports a server-side cache hit; Shared reports that the point coalesced
+// onto another request's in-flight simulation. Result is the simulation
+// result (its study's payload), exactly the bytes the content-addressed
+// cache stores for the point's key. Error and Retryable describe a
+// failure: Retryable tells the client whether re-submitting the point can
+// succeed (transient failure) or not (panic, job timeout).
 type BatchJob struct {
 	Index     int             `json:"index"`
-	Key       string          `json:"key"`
 	Cached    bool            `json:"cached,omitempty"`
 	Shared    bool            `json:"shared,omitempty"`
 	Result    json.RawMessage `json:"result,omitempty"`
@@ -262,6 +288,106 @@ type BatchSummary struct {
 	State     string `json:"state"`
 }
 
+// AppendJSON appends rec's NDJSON line to dst: exactly the bytes
+// json.NewEncoder(w).Encode(rec) writes, newline included, without
+// reflection. Strings of printable ASCII that need no escape are copied;
+// any other string is encoded by json.Marshal. A job's Result is copied
+// verbatim unless it holds a byte encoding/json would rewrite or reject
+// (whitespace or another byte below 0x21, '<', '>', '&', or any byte from
+// 0x80 up); such a result is canonicalized by json.Marshal, which compacts
+// it and escapes it for HTML, as the encoder does. A result is valid JSON
+// by construction (a cache Get validated it, or a job returned
+// json.Marshal output), so the copy keeps the line one valid JSON
+// document. On error, which only an invalid result that needed
+// canonicalizing returns, dst comes back unchanged.
+func (rec *BatchRecord) AppendJSON(dst []byte) ([]byte, error) {
+	n := len(dst)
+	dst = append(dst, `{"type":`...)
+	dst = appendString(dst, rec.Type)
+	if j := rec.Job; j != nil {
+		dst = appendInt(dst, `,"job":{"index":`, j.Index)
+		if j.Cached {
+			dst = append(dst, `,"cached":true`...)
+		}
+		if j.Shared {
+			dst = append(dst, `,"shared":true`...)
+		}
+		if len(j.Result) > 0 {
+			dst = append(dst, `,"result":`...)
+			var err error
+			if dst, err = appendResult(dst, j.Result); err != nil {
+				return dst[:n], err
+			}
+		}
+		if j.Error != "" {
+			dst = append(dst, `,"error":`...)
+			dst = appendString(dst, j.Error)
+		}
+		if j.Retryable {
+			dst = append(dst, `,"retryable":true`...)
+		}
+		dst = append(dst, '}')
+	}
+	if len(rec.Pending) > 0 {
+		dst = append(dst, `,"pending":[`...)
+		for i, key := range rec.Pending {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = appendString(dst, key)
+		}
+		dst = append(dst, ']')
+	}
+	if sum := rec.Summary; sum != nil {
+		dst = appendInt(dst, `,"summary":{"jobs":`, sum.Jobs)
+		dst = appendInt(dst, `,"completed":`, sum.Completed)
+		dst = appendInt(dst, `,"failed":`, sum.Failed)
+		dst = appendInt(dst, `,"pending":`, sum.Pending)
+		dst = appendInt(dst, `,"cached":`, sum.Cached)
+		dst = appendInt(dst, `,"deduped":`, sum.Deduped)
+		dst = appendInt(dst, `,"executed":`, sum.Executed)
+		dst = append(dst, `,"state":`...)
+		dst = appendString(dst, sum.State)
+		dst = append(dst, '}')
+	}
+	return append(dst, '}', '\n'), nil
+}
+
+// appendInt appends a member's name, colon included, and its value.
+func appendInt(dst []byte, name string, v int) []byte {
+	return strconv.AppendInt(append(dst, name...), int64(v), 10)
+}
+
+// appendString appends s as encoding/json encodes it, HTML escapes
+// included.
+func appendString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			b, _ := json.Marshal(s) // a string always encodes
+			return append(dst, b...)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
+}
+
+// appendResult appends a job result as encoding/json encodes a
+// json.RawMessage: verbatim when it holds nothing the encoder would
+// rewrite, else through json.Marshal.
+func appendResult(dst []byte, r json.RawMessage) ([]byte, error) {
+	for _, c := range r {
+		if c <= ' ' || c >= 0x80 || c == '<' || c == '>' || c == '&' {
+			b, err := json.Marshal(r)
+			if err != nil {
+				return dst, err
+			}
+			return append(dst, b...), nil
+		}
+	}
+	return append(dst, r...), nil
+}
+
 // BuildSpecJob reconstructs the sweep job a spec names: it resolves the
 // kernel in the registry Small selects and builds the job exactly as a
 // local plan does, so the job's key is the key the local path produces
@@ -270,12 +396,45 @@ type BatchSummary struct {
 // key builds nothing: the program, its compiled image and the input are
 // made only if the job runs.
 func BuildSpecJob(spec JobSpec) (sweep.Job[json.RawMessage], error) {
-	for _, k := range Registry(spec.Small) {
-		if k.Name == spec.Kernel {
-			return kernelPoints(k, spec)[0].job(nil)
-		}
+	return specJob(spec, nil)
+}
+
+// specJob builds the job of one spec as a lone point, resolving the spec
+// unless sim already holds what it simulates.
+func specJob(spec JobSpec, sim *simulation) (sweep.Job[json.RawMessage], error) {
+	k := lookupKernel(spec.Small, spec.Kernel)
+	if k == nil {
+		return sweep.Job[json.RawMessage]{}, fmt.Errorf("paper: job spec: unknown kernel %q", spec.Kernel)
 	}
-	return sweep.Job[json.RawMessage]{}, fmt.Errorf("paper: job spec: unknown kernel %q", spec.Kernel)
+	p := Point{Spec: spec, k: k}
+	if sim == nil {
+		return p.job(nil)
+	}
+	return p.simJob(*sim, nil), nil
+}
+
+// The kernels of each suite by name, indexed once per suite, so a served
+// spec finds its kernel with one lookup.
+var (
+	paperIndex = sync.OnceValue(func() map[string]*kernels.Instance { return indexSuite(kernels.PaperSuite()) })
+	smallIndex = sync.OnceValue(func() map[string]*kernels.Instance { return indexSuite(kernels.SmallSuite()) })
+)
+
+func indexSuite(suite []*kernels.Instance) map[string]*kernels.Instance {
+	m := make(map[string]*kernels.Instance, len(suite))
+	for _, k := range suite {
+		m[k.Name] = k
+	}
+	return m
+}
+
+// lookupKernel finds a kernel by name in the registry small selects, or
+// returns nil.
+func lookupKernel(small bool, name string) *kernels.Instance {
+	if small {
+		return smallIndex()[name]
+	}
+	return paperIndex()[name]
 }
 
 // BatchRunner executes a whole campaign remotely in one submission and

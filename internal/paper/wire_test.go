@@ -1,9 +1,11 @@
 package paper
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
@@ -307,6 +309,175 @@ func FuzzParseBatchRequest(f *testing.F) {
 		}
 		if again.Tenant != req.Tenant || again.TimeoutMS != req.TimeoutMS || len(again.Specs) != len(req.Specs) {
 			t.Fatalf("round trip changed the request: %+v vs %+v", again, req)
+		}
+	})
+}
+
+// TestBatchRequestJob: a parsed request builds each spec's job from the
+// resolution it kept, with BuildSpecJob's key and errors, and a request
+// built by hand resolves on the spot.
+func TestBatchRequestJob(t *testing.T) {
+	body := `{"specs":[{"kernel":"matmul","seed":1,"config":"pulp4","observe":true},{"kernel":"matmul","seed":2,"study":"ext","variant":"-SIMD"},` +
+		`{"kernel":"cnn","small":true,"seed":1,"study":"banks","banks":2},{"kernel":"hog","seed":1,"study":"scaling","threads":6},` +
+		`{"kernel":"no-such-kernel","seed":1,"config":"m3"}]}`
+	req, err := ParseBatchRequest([]byte(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	byHand := &BatchRequest{Specs: req.Specs}
+	for i, spec := range req.Specs {
+		want, werr := BuildSpecJob(spec)
+		for _, r := range []*BatchRequest{req, byHand} {
+			got, err := r.Job(i)
+			if fmt.Sprint(err) != fmt.Sprint(werr) || got.Key != want.Key {
+				t.Fatalf("spec %d (%+v): Job = %q, %v; BuildSpecJob = %q, %v", i, spec, got.Key, err, want.Key, werr)
+			}
+		}
+	}
+}
+
+// TestBatchRecordAppendJSON pins AppendJSON to json.Encoder on each record
+// type and on the results and strings the encoder rewrites.
+func TestBatchRecordAppendJSON(t *testing.T) {
+	pretty := json.RawMessage("{\n  \"Cycles\": 7,\n  \"Activity\": {\n    \"CoreRun\": 3.5\n  }\n}")
+	recs := []BatchRecord{
+		{Type: BatchTypeHeartbeat},
+		{Type: BatchTypeJob, Job: &BatchJob{Index: 0}},
+		{Type: BatchTypeJob, Job: &BatchJob{Index: 3, Cached: true, Shared: true, Result: json.RawMessage(`{"Cycles":96459,"BinBytes":6052}`)}},
+		{Type: BatchTypeJob, Job: &BatchJob{Index: 4, Result: pretty}},
+		{Type: BatchTypeJob, Job: &BatchJob{Index: 5, Result: json.RawMessage(`"<a&b>é é"`)}},
+		{Type: BatchTypeJob, Job: &BatchJob{Index: 6, Result: json.RawMessage(` 716355 `)}},
+		{Type: BatchTypeJob, Job: &BatchJob{Index: -1, Error: "sweep: job \"x\" <timed out>\n\t\x00\x7f\xff  ", Retryable: true}},
+		{Type: BatchTypeCursor, Pending: []string{"measure|kernel=svm (RBF)(D=64)|seed=1", "a<b>&c", "\xc3\x28"}},
+		{Type: BatchTypeSummary, Summary: &BatchSummary{Jobs: 135, Completed: 130, Failed: 1, Pending: 4, Cached: 100, Deduped: 20, Executed: 10, State: "draining"}},
+		{Type: " <x>", Job: &BatchJob{}, Pending: []string{}, Summary: &BatchSummary{}},
+	}
+	for _, rec := range recs {
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(rec); err != nil {
+			t.Fatal(err)
+		}
+		got, err := rec.AppendJSON([]byte("prefix"))
+		if err != nil {
+			t.Fatalf("%+v: %v", rec, err)
+		}
+		if string(got) != "prefix"+want.String() {
+			t.Fatalf("AppendJSON wrote %q, json.Encoder %q", got[len("prefix"):], want.String())
+		}
+	}
+	// A result the encoder must canonicalize but cannot is an error, and
+	// dst comes back as it was.
+	bad := BatchRecord{Type: BatchTypeJob, Job: &BatchJob{Result: json.RawMessage("{\"a\": }")}}
+	if got, err := bad.AppendJSON([]byte("x")); err == nil || string(got) != "x" {
+		t.Fatalf("invalid result: %q, %v", got, err)
+	}
+}
+
+// fuzzValue builds a JSON-encodable value from a xorshift state, with
+// strs as its strings and object keys.
+func fuzzValue(rng *uint64, strs []string, depth int) any {
+	*rng ^= *rng << 13
+	*rng ^= *rng >> 7
+	*rng ^= *rng << 17
+	r := *rng
+	kinds := uint64(7)
+	if depth > 3 {
+		kinds = 5
+	}
+	switch r % kinds {
+	case 0:
+		return nil
+	case 1:
+		return r&8 != 0
+	case 2:
+		return float64(int64(r>>4)) / float64(uint64(1)<<(r>>3&63))
+	case 3:
+		return int64(r >> 3)
+	case 4:
+		return strs[(r>>5)%uint64(len(strs))]
+	case 5:
+		arr := make([]any, (r>>4)%4)
+		for i := range arr {
+			arr[i] = fuzzValue(rng, strs, depth+1)
+		}
+		return arr
+	}
+	obj := map[string]any{}
+	for i := uint64(0); i < (r>>4)%4; i++ {
+		obj[strs[(r>>(8+i))%uint64(len(strs))]] = fuzzValue(rng, strs, depth+1)
+	}
+	return obj
+}
+
+// FuzzBatchRecordEncode requires AppendJSON to write exactly what
+// json.Encoder writes for random records of every type: fuzzed strings
+// in every string field, results that are json.Marshal output of random
+// values, their json.Indent forms, or the fuzzed bytes themselves when
+// they are valid JSON. Every line is one line.
+func FuzzBatchRecordEncode(f *testing.F) {
+	// kind: bits 0–1 the record type, 2–3 the result's form (marshaled,
+	// indented, the raw bytes, none), 4 s1 as the type, 5–7 the flags.
+	f.Add(uint8(4), 3, "svm (RBF)", "pulp4", []byte(`{"Cycles":1}`), uint64(1))
+	f.Add(uint8(8|32|64), 0, "<a&b>", "  ", []byte("{\n  \"a\": [1, 2.50, \"\\u003c\"]\n}"), uint64(7))
+	f.Add(uint8(2), 17, "\x00\x1f\t\n\"\\", "\xff\xfe bad utf-8 \xc3\x28", []byte(`"é<"`), uint64(42))
+	f.Add(uint8(3), -5, "draining", "measure|kernel=matmul(64x64)|seed=1", []byte(`not json`), uint64(99))
+	f.Add(uint8(128|32|4), 1<<40, "é\u2028", "\u2029 \x7f", []byte(` 12 `), uint64(123456789))
+	f.Add(uint8(16|8), 2, "<type>\u2028", "e", []byte(`[{"k":null}]`), uint64(5))
+	f.Add(uint8(1|12), 0, "", "", []byte{}, uint64(0))
+	f.Fuzz(func(t *testing.T, kind uint8, index int, s1, s2 string, raw []byte, seed uint64) {
+		rng := seed | 1
+		v := fuzzValue(&rng, []string{s1, s2, "k"}, 0)
+		result, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch kind >> 2 & 3 {
+		case 1:
+			var ind bytes.Buffer
+			if err := json.Indent(&ind, result, "", "  "); err != nil {
+				t.Fatal(err)
+			}
+			result = ind.Bytes()
+		case 2:
+			if json.Valid(raw) {
+				result = raw
+			}
+		case 3:
+			result = nil
+		}
+		rec := BatchRecord{Type: []string{BatchTypeJob, BatchTypeHeartbeat, BatchTypeCursor, BatchTypeSummary}[kind&3]}
+		if kind&16 != 0 {
+			rec.Type = s1
+		}
+		switch rec.Type {
+		case BatchTypeJob:
+			rec.Job = &BatchJob{Index: index, Cached: kind&32 != 0, Shared: kind&64 != 0, Result: result}
+			if kind&128 != 0 {
+				rec.Job.Error, rec.Job.Retryable = s2, kind&32 != 0
+			}
+		case BatchTypeCursor:
+			rec.Pending = []string{s1, s2, string(raw)}
+		case BatchTypeSummary:
+			rec.Summary = &BatchSummary{Jobs: index, Completed: index >> 1, Failed: int(kind), Pending: -index,
+				Cached: int(seed >> 40), Deduped: int(int8(seed)), Executed: len(s1), State: s2}
+		default:
+			rec.Job = &BatchJob{Index: index, Result: result, Error: s2}
+			rec.Pending = []string{s2}
+		}
+		var want bytes.Buffer
+		werr := json.NewEncoder(&want).Encode(rec)
+		got, err := rec.AppendJSON(nil)
+		if werr != nil || err != nil {
+			if werr == nil || err == nil {
+				t.Fatalf("json.Encoder error %v, AppendJSON error %v", werr, err)
+			}
+			return
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("AppendJSON wrote\n%q\njson.Encoder\n%q", got, want.Bytes())
+		}
+		if bytes.IndexByte(got, '\n') != len(got)-1 {
+			t.Fatalf("record is not one line: %q", got)
 		}
 	})
 }

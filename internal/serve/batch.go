@@ -81,9 +81,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// Resolve every spec before the stream starts: a batch with one
 	// unresolvable point is refused whole with a diagnosable 400 rather
 	// than failing mid-stream after work has been spent.
+	build := req.Job
+	if s.cfg.Build != nil {
+		build = func(i int) (sweep.Job[json.RawMessage], error) { return s.cfg.Build(specs[i]) }
+	}
 	jobs := make([]sweep.Job[json.RawMessage], len(specs))
-	for i, spec := range specs {
-		job, err := s.cfg.Build(spec)
+	for i := range specs {
+		job, err := build(i)
 		if err != nil {
 			s.badRequests.Add(1)
 			writeJSON(w, http.StatusBadRequest,
@@ -184,18 +188,22 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
+	var line []byte
 	var werr error
-	// write encodes one record and, if flush, pushes the stream to the
-	// client. A producer record flushes only when no further record is
-	// queued, so a burst of completions (a warm batch's cache hits) leaves
-	// in a few writes, while a record that arrives alone is never held
-	// back; the summary is always last, so it always flushes.
+	// write encodes one record (paper.BatchRecord.AppendJSON, one Write
+	// per line) and, if flush, pushes the stream to the client. A producer
+	// record flushes only when no further record is queued, so a burst of
+	// completions (a warm batch's cache hits) leaves in a few writes, while
+	// a record that arrives alone is never held back; the summary is
+	// always last, so it always flushes.
 	write := func(rec paper.BatchRecord, flush bool) bool {
 		if werr != nil {
 			return false
 		}
-		if werr = enc.Encode(rec); werr != nil {
+		if line, werr = rec.AppendJSON(line[:0]); werr != nil {
+			return false
+		}
+		if _, werr = w.Write(line); werr != nil {
 			return false
 		}
 		if flush && flusher != nil {
@@ -249,7 +257,7 @@ func (s *Server) runBatch(ctx context.Context, jobs []sweep.Job[json.RawMessage]
 			leads++
 		}
 		rec := paper.BatchRecord{Type: paper.BatchTypeJob,
-			Job: &paper.BatchJob{Index: c.Index, Key: c.Key}}
+			Job: &paper.BatchJob{Index: c.Index}}
 		switch {
 		case c.Err == nil:
 			done[c.Index] = true

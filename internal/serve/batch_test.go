@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -64,6 +65,18 @@ func postBatch(t *testing.T, ts *httptest.Server, payload string) (int, http.Hea
 		var rec paper.BatchRecord
 		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
 			t.Fatalf("undecodable batch record %q: %v", sc.Text(), err)
+		}
+		// Every line is exactly what json.Encoder writes for its record,
+		// and a job line names its point by index alone.
+		var want bytes.Buffer
+		if err := json.NewEncoder(&want).Encode(rec); err != nil {
+			t.Fatal(err)
+		}
+		if got := sc.Text() + "\n"; got != want.String() {
+			t.Fatalf("batch line %q, json.Encoder writes %q", got, want.String())
+		}
+		if rec.Type == paper.BatchTypeJob && strings.Contains(sc.Text(), `"key"`) {
+			t.Fatalf("job line carries a key: %s", sc.Text())
 		}
 		recs = append(recs, rec)
 	}
@@ -371,11 +384,14 @@ func TestBatchDrainCursor(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
+	// A job record names its point by index: the key of the spec
+	// submitted there.
+	names := []string{"fast", "slow", "never"}
 	recsCh := make(chan []paper.BatchRecord, 1)
 	go func() {
 		// Workers:1 claims in index order: fast completes, slow blocks,
 		// never stays unclaimed when the drain lands.
-		_, _, recs, _ := postBatch(t, ts, batchBody(t, "", "fast", "slow", "never"))
+		_, _, recs, _ := postBatch(t, ts, batchBody(t, "", names...))
 		recsCh <- recs
 	}()
 	<-leading
@@ -398,7 +414,7 @@ func TestBatchDrainCursor(t *testing.T) {
 			if rec.Job.Error != "" {
 				t.Fatalf("job record with error: %+v", rec.Job)
 			}
-			completed[rec.Job.Key] = true
+			completed["test|"+names[rec.Job.Index]] = true
 		case paper.BatchTypeCursor:
 			cursor = rec.Pending
 		}
@@ -774,5 +790,72 @@ func TestWarmBatchReadsNoDisk(t *testing.T) {
 	}
 	if cs := cache.Stats(); cs.Misses != 0 || cs.Hits != 2*uint64(len(names)) {
 		t.Fatalf("cache stats %+v", cs)
+	}
+}
+
+// TestPrettyCacheEntryStreamsOneLine: a cache entry hand-edited into a
+// pretty-printed value over several lines still streams as one NDJSON
+// line, and the client gets the compact value json.Encoder would write.
+func TestPrettyCacheEntryStreamsOneLine(t *testing.T) {
+	dir := t.TempDir()
+	fill, err := sweep.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const compact = `{"Cycles":7,"Activity":{"CoreRun":3.5,"TCDM":[1,2]}}`
+	if err := fill.Put("test|pretty", json.RawMessage(compact)); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := filepath.Glob(filepath.Join(dir, "*", "*.json"))
+	if err != nil || len(entries) != 1 {
+		t.Fatalf("entry files %v, %v", entries, err)
+	}
+	raw, err := os.ReadFile(entries[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pretty bytes.Buffer
+	if err := json.Indent(&pretty, raw, "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Count(pretty.Bytes(), []byte("\n")) < 5 {
+		t.Fatalf("indented entry is not multi-line: %s", pretty.Bytes())
+	}
+	if err := os.WriteFile(entries[0], pretty.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	cache, err := sweep.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(Config{Build: testBuild(map[string]func() (json.RawMessage, error){
+		"pretty": func() (json.RawMessage, error) { return nil, fmt.Errorf("cached point simulated") },
+	}), Cache: cache, Workers: 1})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	resp, err := http.Post(ts.URL+"/v1/batch", "application/json", strings.NewReader(batchBody(t, "", "pretty")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(body), "\n"), "\n")
+	want := `{"type":"job","job":{"index":0,"cached":true,"result":` + compact + `}}`
+	if len(lines) != 2 || lines[0] != want {
+		t.Fatalf("stream %q, want the job line %q and the summary", body, want)
+	}
+
+	c := &Client{BaseURL: ts.URL}
+	raws, err := c.RunBatch(context.Background(), []paper.JobSpec{{Kernel: "pretty", Seed: 1, Config: "plain"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(raws[0]) != compact {
+		t.Fatalf("client got %s, want %s", raws[0], compact)
 	}
 }

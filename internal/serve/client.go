@@ -201,7 +201,7 @@ func (c *Client) streamBatch(ctx context.Context, idx []int, specs []paper.JobSp
 			continue
 		}
 		var rec paper.BatchRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
+		if err := decodeRecord(line, &rec); err != nil {
 			return progressed, 0, fmt.Errorf("serve: undecodable batch record: %w", err)
 		}
 		switch rec.Type {
@@ -221,7 +221,7 @@ func (c *Client) streamBatch(ctx context.Context, idx []int, specs []paper.JobSp
 			case !j.Retryable:
 				// One terminal point (panic, job timeout) fails the whole
 				// campaign — resubmitting it would fail identically.
-				return progressed, -1, fmt.Errorf("serve: batch point %s failed terminally: %s", j.Key, j.Error)
+				return progressed, -1, fmt.Errorf("serve: batch point %d (%s) failed terminally: %s", orig, pointName(specs[orig]), j.Error)
 			}
 			// A retryable per-point failure stays incomplete; the next
 			// reconnect re-submits it.
@@ -252,6 +252,78 @@ func (c *Client) streamBatch(ctx context.Context, idx []int, specs []paper.JobSp
 			state, len(idx)-progressed)
 	}
 	return progressed, 0, nil
+}
+
+// decodeRecord decodes one stream line into rec as json.Unmarshal does. A
+// successful job record in the exact shape paper.BatchRecord.AppendJSON
+// writes (an index, cached and shared when set, and a result), which is
+// every line of a warm stream but the summary, is decoded without
+// reflection: the fixed members are matched byte for byte and the result
+// is checked with json.Valid and copied. Any other line, including one
+// that only resembles that shape, goes to json.Unmarshal.
+func decodeRecord(line []byte, rec *paper.BatchRecord) error {
+	if job := decodeJobLine(line); job != nil {
+		rec.Type, rec.Job = paper.BatchTypeJob, job
+		return nil
+	}
+	return json.Unmarshal(line, rec)
+}
+
+// decodeJobLine decodes a line `{"type":"job","job":{"index":N` +
+// `[,"cached":true][,"shared":true],"result":R}}`, or returns nil.
+func decodeJobLine(line []byte) *paper.BatchJob {
+	rest, ok := bytes.CutPrefix(line, []byte(`{"type":"job","job":{"index":`))
+	if !ok {
+		return nil
+	}
+	// An index is below MaxBatchSpecs: at most five digits here, with no
+	// sign or leading zero.
+	n, index := 0, 0
+	for ; n < len(rest) && n < 5 && '0' <= rest[n] && rest[n] <= '9'; n++ {
+		index = 10*index + int(rest[n]-'0')
+	}
+	if n == 0 || n > 1 && rest[0] == '0' {
+		return nil
+	}
+	job := &paper.BatchJob{Index: index}
+	rest = rest[n:]
+	rest, job.Cached = bytes.CutPrefix(rest, []byte(`,"cached":true`))
+	rest, job.Shared = bytes.CutPrefix(rest, []byte(`,"shared":true`))
+	if rest, ok = bytes.CutPrefix(rest, []byte(`,"result":`)); !ok {
+		return nil
+	}
+	// json.Valid allows white space around the value, which
+	// json.Unmarshal would not keep in the raw result.
+	res, ok := bytes.CutSuffix(rest, []byte(`}}`))
+	if !ok || len(res) == 0 || isSpace(res[0]) || isSpace(res[len(res)-1]) || !json.Valid(res) {
+		return nil
+	}
+	job.Result = bytes.Clone(res)
+	return job
+}
+
+func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }
+
+// pointName names a spec in an error: its kernel, plus its configuration
+// or its study and study parameter.
+func pointName(s paper.JobSpec) string {
+	name := strconv.Quote(s.Kernel)
+	if s.Config != "" {
+		name += " config=" + s.Config
+	}
+	if s.Study != "" {
+		name += " study=" + s.Study
+	}
+	if s.Variant != "" {
+		name += " variant=" + s.Variant
+	}
+	if s.Banks != 0 {
+		name += " banks=" + strconv.Itoa(s.Banks)
+	}
+	if s.Threads != 0 {
+		name += " threads=" + strconv.Itoa(s.Threads)
+	}
+	return name
 }
 
 // retryAfterWait parses the Retry-After header in both RFC 9110 forms:

@@ -1,9 +1,16 @@
 package serve
 
 import (
+	"context"
+	"encoding/json"
 	"net/http"
+	"net/http/httptest"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
+
+	"hetsim/internal/paper"
 )
 
 // TestRetryAfterWait pins the bugfixed Retry-After parsing: both RFC
@@ -45,4 +52,85 @@ func TestRetryAfterWait(t *testing.T) {
 	if got := retryAfterWait(resp, 0, now); got != 30*time.Second {
 		t.Errorf("uncapped date = %v, want 30s", got)
 	}
+}
+
+// TestClientTerminalErrorNamesPoint: a point that fails terminally fails
+// the campaign, and the error names the point by its index in the
+// caller's spec list and by its spec, since job records carry no key.
+func TestClientTerminalErrorNamesPoint(t *testing.T) {
+	build := testBuild(map[string]func() (json.RawMessage, error){
+		"stuck": func() (json.RawMessage, error) {
+			time.Sleep(200 * time.Millisecond)
+			return json.RawMessage(`{}`), nil
+		},
+	})
+	srv := New(Config{Build: build, Workers: 1, JobTimeout: 10 * time.Millisecond})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	specs := []paper.JobSpec{
+		{Kernel: "fine", Seed: 1, Config: "plain"},
+		{Kernel: "fine2", Seed: 1, Study: paper.StudyExt, Variant: "-SIMD"},
+		{Kernel: "stuck", Seed: 1, Study: paper.StudyBanks, Banks: 8},
+	}
+	c := &Client{BaseURL: ts.URL, MaxWait: 50 * time.Millisecond}
+	_, err := c.RunBatch(context.Background(), specs)
+	want := `serve: batch point 2 ("stuck" study=banks banks=8) failed terminally: `
+	if err == nil || !strings.HasPrefix(err.Error(), want) {
+		t.Fatalf("terminal failure: %v, want an error starting %q", err, want)
+	}
+	if got := pointName(specs[0]); got != `"fine" config=plain` {
+		t.Fatalf("pointName(%+v) = %q", specs[0], got)
+	}
+	if got := pointName(specs[1]); got != `"fine2" study=ext variant=-SIMD` {
+		t.Fatalf("pointName(%+v) = %q", specs[1], got)
+	}
+}
+
+// FuzzDecodeRecord requires the client's record decoder to agree with
+// json.Unmarshal on every line: the same record where both accept, and
+// an error where json.Unmarshal rejects.
+func FuzzDecodeRecord(f *testing.F) {
+	for _, rec := range []paper.BatchRecord{
+		{Type: paper.BatchTypeJob, Job: &paper.BatchJob{Index: 7, Result: json.RawMessage(`{"Cycles":96459,"Activity":{"CoreRun":3.5}}`)}},
+		{Type: paper.BatchTypeJob, Job: &paper.BatchJob{Index: 4095, Cached: true, Shared: true, Result: json.RawMessage(`716355`)}},
+		{Type: paper.BatchTypeJob, Job: &paper.BatchJob{Index: 0, Cached: true, Result: json.RawMessage(`"\u003cé"`)}},
+		{Type: paper.BatchTypeJob, Job: &paper.BatchJob{Index: 2, Error: "boom", Retryable: true}},
+		{Type: paper.BatchTypeCursor, Pending: []string{"measure|kernel=hog|seed=1"}},
+		{Type: paper.BatchTypeSummary, Summary: &paper.BatchSummary{Jobs: 60, Completed: 60, Cached: 60, State: "serving"}},
+	} {
+		line, err := rec.AppendJSON(nil)
+		if err != nil {
+			f.Fatal(err)
+		}
+		line = line[:len(line)-1]
+		if ok := decodeJobLine(line) != nil; ok != (rec.Job != nil && rec.Job.Error == "") {
+			f.Fatalf("%s: decoded without reflection %v, want that for every successful job line", line, ok)
+		}
+		f.Add(line)
+	}
+	for _, line := range []string{
+		`{"type":"job","job":{"index":007,"result":1}}`,
+		`{"type":"job","job":{"index":123456,"result":1}}`,
+		`{"type":"job","job":{"index":-1,"result":1}}`,
+		`{"type":"job","job":{"index":1,"result": 1 }}`,
+		`{"type":"job","job":{"index":1,"result":{"a":1},"error":"x"}}`,
+		`{"type":"job","job":{"index":1,"result":{"a":1}}}}`,
+		`{"type":"job","job":{"index":1,"shared":true,"cached":true,"result":[1,2]}}`,
+		`{"type":"job","job":{"index":1,"result":}}`,
+		`{"type":"job","job":{"index":1,"result":"\xff"}}`,
+	} {
+		f.Add([]byte(line))
+	}
+	f.Fuzz(func(t *testing.T, line []byte) {
+		var got, want paper.BatchRecord
+		gerr := decodeRecord(line, &got)
+		werr := json.Unmarshal(line, &want)
+		if (gerr == nil) != (werr == nil) {
+			t.Fatalf("%q: decodeRecord error %v, json.Unmarshal error %v", line, gerr, werr)
+		}
+		if werr == nil && !reflect.DeepEqual(got, want) {
+			t.Fatalf("%q: decodeRecord %+v (job %+v), json.Unmarshal %+v (job %+v)", line, got, got.Job, want, want.Job)
+		}
+	})
 }

@@ -6,6 +6,10 @@
 // There is one submission mechanism, POST /v1/batch (batch.go): a
 // campaign is a spec list streamed back as NDJSON completions, and a
 // single point is simply a one-spec batch, charged like any other job.
+// A completion names its point by its index in the submitted list and
+// carries no key; only the cursor of a cut batch names keys. Every line
+// is written by paper.BatchRecord.AppendJSON, byte for byte what
+// json.Encoder writes.
 // Client.RunBatch is the matching client. A batch is one sweep.RunNotify
 // call on the server's one engine, which owns cache, execution, dedup,
 // the Workers bound and retry; this package keeps admission, HTTP, NDJSON
@@ -72,8 +76,10 @@ func (s State) String() string {
 // Config shapes a Server.
 type Config struct {
 	// Build resolves a job spec into the sweep job it names (key +
-	// runner). Nil selects paper.BuildSpecJob — the paper sweep; tests
-	// and drills substitute instrumented builders.
+	// runner). Nil builds the paper sweep's job from the parsed request
+	// (paper.BatchRequest.Job, which is paper.BuildSpecJob without
+	// resolving the spec a second time); tests and drills substitute
+	// instrumented builders.
 	Build func(spec paper.JobSpec) (sweep.Job[json.RawMessage], error)
 	// Cache persists results across requests and restarts (nil disables
 	// persistence; dedup still works for concurrent requests).
@@ -210,9 +216,6 @@ type batchCounters struct {
 // New builds a server. The zero-value knobs of cfg select production
 // defaults (see Config).
 func New(cfg Config) *Server {
-	if cfg.Build == nil {
-		cfg.Build = paper.BuildSpecJob
-	}
 	if r := cfg.Retry; r == (sweep.RetryPolicy{Seed: r.Seed}) {
 		cfg.Retry = sweep.RetryPolicy{Max: 3, Base: 25 * time.Millisecond, Cap: time.Second, Seed: r.Seed}
 	}
@@ -287,8 +290,9 @@ func (s *Server) Stats() Stats {
 //
 //	POST /v1/batch  submit a campaign or a single point (paper.BatchRequest
 //	                → streamed NDJSON paper.BatchRecords: per-job
-//	                completions as they land, heartbeats, a cursor when
-//	                cut, a terminal summary; a refusal is one JSON
+//	                completions by index as they land, heartbeats, a
+//	                cursor of keys when cut, a terminal summary; a
+//	                refusal is one JSON
 //	                paper.JobResponse sent before any stream starts)
 //	GET  /v1/stats  counters snapshot
 //	GET  /healthz   liveness  (200 while the process runs)

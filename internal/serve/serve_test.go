@@ -104,8 +104,10 @@ func TestServeExecuteAndCache(t *testing.T) {
 	if r.code != http.StatusOK || r.job == nil || r.job.Cached || string(r.job.Result) != `{"cycles":7}` {
 		t.Fatalf("first request: code=%d job=%+v", r.code, r.job)
 	}
-	if r.job.Key != "test|k1" {
-		t.Fatalf("key = %q", r.job.Key)
+	// The record names its point by index: the one spec submitted, whose
+	// key is "test|k1".
+	if r.job.Index != 0 {
+		t.Fatalf("index = %d, want the point submitted at 0 (test|k1)", r.job.Index)
 	}
 	r = postPoint(t, ts, pointBody("k1", "", 0))
 	if r.code != http.StatusOK || r.job == nil || !r.job.Cached || string(r.job.Result) != `{"cycles":7}` {
