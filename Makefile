@@ -90,7 +90,7 @@ endif
 serve-drill:
 	@echo "serve drill: soak seed $(SOAK_SEED)"
 	HETSIM_SOAK_SEED=$(SOAK_SEED) $(GO) test -race -count=1 -timeout 120s \
-		-run 'TestServeSoak|TestBatchSoak|TestBatchDrainCursor|TestBatchClientReconnect|TestBatchDedupOneSpecOntoBatch|TestBatchCountsEachJobOnce|TestWarmBatchReadsNoDisk|TestPrettyCacheEntryStreamsOneLine|TestRemoteEquivalence|TestLateResultAfterTimeoutIsDiscarded|TestRunNotify|TestOneEngine|TestCacheWriteFail|TestSharedRegistryConcurrentRuns' \
+		-run 'TestServeSoak|TestBatchSoak|TestBatchDrainCursor|TestBatchClientReconnect|TestBatchDedupOneSpecOntoBatch|TestBatchCountsEachJobOnce|TestWarmBatchReadsNoDisk|TestPrettyCacheEntryStreamsOneLine|TestRemoteEquivalence|TestBatchSharesLocalPlan|TestLateResultAfterTimeoutIsDiscarded|TestRunNotify|TestOneEngine|TestCacheWriteFail|TestSharedRegistryConcurrentRuns' \
 		./internal/serve ./internal/sweep ./internal/paper
 	$(GO) test -run FuzzParseBatchRequest -fuzz FuzzParseBatchRequest -fuzztime 5s ./internal/paper
 	$(GO) test -run FuzzBatchRecordEncode -fuzz FuzzBatchRecordEncode -fuzztime 5s ./internal/paper

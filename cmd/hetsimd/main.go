@@ -158,8 +158,8 @@ func main() {
 		derr = err
 	}
 	st := srv.Stats()
-	fmt.Fprintf(os.Stderr, "hetsimd: %s — %d requests, %d executed, %d cache hits, %d deduped, %d retries, %d failed\n",
-		st.State, st.Requests, st.Executed, st.CacheHits, st.Deduped, st.ExecRetries+st.PutRetries, st.Failed)
+	fmt.Fprintf(os.Stderr, "hetsimd: %s — %d requests, %d executed (%d sharing another job's simulation), %d cache hits, %d deduped, %d retries, %d failed\n",
+		st.State, st.Requests, st.Executed, st.SimsShared, st.CacheHits, st.Deduped, st.ExecRetries+st.PutRetries, st.Failed)
 	if st.BatchRequests > 0 {
 		fmt.Fprintf(os.Stderr, "hetsimd: batches — %d accepted carrying %d jobs: %d completed, %d failed, %d cursor cut(s), %d heartbeat(s)\n",
 			st.BatchRequests, st.BatchJobs, st.BatchCompleted, st.BatchFailed, st.BatchCursorCuts, st.BatchHeartbeats)

@@ -61,11 +61,10 @@ func ExtensionAblationWith(eng *sweep.Engine, suite []*kernels.Instance) ([]ExtA
 func extPoints(suite []*kernels.Instance) []Point {
 	var pts []Point
 	for _, k := range suite {
-		specs := []JobSpec{{Kernel: k.Name, Seed: measureSeed, Study: StudyExt}}
+		pts = append(pts, Point{JobSpec{Kernel: k.Name, Seed: measureSeed, Study: StudyExt}, k})
 		for _, v := range ExtVariants {
-			specs = append(specs, JobSpec{Kernel: k.Name, Seed: measureSeed, Study: StudyExt, Variant: v.Name})
+			pts = append(pts, Point{JobSpec{Kernel: k.Name, Seed: measureSeed, Study: StudyExt, Variant: v.Name}, k})
 		}
-		pts = append(pts, kernelPoints(k, specs...)...)
 	}
 	return pts
 }
@@ -124,11 +123,11 @@ func BankSweepWith(eng *sweep.Engine, k *kernels.Instance) ([]BankSweepPoint, er
 
 // bankPoints plans the bank sweep of k, one point per bank count.
 func bankPoints(k *kernels.Instance) []Point {
-	specs := make([]JobSpec, len(bankCounts))
+	pts := make([]Point, len(bankCounts))
 	for i, banks := range bankCounts {
-		specs[i] = JobSpec{Kernel: k.Name, Seed: measureSeed, Study: StudyBanks, Banks: banks}
+		pts[i] = Point{JobSpec{Kernel: k.Name, Seed: measureSeed, Study: StudyBanks, Banks: banks}, k}
 	}
-	return kernelPoints(k, specs...)
+	return pts
 }
 
 // RenderBankSweep prints the sweep.
@@ -289,11 +288,11 @@ func ScalingStudyWith(eng *sweep.Engine, k *kernels.Instance) ([]ScalingPoint, e
 
 // scalingPoints plans the scaling study of k, one point per team size.
 func scalingPoints(k *kernels.Instance) []Point {
-	specs := make([]JobSpec, len(teamSizes))
+	pts := make([]Point, len(teamSizes))
 	for i, threads := range teamSizes {
-		specs[i] = JobSpec{Kernel: k.Name, Seed: measureSeed, Study: StudyScaling, Threads: threads}
+		pts[i] = Point{JobSpec{Kernel: k.Name, Seed: measureSeed, Study: StudyScaling, Threads: threads}, k}
 	}
-	return kernelPoints(k, specs...)
+	return pts
 }
 
 // foldScaling folds the cycle counts of a scalingPoints plan into the

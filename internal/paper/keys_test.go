@@ -80,7 +80,7 @@ func contentKey(p Point) (string, error) {
 		return "", err
 	}
 	return fmt.Sprintf("%s|prog=%s|%s|mode=%d|threads=%d|max=%d",
-		kernelKey(p.k, p.in()), img, clusterKey(sim.cfg), sim.mode, sim.threads, uint64(measureMaxCycles)), nil
+		kernelKey(p.k, p.k.Input(p.Spec.Seed)), img, clusterKey(sim.cfg), sim.mode, sim.threads, uint64(measureMaxCycles)), nil
 }
 
 // treeFingerprint computes the model fingerprint of the tree: the sha256
@@ -154,7 +154,7 @@ func TestSpecKeysDoNotAlias(t *testing.T) {
 	content := map[string]string{}
 	study := map[string]string{}
 	for _, p := range campaignPlans(t) {
-		job, err := p.job(nil)
+		job, err := p.job(nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -140,7 +140,9 @@ func measurePoints(suite []*kernels.Instance, observe bool) ([]Point, error) {
 		if slices.ContainsFunc(suite[:i], func(o *kernels.Instance) bool { return o.Name == k.Name }) {
 			return nil, fmt.Errorf("paper: suite has two kernels named %q", k.Name)
 		}
-		pts = append(pts, kernelPoints(k, measureSpecs(k, observe, measureSeed)...)...)
+		for _, s := range measureSpecs(k, observe, measureSeed) {
+			pts = append(pts, Point{s, k})
+		}
 	}
 	return pts, nil
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"slices"
-	"sync"
 
 	"hetsim/internal/asm"
 	"hetsim/internal/cluster"
@@ -44,32 +43,20 @@ const measureSeed = 1
 type Point struct {
 	Spec JobSpec
 	k    *kernels.Instance
-	in   func() []byte // k's input at Spec.Seed, generated on first use once per kernel and plan; nil for a lone point
-}
-
-// kernelPoints pairs specs, all of one seed, with k and its input.
-func kernelPoints(k *kernels.Instance, specs ...JobSpec) []Point {
-	seed := specs[0].Seed
-	in := sync.OnceValue(func() []byte { return k.Input(seed) })
-	pts := make([]Point, len(specs))
-	for i, s := range specs {
-		pts[i] = Point{Spec: s, k: k, in: in}
-	}
-	return pts
 }
 
 // Runner executes a plan and returns the raw results indexed like pts.
 type Runner func(pts []Point) ([]json.RawMessage, error)
 
 // LocalRunner runs a plan as one sweep.Run on eng. The plan's jobs share
-// one simulation memo (sim.go), so points that run an identical
-// simulation run it once per call.
+// one plan (sim.go), so points that run an identical simulation run it
+// once per call and each kernel's input is generated once.
 func LocalRunner(eng *sweep.Engine) Runner {
 	return func(pts []Point) ([]json.RawMessage, error) {
-		memo := new(simMemo)
+		pl := new(plan)
 		jobs := make([]sweep.Job[json.RawMessage], len(pts))
 		for i, p := range pts {
-			job, err := p.job(memo)
+			job, err := p.job(nil, pl)
 			if err != nil {
 				return nil, err
 			}
@@ -210,31 +197,30 @@ func (s *JobSpec) payload(res *cluster.JobResult, prog *asm.Program) any {
 	return r
 }
 
-// job builds the sweep job of a point. The key is the spec itself plus the
-// model fingerprint (specKey), so forming it builds nothing: the program
-// is emitted and the input generated in Run, which a cache hit never
-// calls. Run simulates through memo, which compiles and simulates only a
-// simulation no other job of the memo has run; nil shares nothing.
-func (p Point) job(memo *simMemo) (sweep.Job[json.RawMessage], error) {
-	sim, err := p.Spec.resolve()
-	if err != nil {
-		return sweep.Job[json.RawMessage]{}, err
+// job builds the sweep job of a point whose spec resolves to sim,
+// resolving it if sim is nil. The key is the spec itself plus the model
+// fingerprint (specKey), so forming it builds nothing: the program is
+// emitted and the input generated in Run, which a cache hit never calls.
+// Run takes its input from pl and simulates through it, which compiles
+// and simulates only a simulation no other job of pl has run.
+func (p Point) job(sim *simulation, pl *plan) (sweep.Job[json.RawMessage], error) {
+	if sim == nil {
+		s, err := p.Spec.resolve()
+		if err != nil {
+			return sweep.Job[json.RawMessage]{}, err
+		}
+		sim = &s
 	}
-	return p.simJob(sim, memo), nil
-}
-
-// simJob builds the sweep job of a point whose spec resolves to sim.
-func (p Point) simJob(sim simulation, memo *simMemo) sweep.Job[json.RawMessage] {
-	r := &pointRun{p, sim, memo}
-	return sweep.Job[json.RawMessage]{Key: specKey(sim.prefix, p.k, p.Spec, sim.cfg.Observe), Run: r.run}
+	r := &pointRun{p, *sim, pl}
+	return sweep.Job[json.RawMessage]{Key: specKey(sim.prefix, p.k, p.Spec, sim.cfg.Observe), Run: r.run}, nil
 }
 
 // pointRun is a point's job as it runs: the point, what its spec
-// simulates and the memo it simulates through, in one allocation.
+// simulates and the plan it shares, in one allocation.
 type pointRun struct {
 	p    Point
 	sim  simulation
-	memo *simMemo
+	plan *plan
 }
 
 func (r *pointRun) run() (json.RawMessage, error) {
@@ -243,14 +229,8 @@ func (r *pointRun) run() (json.RawMessage, error) {
 	if err != nil {
 		return nil, err
 	}
-	var in []byte
-	if p.in != nil {
-		in = p.in()
-	} else {
-		in = p.k.Input(p.Spec.Seed)
-	}
-	job := loader.Job{Prog: prog, In: in, OutLen: p.k.OutLen(), Iters: 1, Threads: sim.threads, Args: p.k.Args()}
-	res, err := r.memo.run(sim.cfg, sim.mode, job, measureMaxCycles)
+	job := loader.Job{Prog: prog, In: r.plan.input(p.k, p.Spec.Seed), OutLen: p.k.OutLen(), Iters: 1, Threads: sim.threads, Args: p.k.Args()}
+	res, err := r.plan.run(sim.cfg, sim.mode, job, measureMaxCycles)
 	if err != nil {
 		return nil, fmt.Errorf("paper: simulating %+v: %w", p.Spec, err)
 	}

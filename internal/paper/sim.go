@@ -14,14 +14,15 @@ import (
 	"hetsim/internal/loader"
 )
 
-// This file shares simulations among the jobs of one local plan. The spec
-// key (key.go) names what a point asks for and stays the cache key; the
-// simulation key names what cluster.RunJob reads. Points that ask for
+// This file shares simulations and inputs among the jobs of one plan,
+// local or served. The spec key (key.go) names what a point asks for and
+// stays the cache key; the simulation key names what cluster.RunJob reads. Points that ask for
 // different things can run the same simulation: an extension variant
 // whose kernel never uses the dropped feature builds the full program,
 // the extension study's full column is the measure matrix's pulp1 run,
 // and the 8-bank point is matmul's pulp4 run. Each such point takes the
-// result of the one simulation and derives its own payload from it.
+// result of the one simulation and derives its own payload from it, and
+// every point of one kernel and seed reads the same input.
 
 // simKey names what cluster.RunJob reads of one simulation: the program
 // (the digest of its image plus the heap start loader.Plan reads), the
@@ -65,14 +66,31 @@ func simKey(cfg cluster.Config, mode devrt.Mode, job loader.Job, maxCycles uint6
 	return key, nil
 }
 
-// simMemo shares simulations among the jobs of one LocalRunner call, so it
-// lives as long as the call's plan. The first claimant of a simulation key
-// runs the simulation; concurrent and later claimants wait for it and take
-// its result. A failure is not kept: each claimant that meets one
-// simulates again, so every job reports its own error and a retry under
-// sweep.Config.Retry runs afresh. A nil *simMemo shares nothing.
-type simMemo struct {
-	m sync.Map // [sha256.Size]byte -> *simEntry
+// plan holds what the jobs of one campaign plan share, local or served:
+// simulations by simulation key and inputs by kernel and seed. The first
+// claimant of a key runs the simulation; concurrent and later claimants
+// wait for it and take its result. A failure is not kept: each claimant
+// that meets one simulates again, so every job reports its own error and
+// a retry under sweep.Config.Retry runs afresh. A nil *plan shares
+// nothing.
+type plan struct {
+	sims   sync.Map // [sha256.Size]byte -> *simEntry
+	inputs sync.Map // inputKey -> func() []byte
+}
+
+// inputKey names one kernel input of a plan.
+type inputKey struct {
+	k    *kernels.Instance
+	seed uint64
+}
+
+// input returns k's input at seed, generated once per plan.
+func (pl *plan) input(k *kernels.Instance, seed uint64) []byte {
+	if pl == nil {
+		return k.Input(seed)
+	}
+	v, _ := pl.inputs.LoadOrStore(inputKey{k, seed}, sync.OnceValue(func() []byte { return k.Input(seed) }))
+	return v.(func() []byte)()
 }
 
 // simEntry is one simulation key's slot: the once runs the simulation for
@@ -86,22 +104,22 @@ type simEntry struct {
 // errAbandoned is what a slot holds when its simulation panicked.
 var errAbandoned = errors.New("paper: shared simulation panicked")
 
-// simsRun and simsShared count, process-wide, the simulations local plan
-// jobs ran and the jobs that took another job's simulation instead.
+// simsRun and simsShared count, process-wide, the simulations plan jobs
+// ran and the jobs that took another job's simulation instead.
 var simsRun, simsShared atomic.Uint64
 
-// SimStats reports how many simulations this process's local plan jobs
-// ran, and how many jobs took the result of another job's identical
-// simulation instead (a per-plan memo keyed by what cluster.RunJob reads).
-// For a local campaign without failures the two add up to its simulated
-// jobs (sweep.Stats.Executed).
+// SimStats reports how many simulations this process's plan jobs ran,
+// local and served alike, and how many jobs took the result of another
+// job of their plan that ran the identical simulation instead. For a
+// campaign without failures the two add up to its simulated jobs
+// (sweep.Stats.Executed).
 func SimStats() (run, shared uint64) { return simsRun.Load(), simsShared.Load() }
 
 // run returns the result of cluster.RunJob(cfg, mode, job, maxCycles). It
 // compiles the program and simulates only if no claimant of the same
 // simulation key has already succeeded or is still running it. An
 // unencodable program simulates unshared.
-func (m *simMemo) run(cfg cluster.Config, mode devrt.Mode, job loader.Job, maxCycles uint64) (*cluster.JobResult, error) {
+func (pl *plan) run(cfg cluster.Config, mode devrt.Mode, job loader.Job, maxCycles uint64) (*cluster.JobResult, error) {
 	simulate := func() (*cluster.JobResult, error) {
 		simsRun.Add(1)
 		comp, err := kernels.Compiled(job.Prog, cfg.Target)
@@ -111,20 +129,20 @@ func (m *simMemo) run(cfg cluster.Config, mode devrt.Mode, job loader.Job, maxCy
 		job.Compiled = comp
 		return cluster.RunJob(cfg, mode, job, maxCycles)
 	}
-	if m == nil {
+	if pl == nil {
 		return simulate()
 	}
 	key, err := simKey(cfg, mode, job, maxCycles)
 	if err != nil {
 		return simulate()
 	}
-	return m.do(key, simulate)
+	return pl.do(key, simulate)
 }
 
 // do runs simulate at most once per key among successful claimants.
-func (m *simMemo) do(key [sha256.Size]byte, simulate func() (*cluster.JobResult, error)) (*cluster.JobResult, error) {
+func (pl *plan) do(key [sha256.Size]byte, simulate func() (*cluster.JobResult, error)) (*cluster.JobResult, error) {
 	for {
-		v, _ := m.m.LoadOrStore(key, new(simEntry))
+		v, _ := pl.sims.LoadOrStore(key, new(simEntry))
 		e := v.(*simEntry)
 		ran := false
 		e.once.Do(func() {
@@ -138,7 +156,7 @@ func (m *simMemo) do(key [sha256.Size]byte, simulate func() (*cluster.JobResult,
 			}
 			return e.res, nil
 		}
-		m.m.CompareAndDelete(key, e)
+		pl.sims.CompareAndDelete(key, e)
 		if ran {
 			return nil, e.err
 		}

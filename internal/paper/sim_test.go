@@ -229,7 +229,7 @@ func TestSimKeyFeatures(t *testing.T) {
 // failed or panicked simulation is not kept, so the next claimant of the
 // key simulates again.
 func TestSimMemoKeepsNoFailure(t *testing.T) {
-	var memo simMemo
+	var memo plan
 	var key [sha256.Size]byte
 	runs := 0
 	boom := errors.New("boom")
@@ -247,7 +247,7 @@ func TestSimMemoKeepsNoFailure(t *testing.T) {
 		t.Fatalf("claimant after a failure and a panic: %v, %v after %d runs; want its own result after 3", res, err, runs)
 	}
 
-	var other simMemo
+	var other plan
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	runs = 0
@@ -276,18 +276,18 @@ func TestSimMemoKeepsNoFailure(t *testing.T) {
 }
 
 // TestSimMemoDifferential runs the small campaign's plan twice, uncached:
-// once through LocalRunner, whose jobs share one simulation memo, and once
+// once through LocalRunner, whose jobs share one plan, and once
 // as jobs that share nothing. Every raw result must be byte-identical, and
 // the memo must share exactly the 31 simulations that repeat another's:
 // 20 extension variants that build the full program, the 10-point full
 // column (the measure matrix's pulp1 run) and the 8-bank point (matmul's
-// pulp4 run).
+// pulp4 run). The shared plan also generates each kernel's input once.
 func TestSimMemoDifferential(t *testing.T) {
 	pts := campaignPlan(t, kernels.SmallSuite(), false)
 	jobs := make([]sweep.Job[json.RawMessage], len(pts))
 	for i, p := range pts {
 		var err error
-		if jobs[i], err = p.job(nil); err != nil {
+		if jobs[i], err = p.job(nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -297,11 +297,16 @@ func TestSimMemoDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	run1, shared1 := SimStats()
+	in1, _ := kernels.ArtifactStats()
 	shared, err := LocalRunner(sweep.New(sweep.Config{}))(pts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	run2, shared2 := SimStats()
+	// The plan's ten kernels all run at one seed: one input each.
+	if in2, _ := kernels.ArtifactStats(); in2-in1 != 10 {
+		t.Errorf("memoized plan generated %d inputs, want 10: one per kernel and seed", in2-in1)
+	}
 	if run1-run0 != uint64(len(pts)) || shared1 != shared0 {
 		t.Errorf("unshared plan: %d simulations run, %d shared; want %d and 0", run1-run0, shared1-shared0, len(pts))
 	}

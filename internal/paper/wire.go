@@ -15,10 +15,10 @@ import (
 
 // This file is the wire codec of the simulation service (internal/serve,
 // cmd/hetsimd): a JobSpec names one simulation point of the campaign
-// compactly, and BuildSpecJob deterministically reconstructs the exact
-// sweep job (same key, same simulation) on the server, so a request is
-// self-describing and two clients asking for the same point dedupe onto
-// one simulation. RemoteRunner (plan.go) sends a
+// compactly, and a parsed BatchRequest rebuilds on the server the exact
+// jobs a local plan runs (same keys, same simulations, shared the same
+// way), so a request is self-describing and two clients asking for the
+// same point dedupe onto one simulation. RemoteRunner (plan.go) sends a
 // local plan as one batch whose results go through the same folds, which
 // is what makes `hetexp -remote` byte-identical to local execution.
 
@@ -59,14 +59,9 @@ type JobSpec struct {
 	Threads int `json:"threads,omitempty"`
 }
 
-// Validate checks the shape of a spec without touching the kernel
-// registry (BuildSpecJob resolves names; this guards the wire format).
-func (s *JobSpec) Validate() error {
-	_, err := s.validate()
-	return err
-}
-
-// validate is Validate that also returns what the spec simulates.
+// validate checks the shape of a spec without touching the kernel
+// registry (Job resolves names; this guards the wire format) and
+// returns what the spec simulates.
 func (s *JobSpec) validate() (simulation, error) {
 	if s.Kernel == "" {
 		return simulation{}, fmt.Errorf("paper: job spec: empty kernel name")
@@ -117,8 +112,9 @@ type BatchRequest struct {
 	Specs []JobSpec `json:"specs,omitempty"`
 
 	// sims holds what each spec simulates, as ParseBatchRequest resolved
-	// it, so Job does not resolve a spec again.
+	// it, so Job does not resolve a spec again; plan is what its jobs share.
 	sims []simulation
+	plan *plan
 }
 
 // maxBatchRequestBytes bounds a batch body (a 4096-spec campaign of
@@ -137,7 +133,7 @@ var suiteNames = []string{"measure", "table1", "fig3", "fig4", "fig5a", "breakdo
 // unknown fields, trailing data, oversized bodies and malformed specs are
 // errors, never best-effort guesses — the server's first line of defense
 // against garbage traffic (fuzzed by FuzzParseBatchRequest). Validation
-// is wire-shape only: kernel names resolve later, in BuildSpecJob.
+// is wire-shape only: kernel names resolve later, in Job.
 func ParseBatchRequest(b []byte) (*BatchRequest, error) {
 	if len(b) > maxBatchRequestBytes {
 		return nil, fmt.Errorf("paper: batch request larger than %d bytes", maxBatchRequestBytes)
@@ -163,7 +159,7 @@ func ParseBatchRequest(b []byte) (*BatchRequest, error) {
 	case len(req.Specs) > MaxBatchSpecs:
 		return nil, fmt.Errorf("paper: batch of %d specs exceeds the %d-spec bound", len(req.Specs), MaxBatchSpecs)
 	}
-	req.sims = make([]simulation, len(req.Specs))
+	req.sims, req.plan = make([]simulation, len(req.Specs)), new(plan)
 	for i := range req.Specs {
 		sim, err := req.Specs[i].validate()
 		if err != nil {
@@ -174,15 +170,16 @@ func ParseBatchRequest(b []byte) (*BatchRequest, error) {
 	return &req, nil
 }
 
-// Job builds the sweep job of spec i: BuildSpecJob(r.Specs[i]), reusing
-// the resolution ParseBatchRequest kept, so a served spec is resolved
-// once; Specs must not change after parsing. A request built by hand
-// resolves here.
+// Job builds the job BuildSpecJob(r.Specs[i]) builds as a point of the
+// request's plan, reusing the resolution ParseBatchRequest kept (Specs
+// must not change after parsing). A request built by hand resolves here
+// and shares nothing.
 func (r *BatchRequest) Job(i int) (sweep.Job[json.RawMessage], error) {
+	var sim *simulation
 	if i < len(r.sims) {
-		return specJob(r.Specs[i], &r.sims[i])
+		sim = &r.sims[i]
 	}
-	return specJob(r.Specs[i], nil)
+	return specJob(r.Specs[i], sim, r.plan)
 }
 
 // SuiteSpecs expands a named suite — "table1", "fig3", "fig4", "fig5a" or
@@ -394,23 +391,19 @@ func appendResult(dst []byte, r json.RawMessage) ([]byte, error) {
 // for the same point — the property the whole dedup story rests on — and
 // its result is exactly the bytes a local cache entry holds. Forming the
 // key builds nothing: the program, its compiled image and the input are
-// made only if the job runs.
+// made only if the job runs. The job is a lone point: it shares nothing.
 func BuildSpecJob(spec JobSpec) (sweep.Job[json.RawMessage], error) {
-	return specJob(spec, nil)
+	return specJob(spec, nil, nil)
 }
 
-// specJob builds the job of one spec as a lone point, resolving the spec
+// specJob builds the job of one spec as a point of pl, resolving the spec
 // unless sim already holds what it simulates.
-func specJob(spec JobSpec, sim *simulation) (sweep.Job[json.RawMessage], error) {
+func specJob(spec JobSpec, sim *simulation, pl *plan) (sweep.Job[json.RawMessage], error) {
 	k := lookupKernel(spec.Small, spec.Kernel)
 	if k == nil {
 		return sweep.Job[json.RawMessage]{}, fmt.Errorf("paper: job spec: unknown kernel %q", spec.Kernel)
 	}
-	p := Point{Spec: spec, k: k}
-	if sim == nil {
-		return p.job(nil)
-	}
-	return p.simJob(*sim, nil), nil
+	return Point{Spec: spec, k: k}.job(sim, pl)
 }
 
 // The kernels of each suite by name, indexed once per suite, so a served

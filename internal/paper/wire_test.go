@@ -48,7 +48,7 @@ func TestBuildSpecJobMatchesLocal(t *testing.T) {
 	}
 	ran := map[string]bool{}
 	for _, pt := range pts {
-		local, err := pt.job(nil)
+		local, err := pt.job(nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,7 +189,7 @@ func TestSuiteSpecsMatchLocal(t *testing.T) {
 		t.Fatalf("%d specs for a %d-point matrix", len(specs), len(pts))
 	}
 	for i, pt := range pts {
-		local, err := pt.job(nil)
+		local, err := pt.job(nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

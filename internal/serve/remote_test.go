@@ -3,6 +3,9 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
+	"io"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -67,5 +70,56 @@ func TestRemoteEquivalence(t *testing.T) {
 	if st.Executed != jobs || st.CacheHits != jobs ||
 		st.BatchJobs != 2*jobs || st.BatchCompleted != 2*jobs {
 		t.Fatalf("batch accounting: %+v (want %d executed, %d cached)", st, jobs, jobs)
+	}
+}
+
+// TestBatchSharesLocalPlan serves the whole small campaign's plan as one
+// batch on a fresh server and checks that the batch shares what a local
+// plan shares: every result is byte-identical to LocalRunner's, exactly
+// the 31 simulations that repeat another point's are taken from it
+// rather than run again, and each of the ten kernels' inputs is
+// generated once.
+func TestBatchSharesLocalPlan(t *testing.T) {
+	var pts []paper.Point
+	stop := errors.New("planned")
+	capture := func(plan []paper.Point) ([]json.RawMessage, error) {
+		pts = plan
+		return nil, stop
+	}
+	if err := paper.RenderCampaign(io.Discard, capture, kernels.SmallSuite(), paper.CampaignOptions{}); err != stop {
+		t.Fatalf("RenderCampaign = %v, want the capturing runner's error", err)
+	}
+	want, err := paper.LocalRunner(sweep.New(sweep.Config{}))(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	srv := New(Config{Workers: 2, Queue: 64})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	client := &Client{BaseURL: ts.URL, Tenant: "plan"}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
+	defer cancel()
+	_, shared0 := paper.SimStats()
+	in0, _ := kernels.ArtifactStats()
+	got, err := paper.RemoteRunner(ctx, client.RunBatch, true)(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, shared1 := paper.SimStats()
+	in1, _ := kernels.ArtifactStats()
+	for i := range pts {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Errorf("%+v: served %s, local %s", pts[i].Spec, got[i], want[i])
+		}
+	}
+	if n := shared1 - shared0; n != 31 {
+		t.Errorf("served plan shared %d simulations, want 31", n)
+	}
+	if n := in1 - in0; n != 10 {
+		t.Errorf("served plan generated %d inputs, want 10: one per kernel and seed", n)
+	}
+	if st := srv.Stats(); st.Executed != uint64(len(pts)) || st.SimsShared != shared1 {
+		t.Errorf("server stats %+v: want %d executed and sims_shared %d", st, len(pts), shared1)
 	}
 }

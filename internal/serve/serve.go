@@ -77,9 +77,9 @@ func (s State) String() string {
 type Config struct {
 	// Build resolves a job spec into the sweep job it names (key +
 	// runner). Nil builds the paper sweep's job from the parsed request
-	// (paper.BatchRequest.Job, which is paper.BuildSpecJob without
-	// resolving the spec a second time); tests and drills substitute
-	// instrumented builders.
+	// (paper.BatchRequest.Job: paper.BuildSpecJob's job, resolved once
+	// and sharing simulations and inputs with the request's other jobs);
+	// tests and drills substitute instrumented builders.
 	Build func(spec paper.JobSpec) (sweep.Job[json.RawMessage], error)
 	// Cache persists results across requests and restarts (nil disables
 	// persistence; dedup still works for concurrent requests).
@@ -167,6 +167,11 @@ type Stats struct {
 	BlockCompiles     uint64 `json:"block_compiles"`
 	CompileMemoHits   uint64 `json:"compile_memo_hits"`
 	CompileMemoMisses uint64 `json:"compile_memo_misses"`
+	// Simulation counters (process-wide, paper.SimStats): the
+	// simulations batch jobs ran, and the jobs that took the result of
+	// an identical simulation another job of their batch ran.
+	SimsRun    uint64 `json:"sims_run"`
+	SimsShared uint64 `json:"sims_shared"`
 }
 
 // Server is the simulation service. Create with New, mount Handler on an
@@ -245,6 +250,7 @@ func (s *Server) State() State { return State(s.state.Load()) }
 func (s *Server) Stats() Stats {
 	es := s.eng.Stats()
 	bc, _, mh, mm := kernels.CompileStats()
+	sr, ss := paper.SimStats()
 	s.bmu.Lock()
 	bt := s.batch
 	s.bmu.Unlock()
@@ -283,6 +289,8 @@ func (s *Server) Stats() Stats {
 		BlockCompiles:     bc,
 		CompileMemoHits:   mh,
 		CompileMemoMisses: mm,
+		SimsRun:           sr,
+		SimsShared:        ss,
 	}
 }
 
